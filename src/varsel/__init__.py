@@ -32,14 +32,11 @@ from .dataset import (
 )
 from .engine import (
     Cardinality,
-    GainEntry,
     GainFunction,
-    GainList,
     GreedyRun,
     Threshold,
     greedy_select,
     lazy_greedy_select,
-    reorder,
 )
 from .errors import (
     DegeneratePivot,
@@ -123,15 +120,12 @@ __all__ = [
     "k_at_threshold",
     "relative_performance",
     # engine
-    "GainEntry",
     "GainFunction",
-    "GainList",
     "GreedyRun",
     "Cardinality",
     "Threshold",
     "greedy_select",
     "lazy_greedy_select",
-    "reorder",
     # selectors
     "ALGORITHMS",
     "SelectionResult",

@@ -282,6 +282,22 @@ def project_onto(data: Dataset, selected) -> np.ndarray:
     return x_s @ coeffs
 
 
+def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:
+    """Deflate the writable matrix ``values`` by its column ``p0`` (0-based).
+
+    Every column loses its component along the pivot column, and the pivot
+    column itself is set to exactly zero.  Returns ``(r^T r, coeffs)``, so
+    the energy the deflation captured is ``rr * coeffs @ coeffs``.  The
+    caller guarantees a nonzero pivot.
+    """
+    r = values[:, p0].copy()
+    rr = float(r @ r)
+    coeffs = (r @ values) / rr
+    values -= np.outer(r, coeffs)
+    values[:, p0] = 0.0
+    return rr, coeffs
+
+
 def deflate(residual: ResidualMatrix, pivot: int) -> ResidualMatrix:
     """Remove the rank-one contribution of residual column ``pivot``.
 
@@ -299,13 +315,11 @@ def deflate(residual: ResidualMatrix, pivot: int) -> ResidualMatrix:
     if not 1 <= pivot <= residual.v:
         raise ValueError(f"pivot {pivot} outside 1..{residual.v}")
     p0 = pivot - 1
-    r = residual.values[:, p0]
-    norm = float(np.linalg.norm(r))
+    norm = float(np.linalg.norm(residual.values[:, p0]))
     if norm <= DEGENERATE_REL_TOL * residual.origin_fnorm:
         raise DegeneratePivot(pivot)
-    coeffs = (r @ residual.values) / (norm * norm)
-    values = residual.values - np.outer(r, coeffs)
-    values[:, p0] = 0.0
+    values = residual.values.copy()
+    deflate_in_place(values, p0)
     return ResidualMatrix(values, residual.deflated_by + (pivot,), residual.origin_fnorm)
 
 

@@ -2,19 +2,19 @@
 
 Both engines maximize a user-supplied gain function one candidate at a time.
 The plain engine re-evaluates every remaining candidate each step.  The lazy
-engine keeps a descending-sorted list of upper bounds (each candidate's most
-recent gain), re-evaluates only the head of the list until the head is known
-to be exact, and commits it; for submodular gains this reproduces the plain
+engine keeps every candidate's most recent gain as an upper bound in a heap,
+re-evaluates only the top of the heap until its bound is from the current
+step, and commits it; for submodular gains this reproduces the plain
 sequence exactly with far fewer evaluations, since gains can only shrink as
-the selection grows.
+the selection grows (Minoux's accelerated greedy).
 
 Candidates are identified by 0-based ids ``0 .. v-1`` at this layer; the
 selector layer converts to the 1-based indices used everywhere else.
 
 Tie-breaking: comparisons are exact float comparisons, and equal gains go to
 the lowest candidate id, in both engines (the plain engine scans ascending
-ids and replaces only on a strict improvement; the lazy list orders equal
-bounds by ascending id).
+ids and replaces only on a strict improvement; the heap orders equal bounds
+by ascending id).
 
 A gain of ``-inf`` marks a candidate as permanently excluded (for example, a
 column that has fallen inside the span of the selection); neither engine
@@ -23,10 +23,11 @@ will commit such a candidate.
 
 from __future__ import annotations
 
+import heapq
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -97,72 +98,6 @@ class GainFunction(ABC):
         """Current value of the criterion tracked for threshold stopping, or
         ``None`` to use the running sum of committed gains."""
         return None
-
-
-# =========================================================================
-# The sorted bound list
-# =========================================================================
-
-
-class GainEntry(NamedTuple):
-    index: int
-    bound: float
-    exact: bool
-
-
-def _entry_key(entry: GainEntry) -> tuple[float, int]:
-    return (-entry.bound, entry.index)
-
-
-@dataclass
-class GainList:
-    """Bound entries in descending bound order (ties: ascending id)."""
-
-    entries: list[GainEntry] = field(default_factory=list)
-
-    @classmethod
-    def from_bounds(cls, indices: Sequence[int], bounds: Sequence[float], exact: bool = True) -> "GainList":
-        entries = [GainEntry(int(i), float(b), exact) for i, b in zip(indices, bounds)]
-        entries.sort(key=_entry_key)
-        return cls(entries)
-
-    @property
-    def head(self) -> GainEntry:
-        return self.entries[0]
-
-    def pop_head(self) -> GainEntry:
-        return self.entries.pop(0)
-
-    def reset_exact(self) -> None:
-        self.entries = [GainEntry(e.index, e.bound, False) for e in self.entries]
-
-    def is_sorted(self) -> bool:
-        keys = [_entry_key(e) for e in self.entries]
-        return keys == sorted(keys)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def reorder(gain_list: GainList, updated_head: GainEntry) -> GainList:
-    """Replace the stale head with its updated entry at its sorted position.
-
-    Binary search locates the insertion point (descending bound, ties by
-    ascending id), so the cost is O(log n) comparisons plus the list shift.
-    The list is modified in place and returned.
-    """
-    entries = gain_list.entries
-    entries.pop(0)
-    key = _entry_key(updated_head)
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _entry_key(entries[mid]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    entries.insert(lo, updated_head)
-    return gain_list
 
 
 # =========================================================================
@@ -273,15 +208,17 @@ def lazy_greedy_select(
     stop: StoppingRule,
     initial: Sequence[int] = (),
 ) -> GreedyRun:
-    """Lazy greedy selection over a descending bound list.
+    """Lazy greedy selection over a heap of upper bounds.
 
-    The first step scores every candidate and commits the top one outright
-    (those bounds are exact).  Each later step marks all bounds stale,
-    re-evaluates the head, reinserts it at its sorted position, and repeats
-    until the head is exact, then commits the head.  For submodular gains
-    the stale bounds are valid upper bounds, so the committed candidate is
-    the true argmax; for non-submodular gains this is the usual lazy
-    heuristic, applied exactly as stated with no safeguard re-scan.
+    The first step scores every candidate.  The heap holds
+    ``(-bound, id, step)`` for each remaining candidate, where ``step`` is
+    the selection size at which the bound was evaluated.  Each step pops
+    the top: a bound from the current step is exact and is committed (an
+    excluded or NaN one means every candidate is exhausted); a stale one is
+    re-evaluated and pushed back.  For submodular gains the stale bounds
+    are valid upper bounds, so the committed candidate is the true argmax;
+    for non-submodular gains this is the usual lazy heuristic, applied
+    exactly as stated with no safeguard re-scan.
     """
     selected = _validate(v, stop, initial)
     remaining = [i for i in range(v) if i not in set(selected)]
@@ -289,33 +226,25 @@ def lazy_greedy_select(
     evals = 0
     committed = 0.0
     exhausted = False
-
-    def commit_head(entry: GainEntry) -> None:
-        nonlocal committed
-        gain_fn.commit(entry.index)
-        selected.append(entry.index)
-        gains.append(entry.bound)
-        committed += entry.bound
-
+    heap: list[tuple[float, int, int]] = []
     if not _stop_met(stop, selected, gain_fn, committed) and remaining:
         bounds = _scan(gain_fn, selected, remaining)
         evals += len(remaining)
-        gain_list = GainList.from_bounds(remaining, bounds)
-        head = gain_list.pop_head()
-        if head.bound == EXCLUDED or math.isnan(head.bound):
+        heap = [(-float(b), i, len(selected)) for i, b in zip(remaining, bounds)]
+        heapq.heapify(heap)
+    while heap and not _stop_met(stop, selected, gain_fn, committed):
+        while heap[0][2] != len(selected):
+            index = heap[0][1]
+            fresh = float(gain_fn.gain(selected, index))
+            evals += 1
+            heapq.heapreplace(heap, (-fresh, index, len(selected)))
+        neg_bound, index, _ = heapq.heappop(heap)
+        bound = -neg_bound
+        if bound == EXCLUDED or math.isnan(bound):
             exhausted = True
-        else:
-            commit_head(head)
-            while not _stop_met(stop, selected, gain_fn, committed) and len(gain_list):
-                gain_list.reset_exact()
-                while not gain_list.head.exact:
-                    stale = gain_list.head
-                    fresh = float(gain_fn.gain(selected, stale.index))
-                    evals += 1
-                    reorder(gain_list, GainEntry(stale.index, fresh, True))
-                head = gain_list.pop_head()
-                if head.bound == EXCLUDED or math.isnan(head.bound):
-                    exhausted = True
-                    break
-                commit_head(head)
+            break
+        gain_fn.commit(index)
+        selected.append(index)
+        gains.append(bound)
+        committed += bound
     return _finalize(stop, selected, gains, evals, exhausted, gain_fn, committed)

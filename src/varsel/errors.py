@@ -97,8 +97,3 @@ class NotMonotone(SelectionError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"set function decreases at {witness}")
-
-
-# Report emission failures are ordinary I/O failures; expose the builtin
-# under a package-local name so callers can catch one family of errors.
-IoError = OSError

@@ -39,16 +39,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
 from ._linalg import SpdFactorizationError, spd_inverse, spd_solve
-from .dataset import DEGENERATE_REL_TOL, Dataset, normalize_unit
+from .dataset import DEGENERATE_REL_TOL, Dataset, deflate_in_place, normalize_unit
 from .engine import (
     EXCLUDED,
     Cardinality,
     GainFunction,
+    GreedyRun,
     StoppingRule,
     Threshold,
     greedy_select,
@@ -221,12 +223,7 @@ class NipalsResult:
 # =========================================================================
 
 
-def _require_centered(data: Dataset, name: str) -> None:
-    if not data.centered:
-        raise ValueError(f"{name} requires centered data (apply center_columns first)")
-
-
-def _make_stop(k, tau, v: int, min_k: int = 1) -> StoppingRule:
+def _make_stop(k, tau, v: int, min_k: int) -> StoppingRule:
     if (k is None) == (tau is None):
         raise ValueError("provide exactly one of k and tau")
     if k is not None:
@@ -237,25 +234,62 @@ def _make_stop(k, tau, v: int, min_k: int = 1) -> StoppingRule:
     return Threshold(float(tau))
 
 
-def _clamp_ve(value: float) -> float:
-    return min(max(value, 0.0), 100.0)
+class _VeTracker:
+    """Variance explained after each step, in percent of the energy of the
+    centered data matrix ``x``.
+
+    Deflating selectors report the energy each deflation captures through
+    :meth:`add`.  The others hand each selected column to
+    :meth:`add_column`, which orthonormalizes it against the columns before
+    and adds the energy its new direction captures.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.energy = float(np.linalg.norm(x)) ** 2
+        self.captured = 0.0
+        self.trace: list[float] = []
+
+    @cached_property
+    def basis(self) -> OrthonormalBasis:
+        return OrthonormalBasis(*self.x.shape)
+
+    @property
+    def value(self) -> float:
+        return self.trace[-1] if self.trace else 0.0
+
+    def add(self, captured: float) -> None:
+        self.captured += captured
+        self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
+
+    def add_column(self, column: np.ndarray, strict: bool = False) -> np.ndarray | None:
+        """Track one more selected column and return its new unit direction.
+
+        A column dependent on the earlier ones captures nothing and returns
+        ``None``, or raises :class:`RankDeficient` when ``strict``.
+        """
+        try:
+            direction = self.basis.extend(column)
+        except RankDeficient:
+            if strict:
+                raise
+            self.add(0.0)
+            return None
+        t = direction @ self.x
+        self.add(float(t @ t))
+        return direction
 
 
 class _ResidualState:
-    """Mutable residual of the data matrix plus variance-explained tracking.
-
-    Energy captured by each deflation is accumulated, so the VE after step j
-    is available in O(1) without re-projecting.
-    """
+    """Mutable residual of the data matrix; each deflation feeds the VE
+    tracker the energy it captured."""
 
     def __init__(self, data: Dataset):
         self.x = data.values
         self.r = data.values.copy()
-        self.x_energy = float(np.linalg.norm(self.x)) ** 2
-        self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.x_energy
+        self.ve = _VeTracker(self.x)
+        self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.ve.energy
         self.excluded = np.zeros(data.v, dtype=bool)
-        self.captured = 0.0
-        self.ve_trace: list[float] = []
 
     def residual_sqnorms(self) -> np.ndarray:
         return np.einsum("ij,ij->j", self.r, self.r)
@@ -265,44 +299,54 @@ class _ResidualState:
         self.excluded |= sqnorms <= self.degenerate_sq
         return self.excluded
 
-    def deflate(self, pivot0: int) -> None:
-        r = self.r[:, pivot0].copy()
+    def live_column(self, candidate: int) -> tuple[np.ndarray, float] | None:
+        """Residual column ``candidate`` and its squared norm, or ``None``
+        once the column is excluded (its energy being gone excludes it)."""
+        if self.excluded[candidate]:
+            return None
+        r = self.r[:, candidate]
         rr = float(r @ r)
-        coeffs = (r @ self.r) / rr
-        self.r -= np.outer(r, coeffs)
-        self.r[:, pivot0] = 0.0
+        if rr <= self.degenerate_sq:
+            self.excluded[candidate] = True
+            return None
+        return r, rr
+
+    def deflate(self, pivot0: int) -> None:
+        rr, coeffs = deflate_in_place(self.r, pivot0)
         self.excluded[pivot0] = True
-        self.captured += rr * float(coeffs @ coeffs)
-        self.ve_trace.append(_clamp_ve(100.0 * self.captured / self.x_energy))
+        self.ve.add(rr * float(coeffs @ coeffs))
 
 
-class _VeTracker:
-    """Incremental VE tracking for selectors that do not deflate.
+class _SelectorGain(GainFunction):
+    """A selector's gain as :func:`_select` drives it.
 
-    Selected columns are orthonormalized one at a time; each new basis
-    direction's captured energy against the centered data matrix is added
-    to the running total.
+    The VE tracker's value is the criterion for threshold stopping.
+    ``initial`` is the warm start the gain has already committed, and
+    ``setup_evals`` the evaluations spent choosing it.
     """
 
-    def __init__(self, centered_values: np.ndarray):
-        self.x = centered_values
-        self.energy = float(np.linalg.norm(self.x)) ** 2
-        self.basis = OrthonormalBasis(self.x.shape[0], self.x.shape[1])
-        self.captured = 0.0
-        self.ve_trace: list[float] = []
+    ve: _VeTracker
+    initial: tuple[int, ...] = ()
+    setup_evals = 0
+    warnings: tuple[str, ...] = ()
 
-    def add_column(self, column: np.ndarray, strict: bool = False) -> np.ndarray | None:
-        try:
-            direction = self.basis.extend(column)
-        except RankDeficient:
-            if strict:
-                raise
-            direction = None
-        if direction is not None:
-            t = direction @ self.x
-            self.captured += float(t @ t)
-        self.ve_trace.append(_clamp_ve(100.0 * self.captured / self.energy))
-        return direction
+    def value(self) -> float:
+        return self.ve.value
+
+    def native_trace(self, gains: tuple[float, ...]) -> tuple[float, ...]:
+        """Per-step values of the selector's own criterion."""
+        return gains
+
+
+class _DeflatingGain(_SelectorGain):
+    """A gain over the residual; committing a column deflates by it."""
+
+    def __init__(self, data: Dataset):
+        self.state = _ResidualState(data)
+        self.ve = self.state.ve
+
+    def commit(self, candidate: int) -> None:
+        self.state.deflate(candidate)
 
 
 # =========================================================================
@@ -310,7 +354,7 @@ class _VeTracker:
 # =========================================================================
 
 
-class _FscaGain(GainFunction):
+class _FscaGain(_DeflatingGain):
     """VE gain of a residual column: ``100 ||R^T r||^2 / (r^T r ||X||^2)``.
 
     Every evaluation — full sweeps in the plain engine and head
@@ -320,27 +364,13 @@ class _FscaGain(GainFunction):
     savings of lazy selection rather than a batching artifact.
     """
 
-    def __init__(self, state: _ResidualState):
-        self.state = state
-
     def gain(self, selected, candidate: int) -> float:
-        state = self.state
-        if state.excluded[candidate]:
+        live = self.state.live_column(candidate)
+        if live is None:
             return EXCLUDED
-        r = state.r[:, candidate]
-        rr = float(r @ r)
-        if rr <= state.degenerate_sq:
-            state.excluded[candidate] = True
-            return EXCLUDED
-        t = r @ state.r
-        return 100.0 * float(t @ t) / (rr * state.x_energy)
-
-    def commit(self, candidate: int) -> None:
-        self.state.deflate(candidate)
-
-    def value(self) -> float:
-        trace = self.state.ve_trace
-        return trace[-1] if trace else 0.0
+        r, rr = live
+        t = r @ self.state.r
+        return 100.0 * float(t @ t) / (rr * self.state.ve.energy)
 
 
 # =========================================================================
@@ -348,7 +378,7 @@ class _FscaGain(GainFunction):
 # =========================================================================
 
 
-class _FosModGain(GainFunction):
+class _FosModGain(_DeflatingGain):
     """Average squared correlation of a residual column with all original
     columns: ``(1/v) sum_j (x_j^T r)^2 / (||x_j||^2 ||r||^2)``.
 
@@ -357,8 +387,9 @@ class _FosModGain(GainFunction):
     average and excluded from candidacy.
     """
 
-    def __init__(self, state: _ResidualState):
-        self.state = state
+    def __init__(self, data: Dataset):
+        super().__init__(data)
+        state = self.state
         sqnorms = np.einsum("ij,ij->j", state.x, state.x)
         self.inv_sqnorms = np.zeros_like(sqnorms)
         nonzero = sqnorms > 0.0
@@ -367,15 +398,11 @@ class _FosModGain(GainFunction):
         self.v = state.x.shape[1]
 
     def gain(self, selected, candidate: int) -> float:
-        state = self.state
-        if state.excluded[candidate]:
+        live = self.state.live_column(candidate)
+        if live is None:
             return EXCLUDED
-        r = state.r[:, candidate]
-        rr = float(r @ r)
-        if rr <= state.degenerate_sq:
-            state.excluded[candidate] = True
-            return EXCLUDED
-        u = r @ state.x
+        r, rr = live
+        u = r @ self.state.x
         return float((u * u) @ self.inv_sqnorms) / (self.v * rr)
 
     def gain_all(self, selected, candidates):
@@ -387,13 +414,6 @@ class _FosModGain(GainFunction):
             scores = (cross * cross) @ self.inv_sqnorms / (self.v * sqnorms)
         scores[excluded] = EXCLUDED
         return scores[list(candidates)]
-
-    def commit(self, candidate: int) -> None:
-        self.state.deflate(candidate)
-
-    def value(self) -> float:
-        trace = self.state.ve_trace
-        return trace[-1] if trace else 0.0
 
 
 # =========================================================================
@@ -438,13 +458,13 @@ def nipals_first_pc(data, tol: float = 1e-9, max_iter: int = 500) -> NipalsResul
     return NipalsResult(scores, iterations, converged)
 
 
-class _PfsGain(GainFunction):
+class _PfsGain(_DeflatingGain):
     """Absolute correlation of residual columns with the residual's first
     principal component; the component is recomputed once per step and the
     per-candidate scores cached."""
 
-    def __init__(self, state: _ResidualState):
-        self.state = state
+    def __init__(self, data: Dataset):
+        super().__init__(data)
         self._cached_step = -1
         self._scores: np.ndarray | None = None
         self.warnings: list[str] = []
@@ -480,12 +500,8 @@ class _PfsGain(GainFunction):
         return self._ensure_scores(selected)[list(candidates)]
 
     def commit(self, candidate: int) -> None:
-        self.state.deflate(candidate)
+        super().commit(candidate)
         self._cached_step = -1
-
-    def value(self) -> float:
-        trace = self.state.ve_trace
-        return trace[-1] if trace else 0.0
 
 
 # =========================================================================
@@ -493,7 +509,7 @@ class _PfsGain(GainFunction):
 # =========================================================================
 
 
-class _ItfsGain(GainFunction):
+class _ItfsGain(_SelectorGain):
     """Posterior-variance ratio ``var(x|S) / var(x|U\\x)`` under a Gaussian
     model with isotropic noise regularization.
 
@@ -505,13 +521,15 @@ class _ItfsGain(GainFunction):
     """
 
     def __init__(self, data: Dataset, sigma: float | None):
+        if sigma is not None and not sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
         model = CovarianceModel.from_dataset(data, sigma)
         self.cov = model.cov
         self.sigma = model.sigma_noise
         self.s2 = model.sigma_noise**2
         self.v = model.v
         self.committed: list[int] = []
-        self.tracker = _VeTracker(data.values)
+        self.ve = _VeTracker(data.values)
         self._cached_step = -1
         self._scores: np.ndarray | None = None
 
@@ -551,11 +569,7 @@ class _ItfsGain(GainFunction):
     def commit(self, candidate: int) -> None:
         self.committed.append(candidate)
         self._cached_step = -1
-        self.tracker.add_column(self.tracker.x[:, candidate])
-
-    def value(self) -> float:
-        trace = self.tracker.ve_trace
-        return trace[-1] if trace else 0.0
+        self.ve.add_column(self.ve.x[:, candidate])
 
 
 # =========================================================================
@@ -563,22 +577,28 @@ class _ItfsGain(GainFunction):
 # =========================================================================
 
 
-class _FsfpGain(GainFunction):
+class _FsfpGain(_SelectorGain):
     """Marginal frame-potential reduction of adding a unit-norm column.
 
     Adding ``x_i`` to the selection raises the frame potential by
     ``<x_i, x_i>^2 + 2 sum_{j in S} <x_i, x_j>^2``; the gain is the
     negative of that increment, and the per-candidate inner-product sums
-    are maintained incrementally so each evaluation is O(1).
+    are maintained incrementally so each evaluation is O(1).  The warm
+    start is the FSCA pick on the normalized data.
     """
 
-    def __init__(self, normalized: Dataset, centered: Dataset):
+    def __init__(self, data: Dataset):
+        normalized = data if data.unit_norm else normalize_unit(data)
+        first = fsca_select(normalized, 1)
         self.gram = normalized.values.T @ normalized.values
         self.diag_sq = np.diag(self.gram) ** 2
         self.pair_sums = np.zeros(normalized.v)
-        self.tracker = _VeTracker(centered.values)
+        self.ve = _VeTracker(data.values)
         self.fp = 0.0
         self.fp_trace: list[float] = []
+        self.initial = (first.order[0] - 1,)
+        self.setup_evals = first.eval_count
+        self.commit(self.initial[0])
 
     def gain(self, selected, candidate: int) -> float:
         return -(float(self.diag_sq[candidate]) + 2.0 * float(self.pair_sums[candidate]))
@@ -591,11 +611,10 @@ class _FsfpGain(GainFunction):
         self.fp += float(self.diag_sq[candidate]) + 2.0 * float(self.pair_sums[candidate])
         self.fp_trace.append(self.fp)
         self.pair_sums += self.gram[:, candidate] ** 2
-        self.tracker.add_column(self.tracker.x[:, candidate])
+        self.ve.add_column(self.ve.x[:, candidate])
 
-    def value(self) -> float:
-        trace = self.tracker.ve_trace
-        return trace[-1] if trace else 0.0
+    def native_trace(self, gains):
+        return tuple(self.fp_trace)
 
 
 # =========================================================================
@@ -603,19 +622,28 @@ class _FsfpGain(GainFunction):
 # =========================================================================
 
 
-class _UfsGain(GainFunction):
+class _UfsGain(_SelectorGain):
     """Negated squared multiple correlation with the selection's basis.
 
     ``R^2(x_i, C_S) = sum_j (c_j^T x_i)^2`` is maintained incrementally:
     committing a column appends one orthonormal direction and adds its
-    squared inner products with every column.
+    squared inner products with every column.  The warm start is the least
+    correlated column pair.
     """
 
-    def __init__(self, normalized: Dataset, centered: Dataset):
+    def __init__(self, data: Dataset):
+        if data.v < 2:
+            raise ValueError("ufs needs at least two variables")
+        normalized = data if data.unit_norm else normalize_unit(data)
+        gram = normalized.values.T @ normalized.values
+        self.initial = _least_correlated_pair(gram)
+        self.pair_value = abs(float(gram[self.initial]))
         self.normalized = normalized.values
         self.r_squared = np.zeros(normalized.v)
-        self.tracker = _VeTracker(centered.values)
+        self.ve = _VeTracker(data.values)
         self.committed: list[int] = []
+        for i in self.initial:
+            self.commit(i)
 
     def gain(self, selected, candidate: int) -> float:
         return -float(self.r_squared[candidate])
@@ -625,7 +653,7 @@ class _UfsGain(GainFunction):
 
     def commit(self, candidate: int) -> None:
         try:
-            direction = self.tracker.add_column(self.normalized[:, candidate], strict=True)
+            direction = self.ve.add_column(self.normalized[:, candidate], strict=True)
         except RankDeficient:
             raise RankDeficient(
                 tuple(i + 1 for i in self.committed) + (candidate + 1,)
@@ -633,26 +661,8 @@ class _UfsGain(GainFunction):
         self.committed.append(candidate)
         self.r_squared += (direction @ self.normalized) ** 2
 
-    def value(self) -> float:
-        trace = self.tracker.ve_trace
-        return trace[-1] if trace else 0.0
-
-
-class _UfsRebuildGain(_UfsGain):
-    """UFS gain that rebuilds the orthonormal basis from scratch each step
-    instead of extending it; used to cross-check the incremental path."""
-
-    def commit(self, candidate: int) -> None:
-        try:
-            self.tracker.add_column(self.normalized[:, candidate], strict=True)
-        except RankDeficient:
-            raise RankDeficient(
-                tuple(i + 1 for i in self.committed) + (candidate + 1,)
-            ) from None
-        self.committed.append(candidate)
-        basis = OrthonormalBasis.from_columns(self.normalized[:, self.committed])
-        projections = basis.columns.T @ self.normalized
-        self.r_squared = np.einsum("ij,ij->j", projections, projections)
+    def native_trace(self, gains):
+        return (self.pair_value, self.pair_value) + tuple(-g for g in gains[2:])
 
 
 def _least_correlated_pair(gram: np.ndarray) -> tuple[int, int]:
@@ -669,36 +679,37 @@ def _least_correlated_pair(gram: np.ndarray) -> tuple[int, int]:
 # =========================================================================
 
 
-def _engine_for(name: str):
-    engines = {"greedy": greedy_select, "lazy": lazy_greedy_select}
-    if name not in engines:
-        raise ValueError(f"engine must be one of {sorted(engines)}, got {name!r}")
-    return engines[name]
+def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy") -> SelectionResult:
+    """Run one selector: the front end every public ``*_select`` shares.
 
-
-def _exhaustion_warnings(run) -> list[str]:
-    if run.exhausted:
-        return ["selection stopped early: every remaining column lies in the selected span"]
-    return []
-
-
-def _fsca_impl(data: Dataset, k, tau, lazy: bool) -> SelectionResult:
-    name = "lfsca" if lazy else "fsca"
-    _require_centered(data, name)
+    ``make_gain()`` builds the gain, preprocessing and warm start included,
+    inside the timed region.  ``k`` may not be below the warm start's size;
+    when it equals it, the warm start is the result and no engine runs.
+    """
+    if not data.centered:
+        raise ValueError(f"{name} requires centered data (apply center_columns first)")
     started = perf_counter()
-    stop = _make_stop(k, tau, data.v)
-    state = _ResidualState(data)
-    gain = _FscaGain(state)
-    run = (lazy_greedy_select if lazy else greedy_select)(gain, data.v, stop)
+    engines = {"greedy": greedy_select, "lazy": lazy_greedy_select}
+    if engine not in engines:
+        raise ValueError(f"engine must be one of {sorted(engines)}, got {engine!r}")
+    gain = make_gain()
+    stop = _make_stop(k, tau, data.v, min_k=max(1, len(gain.initial)))
+    if isinstance(stop, Cardinality) and stop.k == len(gain.initial):
+        run = GreedyRun(gain.initial, (math.nan,) * stop.k, 0)
+    else:
+        run = engines[engine](gain, data.v, stop, initial=gain.initial)
     elapsed = perf_counter() - started
+    warnings = list(gain.warnings)
+    if run.exhausted:
+        warnings.insert(0, "selection stopped early: every remaining column lies in the selected span")
     return SelectionResult(
         algorithm=name,
         order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(state.ve_trace)),
-        native_trace=run.gains,
-        eval_count=run.eval_count,
+        ve_curve=VECurve(tuple(gain.ve.trace)),
+        native_trace=gain.native_trace(run.gains),
+        eval_count=gain.setup_evals + run.eval_count,
         elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run)),
+        warnings=tuple(warnings),
     )
 
 
@@ -711,19 +722,19 @@ def fsca_select(data: Dataset, k: int | None = None, *, tau: float | None = None
     ``k`` selections, or, when ``tau`` is given instead, once the variance
     explained reaches ``tau`` percent.
     """
-    return _fsca_impl(data, k, tau, lazy=False)
+    return _select("fsca", data, k, tau, lambda: _FscaGain(data))
 
 
 def lfsca_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
     """FSCA driven through the lazy engine.
 
-    Bounds from earlier steps stand in for exact scores until the head of
-    the bound list has been re-evaluated, which skips most evaluations per
+    Bounds from earlier steps stand in for exact scores until the top of
+    the bound heap has been re-evaluated, which skips most evaluations per
     step; the VE gain is not exactly submodular, so sequences can deviate
     from plain FSCA, with VE differences that stay within a small fraction
     of a percentage point in practice.
     """
-    return _fsca_impl(data, k, tau, lazy=True)
+    return _select("lfsca", data, k, tau, lambda: _FscaGain(data), engine="lazy")
 
 
 def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
@@ -733,22 +744,7 @@ def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = No
     correlation against all original columns, then deflates.  Threshold
     mode stops once variance explained reaches ``tau`` percent.
     """
-    _require_centered(data, "fosmod")
-    started = perf_counter()
-    stop = _make_stop(k, tau, data.v)
-    state = _ResidualState(data)
-    gain = _FosModGain(state)
-    run = greedy_select(gain, data.v, stop)
-    elapsed = perf_counter() - started
-    return SelectionResult(
-        algorithm="fosmod",
-        order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(state.ve_trace)),
-        native_trace=run.gains,
-        eval_count=run.eval_count,
-        elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run)),
-    )
+    return _select("fosmod", data, k, tau, lambda: _FosModGain(data))
 
 
 def pfs_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
@@ -758,22 +754,7 @@ def pfs_select(data: Dataset, k: int | None = None, *, tau: float | None = None)
     NIPALS and selects the residual column with the largest absolute
     correlation to it, then deflates.
     """
-    _require_centered(data, "pfs")
-    started = perf_counter()
-    stop = _make_stop(k, tau, data.v)
-    state = _ResidualState(data)
-    gain = _PfsGain(state)
-    run = greedy_select(gain, data.v, stop)
-    elapsed = perf_counter() - started
-    return SelectionResult(
-        algorithm="pfs",
-        order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(state.ve_trace)),
-        native_trace=run.gains,
-        eval_count=run.eval_count,
-        elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run) + gain.warnings),
-    )
+    return _select("pfs", data, k, tau, lambda: _PfsGain(data))
 
 
 def itfs_select(
@@ -792,23 +773,7 @@ def itfs_select(
 
     ``sigma`` defaults to 1% of the root-mean-square variable scale.
     """
-    _require_centered(data, "itfs")
-    if sigma is not None and not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    started = perf_counter()
-    stop = _make_stop(k, tau, data.v)
-    gain = _ItfsGain(data, sigma)
-    run = greedy_select(gain, data.v, stop)
-    elapsed = perf_counter() - started
-    return SelectionResult(
-        algorithm="itfs",
-        order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(gain.tracker.ve_trace)),
-        native_trace=run.gains,
-        eval_count=run.eval_count,
-        elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run)),
-    )
+    return _select("itfs", data, k, tau, lambda: _ItfsGain(data, sigma))
 
 
 def fsfp_fsca_select(
@@ -827,36 +792,7 @@ def fsfp_fsca_select(
     The frame-potential gain is submodular, so ``engine="lazy"`` reproduces
     the plain sequence exactly.
     """
-    _require_centered(data, "fsfp_fsca")
-    started = perf_counter()
-    run_engine = _engine_for(engine)
-    normalized = data if data.unit_norm else normalize_unit(data)
-    first = fsca_select(normalized, 1)
-    first0 = first.order[0] - 1
-    gain = _FsfpGain(normalized, data)
-    gain.commit(first0)
-    if k is not None and int(k) == 1 and tau is None:
-        elapsed = perf_counter() - started
-        return SelectionResult(
-            algorithm="fsfp-fsca",
-            order=(first.order[0],),
-            ve_curve=VECurve(tuple(gain.tracker.ve_trace)),
-            native_trace=tuple(gain.fp_trace),
-            eval_count=first.eval_count,
-            elapsed=elapsed,
-        )
-    stop = _make_stop(k, tau, data.v)
-    run = run_engine(gain, data.v, stop, initial=(first0,))
-    elapsed = perf_counter() - started
-    return SelectionResult(
-        algorithm="fsfp-fsca",
-        order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(gain.tracker.ve_trace)),
-        native_trace=tuple(gain.fp_trace),
-        eval_count=first.eval_count + run.eval_count,
-        elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run)),
-    )
+    return _select("fsfp-fsca", data, k, tau, lambda: _FsfpGain(data), engine)
 
 
 def ufs_select(
@@ -865,7 +801,6 @@ def ufs_select(
     *,
     tau: float | None = None,
     engine: str = "greedy",
-    rebuild_basis: bool = False,
 ) -> SelectionResult:
     """Unsupervised forward selection.
 
@@ -874,49 +809,11 @@ def ufs_select(
     adds the candidate with the smallest squared multiple correlation
     against the orthonormal basis of the selection.  The underlying set
     function is submodular, so ``engine="lazy"`` reproduces the plain
-    sequence exactly.  ``rebuild_basis=True`` recomputes the basis from
-    scratch every step instead of extending it (slower; used for
-    numerical cross-checks).
+    sequence exactly.
 
     Requires ``k >= 2`` in cardinality mode.
     """
-    _require_centered(data, "ufs")
-    if data.v < 2:
-        raise ValueError("ufs needs at least two variables")
-    started = perf_counter()
-    run_engine = _engine_for(engine)
-    normalized = data if data.unit_norm else normalize_unit(data)
-    gram = normalized.values.T @ normalized.values
-    i1, i2 = _least_correlated_pair(gram)
-    pair_value = abs(float(gram[i1, i2]))
-    gain_cls = _UfsRebuildGain if rebuild_basis else _UfsGain
-    gain = gain_cls(normalized, data)
-    gain.commit(i1)
-    gain.commit(i2)
-    native = [pair_value, pair_value]
-    if k is not None and int(k) == 2 and tau is None:
-        elapsed = perf_counter() - started
-        return SelectionResult(
-            algorithm="ufs",
-            order=(i1 + 1, i2 + 1),
-            ve_curve=VECurve(tuple(gain.tracker.ve_trace)),
-            native_trace=tuple(native),
-            eval_count=0,
-            elapsed=elapsed,
-        )
-    stop = _make_stop(k, tau, data.v, min_k=2)
-    run = run_engine(gain, data.v, stop, initial=(i1, i2))
-    native.extend(-g for g in run.gains[2:])
-    elapsed = perf_counter() - started
-    return SelectionResult(
-        algorithm="ufs",
-        order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(gain.tracker.ve_trace)),
-        native_trace=tuple(native),
-        eval_count=run.eval_count,
-        elapsed=elapsed,
-        warnings=tuple(_exhaustion_warnings(run)),
-    )
+    return _select("ufs", data, k, tau, lambda: _UfsGain(data), engine)
 
 
 #: Registry of selector callables by their public names.

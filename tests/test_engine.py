@@ -9,15 +9,12 @@ import pytest
 
 from varsel import (
     Cardinality,
-    GainEntry,
     GainFunction,
-    GainList,
     GreedyRun,
     Threshold,
     ThresholdNeverReached,
     greedy_select,
     lazy_greedy_select,
-    reorder,
 )
 from varsel.engine import EXCLUDED
 
@@ -49,6 +46,20 @@ class CoverageGain(GainFunction):
 
     def commit(self, candidate):
         pass
+
+
+class ScheduledGain(GainFunction):
+    """Gains read from a per-step table: ``schedule[len(selected)][candidate]``.
+
+    Arbitrary tables are neither modular nor submodular, so stale bounds
+    need not be upper bounds; the lazy engine must still follow its rule.
+    """
+
+    def __init__(self, schedule):
+        self.schedule = [[float(w) for w in row] for row in schedule]
+
+    def gain(self, selected, candidate):
+        return self.schedule[len(selected)][candidate]
 
 
 class ExcludingGain(GainFunction):
@@ -87,6 +98,27 @@ def reference_greedy(gain_fn, v, k):
         selected.append(best_id)
         gain_fn.commit(best_id)
     return selected
+
+
+def reference_lazy(gain_fn, v, k):
+    """Independent lazy transcription: per pop, the best (bound, lowest id)
+    over every remaining candidate, found by a full sort, is committed when
+    its bound is from the current step and re-evaluated otherwise."""
+    bounds = {i: gain_fn.gain([], i) for i in range(v)}
+    stamps = dict.fromkeys(range(v), 0)
+    evals = v
+    selected, gains = [], []
+    while len(selected) < k:
+        head = sorted(bounds, key=lambda i: (-bounds[i], i))[0]
+        if stamps[head] == len(selected):
+            selected.append(head)
+            gains.append(bounds.pop(head))
+            gain_fn.commit(head)
+        else:
+            bounds[head] = gain_fn.gain(selected, head)
+            stamps[head] = len(selected)
+            evals += 1
+    return tuple(selected), tuple(gains), evals
 
 
 # =========================================================================
@@ -212,6 +244,17 @@ class TestLazyGreedySelect:
             lazy = lazy_greedy_select(random_coverage(make_rng(seed)), 8, Cardinality(6))
             assert lazy.eval_count <= plain.eval_count
 
+    def test_matches_plain_on_random_modular(self):
+        # Modular gains are exact after the first scan, so each later step
+        # re-evaluates only the head; integer weights make ties common.
+        for seed in range(30):
+            weights = make_rng(seed).integers(0, 8, size=20)
+            plain = greedy_select(ModularGain(weights), 20, Cardinality(10))
+            lazy = lazy_greedy_select(ModularGain(weights), 20, Cardinality(10))
+            assert lazy.order == plain.order
+            assert lazy.gains == plain.gains
+            assert lazy.eval_count == 20 + 9
+
     def test_modular_needs_one_refresh_per_step(self):
         # After the first full scan every bound is already exact in value;
         # each later step re-evaluates just the head.
@@ -249,60 +292,46 @@ class TestLazyGreedySelect:
 
 
 # =========================================================================
-# Bound list maintenance
+# Re-ordering of re-evaluated bounds
 # =========================================================================
 
 
-class TestGainList:
-    def test_from_bounds_sorts_descending(self):
-        gl = GainList.from_bounds([0, 1, 2], [1.0, 3.0, 2.0])
-        assert [e.index for e in gl.entries] == [1, 2, 0]
-        assert gl.is_sorted()
-
-    def test_tie_orders_by_id(self):
-        gl = GainList.from_bounds([2, 0, 1], [5.0, 5.0, 5.0])
-        assert [e.index for e in gl.entries] == [0, 1, 2]
-
-    def test_reset_exact(self):
-        gl = GainList.from_bounds([0, 1], [2.0, 1.0], exact=True)
-        gl.reset_exact()
-        assert all(not e.exact for e in gl.entries)
-
-    def test_pop_head(self):
-        gl = GainList.from_bounds([0, 1], [1.0, 9.0])
-        assert gl.pop_head() == GainEntry(1, 9.0, True)
-        assert len(gl) == 1
-
-
 class TestReorder:
+    """A re-evaluated head goes back among the bounds at its new place."""
+
     def test_head_stays_when_still_best(self):
-        gl = GainList.from_bounds([0, 1, 2], [9.0, 5.0, 1.0])
-        reorder(gl, GainEntry(0, 8.0, True))
-        assert gl.head == GainEntry(0, 8.0, True)
-        assert gl.is_sorted()
+        gain = ScheduledGain([[9.0, 5.0, 1.0], [0.0, 4.0, 1.0]])
+        lazy = lazy_greedy_select(gain, 3, Cardinality(2))
+        assert lazy.order == (0, 1)
+        assert lazy.gains == (9.0, 4.0)
+        assert lazy.eval_count == 3 + 1
 
     def test_head_moves_to_tail(self):
-        gl = GainList.from_bounds([0, 1, 2], [9.0, 5.0, 1.0])
-        reorder(gl, GainEntry(0, 0.5, True))
-        assert [e.index for e in gl.entries] == [1, 2, 0]
-        assert gl.is_sorted()
+        schedule = [[9.0, 5.0, 4.0, 1.0], [0.0, 0.5, 3.0, 1.0]]
+        schedule += [[0.0, 0.5, 0.0, 1.0], [0.0, 0.5, 0.0, 0.0]]
+        lazy = lazy_greedy_select(ScheduledGain(schedule), 4, Cardinality(4))
+        assert lazy.order == (0, 2, 3, 1)
+        assert lazy.eval_count == 4 + 2 + 1 + 1
 
     def test_tie_inserts_after_lower_ids(self):
-        gl = GainList.from_bounds([2, 0, 1], [9.0, 5.0, 4.0])
-        reorder(gl, GainEntry(2, 5.0, True))
-        assert [e.index for e in gl.entries] == [0, 2, 1]
+        # Step 2 re-evaluates id 2 to 4.0 first, then id 1 to the same 4.0:
+        # both are exact, and the lower id is committed first.
+        schedule = [[10.0, 5.0, 9.0, 1.0], [0.0, 4.0, 4.0, 1.0], [0.0, 0.0, 4.0, 1.0]]
+        lazy = lazy_greedy_select(ScheduledGain(schedule), 4, Cardinality(3))
+        assert lazy.order == (0, 1, 2)
+        assert lazy.eval_count == 4 + 2 + 1
 
     def test_random_stress_matches_full_sort(self):
-        # [DERIVED] 1000 head updates vs re-sorting from scratch each time.
-        rng = make_rng(99)
-        bounds = rng.uniform(-1, 10, size=50)
-        gl = GainList.from_bounds(list(range(50)), bounds)
-        for _ in range(1000):
-            head = gl.head
-            fresh = GainEntry(head.index, float(rng.uniform(-1, 10)), True)
-            reorder(gl, fresh)
-            expected = sorted(gl.entries, key=lambda e: (-e.bound, e.index))
-            assert gl.entries == expected
+        # [DERIVED] the heap against re-sorting every bound on each pop, on
+        # arbitrary integer-valued tables full of ties.
+        for seed in range(200):
+            rng = make_rng(seed)
+            schedule = rng.integers(0, 6, size=(8, 12)).astype(float)
+            lazy = lazy_greedy_select(ScheduledGain(schedule), 12, Cardinality(8))
+            order, gains, evals = reference_lazy(ScheduledGain(schedule), 12, 8)
+            assert lazy.order == order
+            assert lazy.gains == gains
+            assert lazy.eval_count == evals
 
 
 # =========================================================================
