@@ -12,9 +12,9 @@ Candidates are identified by 0-based ids ``0 .. v-1`` at this layer; the
 selector layer converts to the 1-based indices used everywhere else.
 
 Tie-breaking: comparisons are exact float comparisons, and equal gains go to
-the lowest candidate id, in both engines (the plain engine scans ascending
-ids and replaces only on a strict improvement; the heap orders equal bounds
-by ascending id).
+the lowest candidate id, in both engines (the plain engine takes the first
+maximum over ascending ids, NaN scores counting as excluded; the heap
+orders equal bounds by ascending id).
 
 A gain of ``-inf`` marks a candidate as permanently excluded (for example, a
 column that has fallen inside the span of the selection); neither engine
@@ -185,13 +185,12 @@ def greedy_select(
     while not _stop_met(stop, selected, gain_fn, committed) and remaining:
         scores = _scan(gain_fn, selected, remaining)
         evals += len(remaining)
-        best_pos = -1
-        best_gain = EXCLUDED
-        for pos, score in enumerate(scores):
-            if not math.isnan(score) and score > best_gain:
-                best_gain = float(score)
-                best_pos = pos
-        if best_pos < 0 or best_gain == EXCLUDED:
+        # A new array, so an array the gain keeps is never written; the
+        # first maximum is the lowest id.
+        scores = np.where(np.isnan(scores), EXCLUDED, scores)
+        best_pos = int(np.argmax(scores))
+        best_gain = float(scores[best_pos])
+        if best_gain == EXCLUDED:
             exhausted = True
             break
         chosen = remaining.pop(best_pos)

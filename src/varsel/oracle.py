@@ -283,7 +283,7 @@ def exhaustive_optimal(
         return OptimalSubset(frozenset(best_combo), float(best_value), metric)
 
     if metric == "fp":
-        unit = data if data.unit_norm else normalize_unit(data)
+        unit = normalize_unit(data)
         gram_sq = (unit.values.T @ unit.values) ** 2
     else:
         gram = data.values.T @ data.values
@@ -477,7 +477,7 @@ def compare_to_optimal(
     if optimal.metric == "ve" and data is not None:
         achieved = variance_explained(data, head)
     elif optimal.metric == "fp" and data is not None:
-        unit = data if data.unit_norm else normalize_unit(data)
+        unit = normalize_unit(data)
         achieved = frame_potential(unit, head)
     elif optimal.metric == "mi" and model is not None:
         achieved = mutual_information(model, head)

@@ -30,6 +30,12 @@ The frame-potential and UFS selectors additionally scale columns to unit
 norm themselves when the input is not already unit-norm, since that
 normalization is part of those algorithms.
 
+Scoring: FSCA evaluates one candidate at a time (one matrix-vector product
+against the residual per evaluation, in both engines).  The other five
+gains score every column at once through ``step_scores``, which runs at
+most once per step; per-candidate and batch queries read that step's
+vector.
+
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
 curves are comparable across algorithms.
@@ -57,7 +63,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient, SingularCovariance
-from .metrics import CovarianceModel, VECurve, default_sigma
+from .metrics import CovarianceModel, VECurve
 
 __all__ = [
     "SelectionResult",
@@ -262,17 +268,15 @@ class _VeTracker:
         self.captured += captured
         self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
 
-    def add_column(self, column: np.ndarray, strict: bool = False) -> np.ndarray | None:
+    def add_column(self, column: np.ndarray) -> np.ndarray | None:
         """Track one more selected column and return its new unit direction.
 
         A column dependent on the earlier ones captures nothing and returns
-        ``None``, or raises :class:`RankDeficient` when ``strict``.
+        ``None``.
         """
         try:
             direction = self.basis.extend(column)
         except RankDeficient:
-            if strict:
-                raise
             self.add(0.0)
             return None
         t = direction @ self.x
@@ -280,9 +284,50 @@ class _VeTracker:
         return direction
 
 
-class _ResidualState:
-    """Mutable residual of the data matrix; each deflation feeds the VE
-    tracker the energy it captured."""
+class _SelectorGain(GainFunction):
+    """A selector's gain as :func:`_select` drives it.
+
+    ``step_scores`` scores every column for the current step; ``gain`` and
+    ``gain_all`` read one cached vector per selection size, so scoring runs
+    at most once per step.  The VE tracker's value is the criterion for
+    threshold stopping.  ``initial`` is the warm start the gain has already
+    committed, and ``setup_evals`` the evaluations spent choosing it.
+    """
+
+    ve: _VeTracker
+    initial: tuple[int, ...] = ()
+    setup_evals = 0
+    warnings: tuple[str, ...] = ()
+    _step: tuple[int, np.ndarray] | None = None
+
+    def step_scores(self, selected) -> np.ndarray:
+        """Gains of all ``v`` columns given ``selected``: ``EXCLUDED`` where
+        a column can never be committed; entries of selected columns are
+        never read."""
+        raise NotImplementedError
+
+    def _scores(self, selected) -> np.ndarray:
+        if self._step is None or self._step[0] != len(selected):
+            self._step = (len(selected), self.step_scores(selected))
+        return self._step[1]
+
+    def gain(self, selected, candidate: int) -> float:
+        return float(self._scores(selected)[candidate])
+
+    def gain_all(self, selected, candidates):
+        return self._scores(selected)[list(candidates)]
+
+    def value(self) -> float:
+        return self.ve.value
+
+    def native_trace(self, gains: tuple[float, ...]) -> tuple[float, ...]:
+        """Per-step values of the selector's own criterion."""
+        return gains
+
+
+class _DeflatingGain(_SelectorGain):
+    """A gain over the residual ``r`` of the data ``x``; committing a
+    column deflates by it and feeds the VE tracker the energy captured."""
 
     def __init__(self, data: Dataset):
         self.x = data.values
@@ -311,42 +356,10 @@ class _ResidualState:
             return None
         return r, rr
 
-    def deflate(self, pivot0: int) -> None:
-        rr, coeffs = deflate_in_place(self.r, pivot0)
-        self.excluded[pivot0] = True
-        self.ve.add(rr * float(coeffs @ coeffs))
-
-
-class _SelectorGain(GainFunction):
-    """A selector's gain as :func:`_select` drives it.
-
-    The VE tracker's value is the criterion for threshold stopping.
-    ``initial`` is the warm start the gain has already committed, and
-    ``setup_evals`` the evaluations spent choosing it.
-    """
-
-    ve: _VeTracker
-    initial: tuple[int, ...] = ()
-    setup_evals = 0
-    warnings: tuple[str, ...] = ()
-
-    def value(self) -> float:
-        return self.ve.value
-
-    def native_trace(self, gains: tuple[float, ...]) -> tuple[float, ...]:
-        """Per-step values of the selector's own criterion."""
-        return gains
-
-
-class _DeflatingGain(_SelectorGain):
-    """A gain over the residual; committing a column deflates by it."""
-
-    def __init__(self, data: Dataset):
-        self.state = _ResidualState(data)
-        self.ve = self.state.ve
-
     def commit(self, candidate: int) -> None:
-        self.state.deflate(candidate)
+        rr, coeffs = deflate_in_place(self.r, candidate)
+        self.excluded[candidate] = True
+        self.ve.add(rr * float(coeffs @ coeffs))
 
 
 # =========================================================================
@@ -365,12 +378,15 @@ class _FscaGain(_DeflatingGain):
     """
 
     def gain(self, selected, candidate: int) -> float:
-        live = self.state.live_column(candidate)
+        live = self.live_column(candidate)
         if live is None:
             return EXCLUDED
         r, rr = live
-        t = r @ self.state.r
-        return 100.0 * float(t @ t) / (rr * self.state.ve.energy)
+        t = r @ self.r
+        return 100.0 * float(t @ t) / (rr * self.ve.energy)
+
+    def gain_all(self, selected, candidates):
+        return None
 
 
 # =========================================================================
@@ -389,31 +405,21 @@ class _FosModGain(_DeflatingGain):
 
     def __init__(self, data: Dataset):
         super().__init__(data)
-        state = self.state
-        sqnorms = np.einsum("ij,ij->j", state.x, state.x)
+        sqnorms = np.einsum("ij,ij->j", self.x, self.x)
         self.inv_sqnorms = np.zeros_like(sqnorms)
         nonzero = sqnorms > 0.0
         self.inv_sqnorms[nonzero] = 1.0 / sqnorms[nonzero]
-        state.excluded |= ~nonzero
-        self.v = state.x.shape[1]
+        self.excluded |= ~nonzero
+        self.v = self.x.shape[1]
 
-    def gain(self, selected, candidate: int) -> float:
-        live = self.state.live_column(candidate)
-        if live is None:
-            return EXCLUDED
-        r, rr = live
-        u = r @ self.state.x
-        return float((u * u) @ self.inv_sqnorms) / (self.v * rr)
-
-    def gain_all(self, selected, candidates):
-        state = self.state
-        sqnorms = state.residual_sqnorms()
-        excluded = state.mark_degenerate(sqnorms)
-        cross = state.r.T @ state.x
+    def step_scores(self, selected):
+        sqnorms = self.residual_sqnorms()
+        excluded = self.mark_degenerate(sqnorms)
+        cross = self.r.T @ self.x
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = (cross * cross) @ self.inv_sqnorms / (self.v * sqnorms)
         scores[excluded] = EXCLUDED
-        return scores[list(candidates)]
+        return scores
 
 
 # =========================================================================
@@ -460,48 +466,29 @@ def nipals_first_pc(data, tol: float = 1e-9, max_iter: int = 500) -> NipalsResul
 
 class _PfsGain(_DeflatingGain):
     """Absolute correlation of residual columns with the residual's first
-    principal component; the component is recomputed once per step and the
-    per-candidate scores cached."""
+    principal component, which is recomputed once per step."""
 
     def __init__(self, data: Dataset):
         super().__init__(data)
-        self._cached_step = -1
-        self._scores: np.ndarray | None = None
         self.warnings: list[str] = []
 
-    def _ensure_scores(self, selected) -> np.ndarray:
-        step = len(selected)
-        if step == self._cached_step:
-            return self._scores
-        state = self.state
-        sqnorms = state.residual_sqnorms()
-        excluded = state.mark_degenerate(sqnorms)
-        scores = np.full(state.r.shape[1], EXCLUDED)
+    def step_scores(self, selected):
+        sqnorms = self.residual_sqnorms()
+        excluded = self.mark_degenerate(sqnorms)
+        scores = np.full(self.r.shape[1], EXCLUDED)
         if not excluded.all():
-            component = nipals_first_pc(state.r)
+            component = nipals_first_pc(self.r)
             if not component.converged:
                 self.warnings.append(
                     f"NIPALS stopped at {component.iterations} iterations without converging"
                 )
             p1 = component.scores
             pp = float(p1 @ p1)
-            u = p1 @ state.r
+            u = p1 @ self.r
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = np.abs(u) / np.sqrt(sqnorms * pp)
             scores[~excluded] = corr[~excluded]
-        self._scores = scores
-        self._cached_step = step
         return scores
-
-    def gain(self, selected, candidate: int) -> float:
-        return float(self._ensure_scores(selected)[candidate])
-
-    def gain_all(self, selected, candidates):
-        return self._ensure_scores(selected)[list(candidates)]
-
-    def commit(self, candidate: int) -> None:
-        super().commit(candidate)
-        self._cached_step = -1
 
 
 # =========================================================================
@@ -525,30 +512,21 @@ class _ItfsGain(_SelectorGain):
             raise ValueError(f"sigma must be positive, got {sigma}")
         model = CovarianceModel.from_dataset(data, sigma)
         self.cov = model.cov
-        self.sigma = model.sigma_noise
         self.s2 = model.sigma_noise**2
         self.v = model.v
-        self.committed: list[int] = []
         self.ve = _VeTracker(data.values)
-        self._cached_step = -1
-        self._scores: np.ndarray | None = None
 
-    def _ensure_scores(self) -> np.ndarray:
-        step = len(self.committed)
-        if step == self._cached_step:
-            return self._scores
+    def step_scores(self, selected):
         cov = self.cov
-        unsel = np.array(
-            sorted(set(range(self.v)) - set(self.committed)), dtype=int
-        )
+        unsel = np.array(sorted(set(range(self.v)) - set(selected)), dtype=int)
         scores = np.full(self.v, EXCLUDED)
         try:
             block = cov[np.ix_(unsel, unsel)] + self.s2 * np.eye(unsel.size)
             inverse = spd_inverse(block)
             denominators = 1.0 / np.diag(inverse)
             numerators = np.diag(cov)[unsel] + self.s2
-            if self.committed:
-                sel = np.array(self.committed, dtype=int)
+            if selected:
+                sel = np.array(selected, dtype=int)
                 sel_block = cov[np.ix_(sel, sel)] + self.s2 * np.eye(sel.size)
                 cross = cov[np.ix_(sel, unsel)]
                 solved = spd_solve(sel_block, cross)
@@ -556,19 +534,9 @@ class _ItfsGain(_SelectorGain):
         except SpdFactorizationError as exc:
             raise SingularCovariance(str(exc)) from exc
         scores[unsel] = numerators / denominators
-        self._scores = scores
-        self._cached_step = step
         return scores
 
-    def gain(self, selected, candidate: int) -> float:
-        return float(self._ensure_scores()[candidate])
-
-    def gain_all(self, selected, candidates):
-        return self._ensure_scores()[list(candidates)]
-
     def commit(self, candidate: int) -> None:
-        self.committed.append(candidate)
-        self._cached_step = -1
         self.ve.add_column(self.ve.x[:, candidate])
 
 
@@ -583,12 +551,12 @@ class _FsfpGain(_SelectorGain):
     Adding ``x_i`` to the selection raises the frame potential by
     ``<x_i, x_i>^2 + 2 sum_{j in S} <x_i, x_j>^2``; the gain is the
     negative of that increment, and the per-candidate inner-product sums
-    are maintained incrementally so each evaluation is O(1).  The warm
+    are maintained incrementally so each step's scores cost O(v).  The warm
     start is the FSCA pick on the normalized data.
     """
 
     def __init__(self, data: Dataset):
-        normalized = data if data.unit_norm else normalize_unit(data)
+        normalized = normalize_unit(data)
         first = fsca_select(normalized, 1)
         self.gram = normalized.values.T @ normalized.values
         self.diag_sq = np.diag(self.gram) ** 2
@@ -600,12 +568,8 @@ class _FsfpGain(_SelectorGain):
         self.setup_evals = first.eval_count
         self.commit(self.initial[0])
 
-    def gain(self, selected, candidate: int) -> float:
-        return -(float(self.diag_sq[candidate]) + 2.0 * float(self.pair_sums[candidate]))
-
-    def gain_all(self, selected, candidates):
-        cand = list(candidates)
-        return -(self.diag_sq[cand] + 2.0 * self.pair_sums[cand])
+    def step_scores(self, selected):
+        return -(self.diag_sq + 2.0 * self.pair_sums)
 
     def commit(self, candidate: int) -> None:
         self.fp += float(self.diag_sq[candidate]) + 2.0 * float(self.pair_sums[candidate])
@@ -634,7 +598,7 @@ class _UfsGain(_SelectorGain):
     def __init__(self, data: Dataset):
         if data.v < 2:
             raise ValueError("ufs needs at least two variables")
-        normalized = data if data.unit_norm else normalize_unit(data)
+        normalized = normalize_unit(data)
         gram = normalized.values.T @ normalized.values
         self.initial = _least_correlated_pair(gram)
         self.pair_value = abs(float(gram[self.initial]))
@@ -645,19 +609,13 @@ class _UfsGain(_SelectorGain):
         for i in self.initial:
             self.commit(i)
 
-    def gain(self, selected, candidate: int) -> float:
-        return -float(self.r_squared[candidate])
-
-    def gain_all(self, selected, candidates):
-        return -self.r_squared[list(candidates)]
+    def step_scores(self, selected):
+        return -self.r_squared
 
     def commit(self, candidate: int) -> None:
-        try:
-            direction = self.ve.add_column(self.normalized[:, candidate], strict=True)
-        except RankDeficient:
-            raise RankDeficient(
-                tuple(i + 1 for i in self.committed) + (candidate + 1,)
-            ) from None
+        direction = self.ve.add_column(self.normalized[:, candidate])
+        if direction is None:
+            raise RankDeficient(tuple(i + 1 for i in self.committed) + (candidate + 1,))
         self.committed.append(candidate)
         self.r_squared += (direction @ self.normalized) ** 2
 

@@ -132,6 +132,7 @@ def test_criterion_1_lazy_fidelity():
 # -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_2_speedup():
     started = perf_counter()
     rng = make_rng(20)

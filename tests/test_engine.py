@@ -75,6 +75,20 @@ class ExcludingGain(GainFunction):
         return float(self.weights[candidate])
 
 
+class StoredBatchGain(GainFunction):
+    """Batch gains handed out as the arrays the gain keeps: one row per
+    step, aligned with the remaining candidates."""
+
+    def __init__(self, rows):
+        self.rows = [np.array(row, dtype=float) for row in rows]
+
+    def gain(self, selected, candidate):
+        raise AssertionError("the plain engine scores through gain_all")
+
+    def gain_all(self, selected, candidates):
+        return self.rows[len(selected)]
+
+
 def random_coverage(rng, v=8, n_elements=12):
     weights = {e: float(rng.uniform(0.1, 2.0)) for e in range(n_elements)}
     covers = []
@@ -169,6 +183,22 @@ class TestGreedySelect:
     def test_exact_tie_takes_lowest_id(self):
         run = greedy_select(ModularGain([1.0, 5.0, 5.0, 5.0]), 4, Cardinality(2))
         assert run.order == (1, 2)
+
+    def test_nan_ties_and_stored_batch(self):
+        # NaN is never committed, the lowest id wins a tie, and the engine
+        # leaves the arrays the gain returned as they were.
+        rows = [
+            [math.nan, 2.0, 7.0, 7.0, math.nan],
+            [math.nan, 3.0, 3.0, math.nan],
+            [math.nan, math.nan, math.nan],
+        ]
+        gain = StoredBatchGain(rows)
+        run = greedy_select(gain, 5, Cardinality(4))
+        assert run.order == (2, 1)
+        assert run.gains == (7.0, 3.0)
+        assert run.exhausted
+        for kept, row in zip(gain.rows, rows):
+            np.testing.assert_array_equal(kept, row)
 
     def test_eval_count_full_rescans(self):
         run = greedy_select(ModularGain([4.0, 3.0, 2.0, 1.0]), 4, Cardinality(3))
