@@ -186,7 +186,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "greedy_ratio": bounds.greedy_ratio,
         }
     if args.algo:
-        kwargs = {"sigma": args.sigma} if args.algo == "itfs" and args.sigma else {}
+        kwargs = {"sigma": args.sigma} if args.algo == "itfs" and args.sigma is not None else {}
         result = ALGORITHMS[args.algo](data, args.k, **kwargs)
         if args.metric == "mi":
             model = CovarianceModel.from_dataset(data, args.sigma)

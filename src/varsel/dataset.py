@@ -153,10 +153,7 @@ class IndexSets:
 
     @classmethod
     def from_selected(cls, selected: Sequence[int], v: int) -> "IndexSets":
-        sel = tuple(int(i) for i in selected)
-        for i in sel:
-            if not 1 <= i <= v:
-                raise ValueError(f"index {i} outside 1..{v}")
+        sel = selection_tuple(selected, v)
         return cls(sel, frozenset(range(1, v + 1)) - set(sel))
 
     @property
@@ -242,11 +239,15 @@ def normalize_unit(data: Dataset) -> Dataset:
 # =========================================================================
 
 
-def selection_tuple(selected) -> tuple[int, ...]:
-    """Coerce an :class:`IndexSets` or a plain index sequence to a tuple."""
+def selection_tuple(selected, v: int) -> tuple[int, ...]:
+    """Coerce an :class:`IndexSets` or a plain index sequence to a tuple;
+    ``ValueError`` if an index repeats or lies outside ``1..v``."""
     if isinstance(selected, IndexSets):
-        return selected.selected
-    return tuple(int(i) for i in selected)
+        selected = selected.selected
+    sel = tuple(int(i) for i in selected)
+    if len(set(sel)) != len(sel) or not all(1 <= i <= v for i in sel):
+        raise ValueError(f"selection {sel} must hold distinct indices in 1..{v}")
+    return sel
 
 
 def project_onto(data: Dataset, selected) -> np.ndarray:
@@ -265,7 +266,7 @@ def project_onto(data: Dataset, selected) -> np.ndarray:
     RankDeficient
         If the selected Gram matrix cannot be factorized.
     """
-    sel = selection_tuple(selected)
+    sel = selection_tuple(selected, data.v)
     if not sel:
         raise ValueError("cannot project onto an empty selection")
     cols = np.array(sel, dtype=int) - 1

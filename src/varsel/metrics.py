@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,6 +95,25 @@ class CovarianceModel:
     def v(self) -> int:
         return self.cov.shape[0]
 
+    def block(self, index) -> np.ndarray:
+        """A new copy of ``A_II`` for 0-based ``index``, where ``A = cov + s^2 I``
+        is the regularized covariance that all conditioning uses."""
+        index = np.asarray(index, dtype=int)
+        out = self.cov[np.ix_(index, index)]
+        out.flat[:: index.size + 1] += self.sigma_noise**2
+        return out
+
+    @cached_property
+    def logdet(self) -> float:
+        """``log det A``, from one Cholesky factorization without the jitter
+        retry: a singular ``A`` makes every mutual information infinite, so it
+        raises :class:`SingularCovariance` instead of a jitter-set value."""
+        try:
+            factor = np.linalg.cholesky(self.block(range(self.v)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance(f"regularized covariance is singular: {exc}") from exc
+        return 2.0 * float(np.sum(np.log(np.diag(factor))))
+
     @classmethod
     def from_dataset(cls, data: Dataset, sigma: float | None = None) -> "CovarianceModel":
         """Build ``cov = X^T X / m`` from (typically centered) data.
@@ -129,7 +149,7 @@ def variance_explained(data: Dataset, selected) -> float:
     """
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
-    sel = selection_tuple(selected)
+    sel = selection_tuple(selected, data.v)
     if not sel:
         return 0.0
     approx = project_onto(data, sel)
@@ -152,7 +172,7 @@ def frame_potential(data: Dataset, selected) -> float:
     """
     if not data.unit_norm:
         raise ValueError("frame_potential requires unit-norm columns")
-    sel = selection_tuple(selected)
+    sel = selection_tuple(selected, data.v)
     if not sel:
         raise ValueError("frame_potential requires a non-empty selection")
     cols = np.array(sel, dtype=int) - 1
@@ -166,61 +186,47 @@ def frame_potential(data: Dataset, selected) -> float:
 # =========================================================================
 
 
-def _partition(model: CovarianceModel, selected) -> tuple[np.ndarray, np.ndarray]:
-    sel = selection_tuple(selected)
-    sel0 = np.array(sel, dtype=int) - 1
-    if sel0.size and (sel0.min() < 0 or sel0.max() >= model.v):
-        raise ValueError(f"selection outside 1..{model.v}")
-    mask = np.ones(model.v, dtype=bool)
-    mask[sel0] = False
-    return sel0, np.nonzero(mask)[0]
+def conditional_variances(model: CovarianceModel, given, targets) -> np.ndarray:
+    """``diag(A_TT - A_TG A_GG^{-1} A_GT)`` for disjoint 0-based index sets:
+    the variance of each target given the ``given`` block under the
+    regularized covariance ``A``; :class:`SingularCovariance` if ``A_GG``
+    cannot be factorized."""
+    given = np.asarray(given, dtype=int)
+    variances = np.diag(model.cov)[targets] + model.sigma_noise**2
+    if given.size == 0:
+        return variances
+    cross = model.cov[np.ix_(given, targets)]
+    try:
+        solved = spd_solve(model.block(given), cross)
+    except SpdFactorizationError as exc:
+        raise SingularCovariance(str(exc)) from exc
+    return variances - np.einsum("ij,ij->j", cross, solved)
 
 
 def mutual_information(model: CovarianceModel, selected) -> float:
     """Mutual information (nats) between the selection and its complement.
 
-    For the Gaussian model, ``MI(S; U) = (log det(Sigma_UU + s^2 I)
-    - log det(Sigma*)) / 2`` where ``Sigma*`` is the posterior covariance of
-    the unselected block given the selected one, both blocks regularized by
-    the noise variance ``s^2``.  Log-determinants are computed from Cholesky
-    factorizations.
+    For the Gaussian model with regularized covariance ``A = Sigma + s^2 I``,
+    ``MI(S; U) = (log det A_SS + log det A_UU - log det A) / 2``, each
+    log-determinant from a Cholesky factorization (``log det A`` once per
+    model).
 
     Raises
     ------
     SingularCovariance
-        If a required factorization fails even after the jitter retry.
+        If ``A`` is singular (the mutual information is infinite), or a
+        block factorization fails even after the jitter retry.
     """
-    sel0, unsel0 = _partition(model, selected)
-    if sel0.size == 0:
-        raise ValueError("mutual_information requires a non-empty selection")
-    if unsel0.size == 0:
-        raise ValueError("mutual_information requires a non-empty complement")
-    s2 = model.sigma_noise**2
-    cov = model.cov
-    prior = cov[np.ix_(unsel0, unsel0)] + s2 * np.eye(unsel0.size)
-    cross = cov[np.ix_(sel0, unsel0)]
-    sel_block = cov[np.ix_(sel0, sel0)] + s2 * np.eye(sel0.size)
+    sel0 = np.array(selection_tuple(selected, model.v), dtype=int) - 1
+    if not 0 < sel0.size < model.v:
+        raise ValueError("mutual information requires a non-empty selection and complement")
+    rest = np.ones(model.v, dtype=bool)
+    rest[sel0] = False
     try:
-        posterior = prior - cross.T @ spd_solve(sel_block, cross)
-        posterior = (posterior + posterior.T) / 2.0
-        return 0.5 * (spd_logdet(prior) - spd_logdet(posterior))
+        logdets = spd_logdet(model.block(sel0)) + spd_logdet(model.block(np.flatnonzero(rest)))
     except SpdFactorizationError as exc:
         raise SingularCovariance(str(exc)) from exc
-
-
-def _conditional_variance(cov: np.ndarray, s2: float, i0: int, given: np.ndarray) -> float:
-    """Posterior variance of variable ``i0`` given the ``given`` block, with
-    every block regularized by the noise variance."""
-    base = float(cov[i0, i0]) + s2
-    if given.size == 0:
-        return base
-    b = cov[given, i0]
-    block = cov[np.ix_(given, given)] + s2 * np.eye(given.size)
-    try:
-        x = spd_solve(block, b)
-    except SpdFactorizationError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    return base - float(b @ x)
+    return 0.5 * (logdets - model.logdet)
 
 
 def delta_mi(model: CovarianceModel, sets: IndexSets, candidate: int) -> float:
@@ -239,13 +245,11 @@ def delta_mi(model: CovarianceModel, sets: IndexSets, candidate: int) -> float:
     """
     if candidate not in sets.unselected:
         raise ValueError(f"candidate {candidate} is not unselected")
-    i0 = candidate - 1
-    s2 = model.sigma_noise**2
-    sel0 = np.array(sets.selected, dtype=int) - 1
-    rest0 = np.array(sorted(sets.unselected - {candidate}), dtype=int) - 1
-    numerator = _conditional_variance(model.cov, s2, i0, sel0)
-    denominator = _conditional_variance(model.cov, s2, i0, rest0)
-    return numerator / denominator
+    target = [candidate - 1]
+    rest = sorted(sets.unselected - {candidate})
+    numerator = conditional_variances(model, np.subtract(sets.selected, 1), target)
+    denominator = conditional_variances(model, np.subtract(rest, 1), target)
+    return float(numerator[0] / denominator[0])
 
 
 # =========================================================================

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
 
-from .dataset import Dataset, normalize_unit
+from .dataset import Dataset, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
 from .metrics import CovarianceModel, frame_potential, mutual_information, variance_explained
@@ -201,10 +202,7 @@ class TabulatedSetFunction:
     def value_of(self, indices) -> float:
         """Value of a subset given as 1-based indices."""
         mask = 0
-        for i in indices:
-            i = int(i)
-            if not 1 <= i <= self.v:
-                raise ValueError(f"index {i} outside 1..{self.v}")
+        for i in selection_tuple(indices, self.v):
             mask |= 1 << (i - 1)
         return float(self.values[mask])
 
@@ -269,44 +267,33 @@ def exhaustive_optimal(
     if n_comb > cap:
         raise TooLarge(n_comb, cap)
 
-    maximize = METRIC_MAXIMIZE[metric]
-    best_value = -math.inf if maximize else math.inf
-    best_combo: tuple[int, ...] | None = None
-
     if metric == "mi":
         model = CovarianceModel.from_dataset(data, sigma)
-        for combo in combinations(range(1, v + 1), k):
-            value = mutual_information(model, combo)
-            if value > best_value:
-                best_value = value
-                best_combo = combo
-        return OptimalSubset(frozenset(best_combo), float(best_value), metric)
 
-    if metric == "fp":
+        def score(idx):
+            return np.array([mutual_information(model, row + 1) for row in idx])
+    elif metric == "fp":
         unit = normalize_unit(data)
         gram_sq = (unit.values.T @ unit.values) ** 2
+
+        def score(idx):
+            return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
     else:
         gram = data.values.T @ data.values
-        energy = float(np.trace(gram))
+        score = partial(_combination_values_ve, gram, float(np.trace(gram)))
 
+    sign = 1.0 if METRIC_MAXIMIZE[metric] else -1.0
+    best_value = -math.inf
+    best_combo: tuple[int, ...] | None = None
     combos = combinations(range(v), k)
-    while True:
-        chunk = list(islice(combos, _CHUNK))
-        if not chunk:
-            break
+    while chunk := list(islice(combos, _CHUNK)):
         idx = np.asarray(chunk, dtype=int)
-        if metric == "fp":
-            values = gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
-            pick = int(np.argmin(values))
-            better = values[pick] < best_value
-        else:
-            values = _combination_values_ve(gram, energy, idx)
-            pick = int(np.argmax(values))
-            better = values[pick] > best_value
-        if better:
+        values = sign * score(idx)
+        pick = int(np.argmax(values))
+        if values[pick] > best_value:
             best_value = float(values[pick])
             best_combo = tuple(int(i) + 1 for i in idx[pick])
-    return OptimalSubset(frozenset(best_combo), float(best_value), metric)
+    return OptimalSubset(frozenset(best_combo), sign * best_value, metric)
 
 
 def tabulated_optimal(table: TabulatedSetFunction, k: int) -> OptimalSubset:

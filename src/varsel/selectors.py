@@ -50,7 +50,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._linalg import SpdFactorizationError, spd_inverse, spd_solve
+from ._linalg import SpdFactorizationError, spd_inverse
 from .dataset import DEGENERATE_REL_TOL, Dataset, deflate_in_place, normalize_unit
 from .engine import (
     EXCLUDED,
@@ -63,7 +63,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient, SingularCovariance
-from .metrics import CovarianceModel, VECurve
+from .metrics import CovarianceModel, VECurve, conditional_variances
 
 __all__ = [
     "SelectionResult",
@@ -500,40 +500,29 @@ class _ItfsGain(_SelectorGain):
     """Posterior-variance ratio ``var(x|S) / var(x|U\\x)`` under a Gaussian
     model with isotropic noise regularization.
 
-    Per step, one factorization of the selected block serves every
-    numerator and one inversion of the unselected block serves every
-    denominator (the posterior variance of ``x_i`` given the rest of the
-    unselected block is the reciprocal of the corresponding diagonal entry
-    of the inverse).
+    The gain holds only the covariance model, whose regularized covariance
+    is ``A = cov + s^2 I``.  Per step,
+    :func:`~varsel.metrics.conditional_variances` gives every numerator from
+    one factorization of the selected block, and one inversion of the
+    unselected block gives every denominator: the posterior variance of
+    ``x_i`` given the rest of the unselected block is ``1 / (A_UU^{-1})_ii``.
     """
 
     def __init__(self, data: Dataset, sigma: float | None):
         if sigma is not None and not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        model = CovarianceModel.from_dataset(data, sigma)
-        self.cov = model.cov
-        self.s2 = model.sigma_noise**2
-        self.v = model.v
+        self.model = CovarianceModel.from_dataset(data, sigma)
         self.ve = _VeTracker(data.values)
 
     def step_scores(self, selected):
-        cov = self.cov
-        unsel = np.array(sorted(set(range(self.v)) - set(selected)), dtype=int)
-        scores = np.full(self.v, EXCLUDED)
+        model = self.model
+        unsel = np.setdiff1d(np.arange(model.v), selected)
         try:
-            block = cov[np.ix_(unsel, unsel)] + self.s2 * np.eye(unsel.size)
-            inverse = spd_inverse(block)
-            denominators = 1.0 / np.diag(inverse)
-            numerators = np.diag(cov)[unsel] + self.s2
-            if selected:
-                sel = np.array(selected, dtype=int)
-                sel_block = cov[np.ix_(sel, sel)] + self.s2 * np.eye(sel.size)
-                cross = cov[np.ix_(sel, unsel)]
-                solved = spd_solve(sel_block, cross)
-                numerators = numerators - np.einsum("ij,ij->j", cross, solved)
+            denominators = 1.0 / np.diag(spd_inverse(model.block(unsel)))
         except SpdFactorizationError as exc:
             raise SingularCovariance(str(exc)) from exc
-        scores[unsel] = numerators / denominators
+        scores = np.full(model.v, EXCLUDED)
+        scores[unsel] = conditional_variances(model, selected, unsel) / denominators
         return scores
 
     def commit(self, candidate: int) -> None:

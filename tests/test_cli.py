@@ -550,6 +550,24 @@ class TestOracle:
         assert 0 <= comparison["n_common"] <= 3
         assert comparison["ratio"] <= 1.0 + 1e-9
 
+    def test_itfs_rejects_zero_sigma(self, capsys, small_csv):
+        code, _, err = run_cli(
+            capsys,
+            "oracle",
+            "--metric",
+            "mi",
+            "--k",
+            "2",
+            "--algo",
+            "itfs",
+            "--sigma",
+            "0",
+            "--input",
+            small_csv,
+        )
+        assert code == 1
+        assert "sigma must be positive" in err
+
     def test_output_file(self, capsys, tmp_path, small_csv):
         out_path = tmp_path / "oracle.json"
         code, out, _ = run_cli(

@@ -14,6 +14,7 @@ from varsel import (
     Dataset,
     IndexSets,
     LengthMismatch,
+    SingularCovariance,
     ThresholdNeverReached,
     VECurve,
     auc,
@@ -23,6 +24,7 @@ from varsel import (
     k_at_threshold,
     mutual_information,
     normalize_unit,
+    project_onto,
     relative_performance,
     variance_explained,
 )
@@ -218,6 +220,31 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(model, (1, 2, 3))
 
+    def test_singular_covariance_raises(self):
+        # Two identical variables without noise: the MI is infinite.
+        with pytest.raises(SingularCovariance):
+            mutual_information(CovarianceModel(np.ones((2, 2)), 0.0), (1,))
+        assert math.isfinite(mutual_information(CovarianceModel(np.ones((2, 2)), 0.1), (1,)))
+
+    def test_matches_prior_posterior_formula(self):
+        # Reference: MI = (log det A_UU - log det(A_UU - A_US A_SS^-1 A_SU)) / 2
+        # with A = Sigma + s^2 I, the conditioning form of the same quantity.
+        rng = make_rng(20)
+        v, s2 = 7, 0.05**2
+        for _ in range(5):
+            raw = rng.normal(size=(30, v))
+            model = CovarianceModel(raw.T @ raw / 30, 0.05)
+            a = model.cov + s2 * np.eye(v)
+            for k in range(1, v):
+                sel0 = np.sort(rng.choice(v, size=k, replace=False))
+                rest0 = np.setdiff1d(np.arange(v), sel0)
+                prior = a[np.ix_(rest0, rest0)]
+                cross = a[np.ix_(sel0, rest0)]
+                posterior = prior - cross.T @ np.linalg.solve(a[np.ix_(sel0, sel0)], cross)
+                expected = 0.5 * (np.linalg.slogdet(prior)[1] - np.linalg.slogdet(posterior)[1])
+                got = mutual_information(model, tuple(sel0 + 1))
+                assert got == pytest.approx(expected, abs=1e-10)
+
 
 class TestDeltaMi:
     def test_uncorrelated_candidate_ratio_one(self):
@@ -267,6 +294,21 @@ class TestDeltaMi:
         sets = IndexSets.from_selected((1,), 3)
         with pytest.raises(ValueError):
             delta_mi(model, sets, 1)
+
+
+class TestSelectionValidation:
+    @pytest.mark.parametrize("selected", [(0,), (5,), (1, 1)], ids=["zero", "above_v", "repeat"])
+    @pytest.mark.parametrize("metric", ["ve", "fp", "mi", "project_onto"])
+    def test_rejects_out_of_range_and_duplicates(self, metric, selected):
+        data = normalize_unit(random_dataset(20, 4, seed=19))
+        call = {
+            "ve": variance_explained,
+            "fp": frame_potential,
+            "mi": lambda d, s: mutual_information(CovarianceModel.from_dataset(d, 0.1), s),
+            "project_onto": project_onto,
+        }[metric]
+        with pytest.raises(ValueError, match="distinct indices in 1..4"):
+            call(data, selected)
 
 
 # =========================================================================

@@ -10,10 +10,14 @@ import pytest
 
 from varsel import (
     CovarianceModel,
+    Dataset,
     NotMonotone,
+    SingularCovariance,
     TooLarge,
+    center_columns,
     fsca_select,
     frame_potential,
+    gen_sim2,
     mutual_information,
     normalize_unit,
     variance_explained,
@@ -179,6 +183,34 @@ class TestExhaustiveOptimal:
         brute_best = max(values.values())
         assert best.value == pytest.approx(brute_best, abs=1e-9)
         assert values[best.ordered] == pytest.approx(brute_best, abs=1e-9)
+
+    def test_mi_matches_brute_force_across_chunks(self):
+        data = random_dataset(40, 15, seed=21)
+        assert math.comb(15, 5) > 2048
+        best = exhaustive_optimal(data, 5, "mi", sigma=0.1)
+        model = CovarianceModel.from_dataset(data, sigma=0.1)
+        values = {
+            combo: mutual_information(model, combo)
+            for combo in itertools.combinations(range(1, 16), 5)
+        }
+        brute_best = max(values.values())
+        assert best.value == pytest.approx(brute_best, abs=1e-9)
+        assert values[best.ordered] == pytest.approx(brute_best, abs=1e-9)
+
+    def test_mi_tie_takes_lexicographically_first(self):
+        # Two mirrored, mutually orthogonal integer blocks: the covariance
+        # blocks of {1,3}, {1,4}, {2,3} and {2,4} and of their complements are
+        # bitwise equal, so these four subsets tie exactly for the maximum.
+        a, b, z = [2.0, 1.0, -2.0, -1.0], [2.0, -1.0, -2.0, 1.0], [0.0] * 4
+        data = center_columns(Dataset(np.column_stack([a + z, b + z, z + a, z + b])))
+        assert exhaustive_optimal(data, 2, "mi", sigma=0.1).ordered == (1, 3)
+
+    def test_mi_singular_covariance_raises(self):
+        # Noise-free sim2 has rank 3 over 8 columns: with sigma 0 the
+        # regularized covariance is singular and every subset's MI is infinite.
+        data = center_columns(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0))
+        with pytest.raises(SingularCovariance):
+            exhaustive_optimal(data, 3, "mi", sigma=0.0)
 
     def test_tie_takes_lexicographically_first(self):
         rng = make_rng(8)
