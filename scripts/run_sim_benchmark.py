@@ -43,8 +43,7 @@ def build_config(args: argparse.Namespace) -> BenchConfig:
         thresholds=(95.0, 99.0),
         repeats=args.repeats,
         seed_base=args.seed_base,
-        parallelism=args.parallelism,
-        metric_ks=(5, 10),
+        metric_ks=tuple(k for k in (5, 10) if k <= args.k_max),
     )
 
 
@@ -53,7 +52,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="seeds per cell (default 3)")
     parser.add_argument("--seed-base", type=int, default=0, help="first seed (default 0)")
     parser.add_argument("--k-max", type=int, default=26, help="selection depth (default 26)")
-    parser.add_argument("--parallelism", type=int, default=1, help="concurrent cells (default 1)")
     parser.add_argument("--output", default=None, help="write the full JSON report here")
     args = parser.parse_args(argv)
 

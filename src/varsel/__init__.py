@@ -21,10 +21,8 @@ from .bench import (
 from .dataset import (
     Dataset,
     IndexSets,
-    ResidualMatrix,
     center_columns,
     dataset_from_gram,
-    deflate,
     load_csv,
     normalize_unit,
     project_onto,
@@ -39,7 +37,6 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import (
-    DegeneratePivot,
     EmptyFile,
     LengthMismatch,
     NotMonotone,
@@ -100,11 +97,9 @@ __all__ = [
     # dataset
     "Dataset",
     "IndexSets",
-    "ResidualMatrix",
     "center_columns",
     "normalize_unit",
     "project_onto",
-    "deflate",
     "dataset_from_gram",
     "load_csv",
     "save_csv",
@@ -170,7 +165,6 @@ __all__ = [
     "SelectionError",
     "ZeroColumn",
     "RankDeficient",
-    "DegeneratePivot",
     "ParseError",
     "RaggedRows",
     "EmptyFile",

@@ -35,7 +35,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -199,7 +198,6 @@ class BenchConfig:
     thresholds: tuple[float, ...] = (95.0, 99.0)
     repeats: int = 1
     seed_base: int = 0
-    parallelism: int = 1
     metric_ks: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -217,8 +215,6 @@ class BenchConfig:
             raise ValueError(f"k_max must be positive, got {self.k_max}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be at least 1, got {self.repeats}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
         for t in self.thresholds:
             if not 0.0 < t < 100.0:
                 raise ValueError(f"thresholds must lie in (0, 100), got {t}")
@@ -234,7 +230,6 @@ class BenchConfig:
             "thresholds": list(self.thresholds),
             "repeats": self.repeats,
             "seed_base": self.seed_base,
-            "parallelism": self.parallelism,
             "metric_ks": list(self.metric_ks),
         }
 
@@ -247,7 +242,6 @@ class BenchConfig:
             thresholds=tuple(raw.get("thresholds", (95.0, 99.0))),
             repeats=int(raw.get("repeats", 1)),
             seed_base=int(raw.get("seed_base", 0)),
-            parallelism=int(raw.get("parallelism", 1)),
             metric_ks=tuple(raw.get("metric_ks", ())),
         )
 
@@ -395,6 +389,14 @@ def _extend_curve(values, length: int) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _speedup_vs_fsca(name: str, elapsed: float, fsca_elapsed: float | None) -> float | None:
+    """Exactly 1 for FSCA, FSCA's median time over ``elapsed`` otherwise,
+    None when there is no FSCA time to compare against."""
+    if fsca_elapsed is None:
+        return None
+    return 1.0 if name == "fsca" else fsca_elapsed / elapsed
+
+
 def _run_error(exc: Exception, seed: int) -> str:
     return f"{type(exc).__name__} (seed {seed}): {exc}"
 
@@ -461,21 +463,15 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             )
         prepared[source.name] = centered
 
-    jobs = [(source, algo) for source in config.datasets for algo in config.algorithms]
-
-    def execute(job):
-        source, algo = job
-        return _run_cell(algo, prepared[source.name], seeds, config.k_max)
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(execute, jobs))
-    else:
-        outcomes = [execute(job) for job in jobs]
-
     by_key = {
-        (source.name, algo.name): outcome
-        for (source, algo), outcome in zip(jobs, outcomes)
+        (source.name, algo.name): _run_cell(algo, prepared[source.name], seeds, config.k_max)
+        for source in config.datasets
+        for algo in config.algorithms
+    }
+    elapsed = {
+        key: _median([result.elapsed for result in results])
+        for key, (results, error) in by_key.items()
+        if error is None
     }
 
     # Lazily built shared evaluation models (per dataset, per seed).
@@ -525,11 +521,12 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                 r_values.setdefault((source.name, name), []).append(value)
 
     cells: list[BenchCell] = []
-    elapsed_by_key: dict[tuple[str, str], float] = {}
     for source in config.datasets:
         v = prepared[source.name][0].v
+        fsca_elapsed = elapsed.get((source.name, "fsca"))
         for algo in config.algorithms:
-            results, error = by_key[(source.name, algo.name)]
+            key = (source.name, algo.name)
+            results, error = by_key[key]
             if error is not None:
                 cells.append(
                     BenchCell(dataset=source.name, algorithm=algo.name, error=error)
@@ -555,8 +552,6 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                 for metric in ("ve", "fp", "mi")
                 for k in config.metric_ks
             )
-            elapsed = float(np.median([result.elapsed for result in results]))
-            elapsed_by_key[(source.name, algo.name)] = elapsed
             cells.append(
                 BenchCell(
                     dataset=source.name,
@@ -566,29 +561,16 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                     ve_curves=tuple(tuple(c) for c in curves),
                     auc=auc_value,
                     k_at=tuple(k_at),
-                    r=_median(r_values.get((source.name, algo.name), [])),
+                    r=_median(r_values.get(key, [])),
                     metric_values=metric_values,
-                    elapsed_median_s=elapsed,
-                    speedup_vs_fsca=None,
+                    elapsed_median_s=elapsed[key],
+                    speedup_vs_fsca=_speedup_vs_fsca(algo.name, elapsed[key], fsca_elapsed),
                 )
             )
 
-    # Speed-up pass: ratio of median elapsed times against the FSCA cell.
-    final_cells = []
-    for cell in cells:
-        speedup = None
-        if cell.error is None:
-            base = elapsed_by_key.get((cell.dataset, "fsca"))
-            if base is not None and cell.elapsed_median_s:
-                if cell.algorithm == "fsca":
-                    speedup = 1.0
-                else:
-                    speedup = base / cell.elapsed_median_s
-        final_cells.append(replace(cell, speedup_vs_fsca=speedup))
-
     return BenchmarkReport(
         config=config,
-        cells=tuple(final_cells),
+        cells=tuple(cells),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
 
@@ -606,27 +588,25 @@ def measure_speedup(
 ) -> dict[str, float]:
     """Median-of-repeats speed-up of each algorithm relative to FSCA.
 
-    Runs strictly sequentially (no concurrency, to keep timings clean).
-    Values below 1 mean slower than FSCA.  ``repeats`` must be at least 3.
+    FSCA is always included.  Each algorithm runs ``repeats`` times in
+    sequence on the same centered data, and each ratio is taken between
+    median elapsed times.  Values below 1 mean slower than FSCA.
+    ``repeats`` must be at least 3.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be at least 3, got {repeats}")
-    names = list(algorithms) if algorithms is not None else list(ALGORITHMS)
-    for name in names:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
-    if "fsca" not in names:
-        names.insert(0, "fsca")
-    if not data.centered:
-        data = center_columns(data)
-    medians: dict[str, float] = {}
-    for name in names:
-        times = []
-        for _ in range(repeats):
-            times.append(ALGORITHMS[name](data, k).elapsed)
-        medians[name] = float(np.median(times))
-    base = medians["fsca"]
-    return {name: base / medians[name] for name in names}
+    algos = [AlgoConfig(name) for name in (ALGORITHMS if algorithms is None else algorithms)]
+    if "fsca" not in [algo.name for algo in algos]:
+        algos.insert(0, AlgoConfig("fsca"))
+    data = center_columns(data)
+    medians = {
+        algo.name: _median([algo.run(data, k).elapsed for _ in range(repeats)])
+        for algo in algos
+    }
+    return {
+        name: _speedup_vs_fsca(name, elapsed, medians["fsca"])
+        for name, elapsed in medians.items()
+    }
 
 
 # =========================================================================

@@ -157,9 +157,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.sigma is not None and args.metric != "mi" and args.algo != "itfs":
+        raise ValueError("--sigma applies only to the mi metric or itfs")
     raw = _load_input(args)
     data = center_columns(raw)
-    optimal = exhaustive_optimal(data, args.k, args.metric, sigma=args.sigma)
+    sigma = args.sigma if args.metric == "mi" else None
+    optimal = exhaustive_optimal(data, args.k, args.metric, sigma=sigma)
     payload: dict = {
         "metric": optimal.metric,
         "k": optimal.k,
@@ -247,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive optimum and bounds")
     p_oracle.add_argument("--metric", choices=("ve", "fp", "mi"), default="ve")
     p_oracle.add_argument("--k", type=int, required=True)
-    p_oracle.add_argument("--sigma", type=float, help="noise scale for the mi metric")
+    p_oracle.add_argument("--sigma", type=float, help="noise scale for the mi metric and itfs")
     p_oracle.add_argument("--bounds", action="store_true", help="tabulate and report greedy bounds")
     p_oracle.add_argument("--algo", choices=sorted(ALGORITHMS), help="compare this algorithm")
     _add_input_options(p_oracle)

@@ -10,10 +10,11 @@ Conventions
   by its Euclidean norm.
 * ``project_onto(data, S)`` returns ``X_S (X_S^T X_S)^{-1} X_S^T X``, the
   least-squares reconstruction of every column from the selected columns.
-* ``deflate(residual, p)`` removes the rank-one contribution of residual
-  column ``p``: ``R_next = R - (r r^T / r^T r) R``.  Repeated deflation by a
-  selection equals one projection-based residual against that selection, up
-  to round-off.
+* ``deflate_in_place(values, p0)`` removes, in place, the rank-one
+  contribution of column ``p0`` of a residual matrix:
+  ``R_next = R - (r r^T / r^T r) R``.  Repeated deflation by a selection
+  equals one projection-based residual against that selection, up to
+  round-off.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import SpdFactorizationError, spd_solve
-from .errors import (
-    DegeneratePivot,
-    EmptyFile,
-    ParseError,
-    RaggedRows,
-    RankDeficient,
-    ZeroColumn,
-)
+from .errors import EmptyFile, ParseError, RaggedRows, RankDeficient, ZeroColumn
 
 #: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
 FLAG_TOL = 1e-9
@@ -165,43 +159,6 @@ class IndexSets:
         return len(self.selected)
 
 
-@dataclass(frozen=True)
-class ResidualMatrix:
-    """A residual of a data matrix after deflation by an ordered pivot list.
-
-    Parameters
-    ----------
-    values : ndarray, shape (m, v)
-        The residual columns.  Columns at ``deflated_by`` positions are zero.
-    deflated_by : tuple of int
-        1-based pivot indices, in deflation order.
-    origin_fnorm : float
-        Frobenius norm of the matrix the deflation started from; used for the
-        relative degenerate-pivot threshold.
-    """
-
-    values: np.ndarray
-    deflated_by: tuple[int, ...] = ()
-    origin_fnorm: float = 0.0
-
-    def __post_init__(self):
-        arr = _as_readonly(self.values)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "deflated_by", tuple(int(i) for i in self.deflated_by))
-        fnorm = float(self.origin_fnorm)
-        if fnorm <= 0.0:
-            fnorm = float(np.linalg.norm(arr))
-        object.__setattr__(self, "origin_fnorm", fnorm)
-
-    @classmethod
-    def from_dataset(cls, data: Dataset) -> "ResidualMatrix":
-        return cls(data.values, (), float(np.linalg.norm(data.values)))
-
-    @property
-    def v(self) -> int:
-        return self.values.shape[1]
-
-
 # =========================================================================
 # Preprocessing
 # =========================================================================
@@ -297,31 +254,6 @@ def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:
     values -= np.outer(r, coeffs)
     values[:, p0] = 0.0
     return rr, coeffs
-
-
-def deflate(residual: ResidualMatrix, pivot: int) -> ResidualMatrix:
-    """Remove the rank-one contribution of residual column ``pivot``.
-
-    The pivot column of the result is set to exactly zero and every other
-    column loses its component along the pivot direction.
-
-    Raises
-    ------
-    DegeneratePivot
-        If ``pivot`` was already deflated or its residual norm is below
-        ``DEGENERATE_REL_TOL * origin_fnorm``.
-    """
-    if pivot in residual.deflated_by:
-        raise DegeneratePivot(pivot)
-    if not 1 <= pivot <= residual.v:
-        raise ValueError(f"pivot {pivot} outside 1..{residual.v}")
-    p0 = pivot - 1
-    norm = float(np.linalg.norm(residual.values[:, p0]))
-    if norm <= DEGENERATE_REL_TOL * residual.origin_fnorm:
-        raise DegeneratePivot(pivot)
-    values = residual.values.copy()
-    deflate_in_place(values, p0)
-    return ResidualMatrix(values, residual.deflated_by + (pivot,), residual.origin_fnorm)
 
 
 # =========================================================================

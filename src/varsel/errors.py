@@ -27,14 +27,6 @@ class RankDeficient(SelectionError):
         super().__init__(f"columns {self.indices} are numerically rank deficient")
 
 
-class DegeneratePivot(SelectionError):
-    """A deflation pivot has a residual norm too small to divide by."""
-
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"pivot column {pivot} has a degenerate residual")
-
-
 class ParseError(SelectionError):
     """A CSV cell could not be parsed as a finite number."""
 

@@ -199,15 +199,6 @@ class OrthonormalBasis:
         self._count += 1
         return c
 
-    @classmethod
-    def from_columns(cls, columns: np.ndarray) -> "OrthonormalBasis":
-        """Build a basis from the columns of a matrix, left to right."""
-        m, j = columns.shape
-        basis = cls(m, j)
-        for idx in range(j):
-            basis.extend(columns[:, idx])
-        return basis
-
 
 @dataclass(frozen=True)
 class NipalsResult:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from varsel import Dataset, center_columns, load_csv
+from varsel.dataset import deflate_in_place
 
 # =========================================================================
 # Random data helpers
@@ -23,6 +24,15 @@ def random_dataset(m: int, v: int, seed: int = 0, centered: bool = True) -> Data
     """Random standard-normal dataset, centered by default."""
     data = Dataset(make_rng(seed).normal(size=(m, v)))
     return center_columns(data) if centered else data
+
+
+def deflated(data: Dataset, pivots) -> np.ndarray:
+    """Residual of ``data`` after deflating a copy by each 1-based pivot in
+    turn with :func:`varsel.dataset.deflate_in_place`."""
+    residual = data.values.copy()
+    for pivot in pivots:
+        deflate_in_place(residual, int(pivot) - 1)
+    return residual
 
 
 def hadamard_columns(order: int) -> np.ndarray:

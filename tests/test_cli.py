@@ -382,6 +382,12 @@ class TestBench:
             ("sim2", "lfsca"),
         }
 
+    def test_config_with_parallelism_key_runs(self, capsys, tmp_path):
+        config = write_bench_config(tmp_path, parallelism=1)
+        code, out, err = run_cli(capsys, "bench", "--config", config)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["cells"]) == 2
+
     def test_stdout_report(self, capsys, tmp_path):
         config = write_bench_config(tmp_path)
         code, out, _ = run_cli(capsys, "bench", "--config", config)
@@ -567,6 +573,36 @@ class TestOracle:
         )
         assert code == 1
         assert "sigma must be positive" in err
+
+    @pytest.mark.parametrize(
+        "extra", [("--metric", "ve", "--algo", "fsca"), ("--metric", "fp"), ("--metric", "ve")]
+    )
+    def test_sigma_rejected_without_mi_or_itfs(self, capsys, small_csv, extra):
+        code, out, err = run_cli(
+            capsys, "oracle", "--k", "2", "--sigma", "0.1", *extra, "--input", small_csv
+        )
+        assert code == 1 and out == ""
+        assert "--sigma applies only to the mi metric or itfs" in err
+
+    def test_sigma_with_itfs_under_ve(self, capsys, small_csv):
+        code, out, _ = run_cli(
+            capsys,
+            "oracle",
+            "--metric",
+            "ve",
+            "--k",
+            "2",
+            "--algo",
+            "itfs",
+            "--sigma",
+            "0.5",
+            "--input",
+            small_csv,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metric"] == "ve"
+        assert payload["comparison"]["algorithm"] == "itfs"
 
     def test_output_file(self, capsys, tmp_path, small_csv):
         out_path = tmp_path / "oracle.json"

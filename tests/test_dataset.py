@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from varsel import (
     Dataset,
-    DegeneratePivot,
     EmptyFile,
     IndexSets,
     ParseError,
     RaggedRows,
     RankDeficient,
-    ResidualMatrix,
     ZeroColumn,
     center_columns,
-    deflate,
     load_csv,
     normalize_unit,
     project_onto,
@@ -26,7 +23,7 @@ from varsel import (
 )
 from varsel.dataset import dataset_from_gram
 
-from conftest import make_rng, random_dataset
+from conftest import deflated, make_rng, random_dataset
 
 
 # =========================================================================
@@ -203,55 +200,35 @@ class TestProjectOnto:
 
 class TestDeflate:
     def test_pivot_column_zeroed(self):
-        residual = ResidualMatrix.from_dataset(random_dataset(10, 4, seed=11))
-        out = deflate(residual, 3)
-        np.testing.assert_array_equal(out.values[:, 2], 0.0)
-        assert out.deflated_by == (3,)
+        out = deflated(random_dataset(10, 4, seed=11), (3,))
+        np.testing.assert_array_equal(out[:, 2], 0.0)
 
     def test_orthogonal_columns_untouched(self):
         q, _ = np.linalg.qr(make_rng(12).normal(size=(10, 4)))
-        residual = ResidualMatrix.from_dataset(Dataset(q))
-        out = deflate(residual, 2)
-        np.testing.assert_allclose(out.values[:, [0, 2, 3]], q[:, [0, 2, 3]], atol=1e-12)
+        out = deflated(Dataset(q), (2,))
+        np.testing.assert_allclose(out[:, [0, 2, 3]], q[:, [0, 2, 3]], atol=1e-12)
 
     def test_sequence_matches_projection(self):
         # [DERIVED] sequential deflation equals one-shot projection residual.
         data = random_dataset(12, 6, seed=13)
-        residual = deflate(deflate(ResidualMatrix.from_dataset(data), 2), 5)
+        residual = deflated(data, (2, 5))
         expected = data.values - project_onto(data, (2, 5))
-        np.testing.assert_allclose(residual.values, expected, atol=1e-8)
-
-    def test_redeflation_rejected(self):
-        residual = deflate(ResidualMatrix.from_dataset(random_dataset(8, 3, seed=14)), 1)
-        with pytest.raises(DegeneratePivot):
-            deflate(residual, 1)
-
-    def test_degenerate_pivot_rejected(self):
-        x = make_rng(15).normal(size=(10, 2))
-        data = center_columns(Dataset(np.column_stack([x[:, 0], x[:, 0], x[:, 1]])))
-        residual = deflate(ResidualMatrix.from_dataset(data), 1)
-        with pytest.raises(DegeneratePivot):
-            deflate(residual, 2)
+        np.testing.assert_allclose(residual, expected, atol=1e-8)
 
     def test_final_residual_order_independent(self):
         data = random_dataset(15, 7, seed=16)
         orders = [(1, 4, 6), (6, 1, 4), (4, 6, 1)]
-        finals = []
-        for order in orders:
-            residual = ResidualMatrix.from_dataset(data)
-            for pivot in order:
-                residual = deflate(residual, pivot)
-            finals.append(residual.values)
+        finals = [deflated(data, order) for order in orders]
         expected = data.values - project_onto(data, (1, 4, 6))
         for final in finals:
             np.testing.assert_allclose(final, expected, atol=1e-7)
 
     def test_residual_orthogonal_to_deflated(self):
         data = random_dataset(20, 5, seed=17)
-        residual = deflate(deflate(ResidualMatrix.from_dataset(data), 2), 4)
+        residual = deflated(data, (2, 4))
         tol = 1e-8 * np.linalg.norm(data.values) ** 2
         for j in (2, 4):
-            assert np.abs(residual.values.T @ data.values[:, j - 1]).max() <= tol
+            assert np.abs(residual.T @ data.values[:, j - 1]).max() <= tol
 
 
 # =========================================================================
@@ -365,8 +342,6 @@ class TestProperties:
         data = random_dataset(10, 5, seed=seed)
         rng = make_rng(seed + 1)
         pivots = list(rng.permutation(5)[:3] + 1)
-        residual = ResidualMatrix.from_dataset(data)
-        for pivot in pivots:
-            residual = deflate(residual, int(pivot))
+        residual = deflated(data, pivots)
         expected = data.values - project_onto(data, tuple(int(p) for p in pivots))
-        np.testing.assert_allclose(residual.values, expected, atol=1e-7)
+        np.testing.assert_allclose(residual, expected, atol=1e-7)

@@ -42,6 +42,14 @@ def centered_sim2(seed):
     return center_columns(gen_sim2(m=1000, u=25, v=50, seed=seed))
 
 
+def basis_of(columns: np.ndarray) -> OrthonormalBasis:
+    """A basis grown with ``extend`` from the columns, left to right."""
+    basis = OrthonormalBasis(*columns.shape)
+    for column in columns.T:
+        basis.extend(column)
+    return basis
+
+
 # =========================================================================
 # SelectionResult
 # =========================================================================
@@ -115,10 +123,10 @@ class TestOrthonormalBasis:
         with pytest.raises(RankDeficient):
             basis.extend(2.0 * a - 0.5 * b)
 
-    def test_from_columns(self):
+    def test_extend_columns_orthonormal_same_span(self):
         rng = make_rng(4)
         cols = rng.normal(size=(15, 3))
-        basis = OrthonormalBasis.from_columns(cols)
+        basis = basis_of(cols)
         prod = basis.columns.T @ basis.columns
         np.testing.assert_allclose(prod, np.eye(3), atol=1e-8)
         # Same span: projecting the originals onto the basis loses nothing.
@@ -592,7 +600,7 @@ class TestUfs:
             selected = [i - 1 for i in fast.order[:2]]
             native = list(fast.native_trace[:2])
             for _ in range(5):
-                basis = OrthonormalBasis.from_columns(unit[:, selected])
+                basis = basis_of(unit[:, selected])
                 projections = basis.columns.T @ unit
                 r_squared = np.einsum("ij,ij->j", projections, projections)
                 r_squared[selected] = np.inf
