@@ -24,9 +24,10 @@ Conventions baked in here:
   a short curve; curves are padded with their last value when alignment
   with other algorithms requires it.
 * AUC is reported only when the run covers k = 1..v-1.
-* Metric values at k (VE/FP/MI) are evaluated with one shared model per
-  dataset: FP on the unit-normalized columns, MI under the default noise
-  scale, regardless of per-algorithm options.
+* Metric values at k (VE/FP/MI) are scored by ``oracle.subset_scorer``,
+  one scorer per distinct dataset object: FP on the unit-normalized
+  columns, MI under the default noise scale, regardless of per-algorithm
+  options.
 """
 
 from __future__ import annotations
@@ -40,17 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, center_columns, load_csv, normalize_unit
+from .dataset import Dataset, center_columns, load_csv
 from .errors import SelectionError, ThresholdNeverReached
-from .metrics import (
-    CovarianceModel,
-    VECurve,
-    auc,
-    frame_potential,
-    k_at_threshold,
-    mutual_information,
-    relative_performance,
-)
+from .metrics import VECurve, auc, k_at_threshold, relative_performance
+from .oracle import subset_scorer
 from .selectors import ALGORITHMS, SelectionResult
 from .simgen import SimSpec, dataset_from_spec
 
@@ -417,27 +411,6 @@ def _run_cell(algo: AlgoConfig, per_seed_data: list[Dataset], seeds: list[int], 
     return results, None
 
 
-def _evaluate_metric_at_k(
-    metric: str,
-    k: int,
-    results: list[SelectionResult],
-    eval_ctx: list[dict],
-) -> float | None:
-    per_seed: list[float | None] = []
-    for result, ctx in zip(results, eval_ctx):
-        if len(result.order) < k:
-            per_seed.append(None)
-            continue
-        head = result.order[:k]
-        if metric == "ve":
-            per_seed.append(float(result.ve_curve[k - 1]))
-        elif metric == "fp":
-            per_seed.append(frame_potential(ctx["unit"], head))
-        else:
-            per_seed.append(mutual_information(ctx["model"], head))
-    return _median(per_seed)
-
-
 def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     """Execute the grid and aggregate a report.
 
@@ -463,74 +436,52 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             )
         prepared[source.name] = centered
 
-    by_key = {
-        (source.name, algo.name): _run_cell(algo, prepared[source.name], seeds, config.k_max)
-        for source in config.datasets
-        for algo in config.algorithms
-    }
-    elapsed = {
-        key: _median([result.elapsed for result in results])
-        for key, (results, error) in by_key.items()
-        if error is None
-    }
+    scorers: dict = {}  # (id(data), metric) -> score, per distinct dataset object
 
-    # Lazily built shared evaluation models (per dataset, per seed).
-    eval_ctx_cache: dict[str, list[dict]] = {}
-
-    def eval_ctx(dataset_name: str) -> list[dict]:
-        if dataset_name not in eval_ctx_cache:
-            ctxs: list[dict] = []
-            by_identity: dict[int, dict] = {}
-            for data in prepared[dataset_name]:
-                ctx = by_identity.get(id(data))
-                if ctx is None:
-                    ctx = {
-                        "unit": normalize_unit(data),
-                        "model": CovarianceModel.from_dataset(data),
-                    }
-                    by_identity[id(data)] = ctx
-                ctxs.append(ctx)
-            eval_ctx_cache[dataset_name] = ctxs
-        return eval_ctx_cache[dataset_name]
-
-    # Joint relative performance, per dataset and seed, over healthy cells.
-    r_values: dict[tuple[str, str], list[float | None]] = {}
-    for source in config.datasets:
-        healthy = [
-            algo.name
-            for algo in config.algorithms
-            if by_key[(source.name, algo.name)][1] is None
-        ]
-        for run_index in range(config.repeats):
-            curves = {
-                name: VECurve(
-                    _extend_curve(
-                        by_key[(source.name, name)][0][run_index].ve_curve.values,
-                        config.k_max,
-                    )
-                )
-                for name in healthy
-            }
-            if not curves:
+    def metric_value(metric: str, k: int, results, per_seed_data) -> float | None:
+        per_seed: list[float | None] = []
+        for result, data in zip(results, per_seed_data):
+            if len(result.order) < k:
+                per_seed.append(None)
                 continue
-            try:
-                joint = relative_performance(curves)
-            except ThresholdNeverReached:
-                joint = {name: None for name in curves}
-            for name, value in joint.items():
-                r_values.setdefault((source.name, name), []).append(value)
+            key = (id(data), metric)
+            if key not in scorers:
+                scorers[key] = subset_scorer(data, metric)[0]
+            per_seed.append(float(scorers[key](np.array([result.order[:k]]) - 1)[0]))
+        return _median(per_seed)
 
     cells: list[BenchCell] = []
     for source in config.datasets:
-        v = prepared[source.name][0].v
-        fsca_elapsed = elapsed.get((source.name, "fsca"))
+        per_seed_data = prepared[source.name]
+        v = per_seed_data[0].v
+        runs = {
+            algo.name: _run_cell(algo, per_seed_data, seeds, config.k_max)
+            for algo in config.algorithms
+        }
+        healthy = {name: results for name, (results, error) in runs.items() if error is None}
+        elapsed = {
+            name: _median([result.elapsed for result in results])
+            for name, results in healthy.items()
+        }
+
+        # Joint relative performance per seed, over the healthy cells.
+        r_values: dict[str, list[float | None]] = {name: [] for name in healthy}
+        for run in zip(*healthy.values()):
+            curves = {
+                name: VECurve(_extend_curve(result.ve_curve.values, config.k_max))
+                for name, result in zip(healthy, run)
+            }
+            try:
+                joint = relative_performance(curves)
+            except ThresholdNeverReached:
+                joint = dict.fromkeys(curves)
+            for name, value in joint.items():
+                r_values[name].append(value)
+
         for algo in config.algorithms:
-            key = (source.name, algo.name)
-            results, error = by_key[key]
+            results, error = runs[algo.name]
             if error is not None:
-                cells.append(
-                    BenchCell(dataset=source.name, algorithm=algo.name, error=error)
-                )
+                cells.append(BenchCell(dataset=source.name, algorithm=algo.name, error=error))
                 continue
             curves = [result.ve_curve.values for result in results]
             auc_value = None
@@ -547,11 +498,6 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                     except ThresholdNeverReached:
                         per_seed.append(None)
                 k_at.append((threshold, _lower_median(per_seed)))
-            metric_values = tuple(
-                (metric, k, _evaluate_metric_at_k(metric, k, results, eval_ctx(source.name)))
-                for metric in ("ve", "fp", "mi")
-                for k in config.metric_ks
-            )
             cells.append(
                 BenchCell(
                     dataset=source.name,
@@ -561,10 +507,16 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                     ve_curves=tuple(tuple(c) for c in curves),
                     auc=auc_value,
                     k_at=tuple(k_at),
-                    r=_median(r_values.get(key, [])),
-                    metric_values=metric_values,
-                    elapsed_median_s=elapsed[key],
-                    speedup_vs_fsca=_speedup_vs_fsca(algo.name, elapsed[key], fsca_elapsed),
+                    r=_median(r_values[algo.name]),
+                    metric_values=tuple(
+                        (metric, k, metric_value(metric, k, results, per_seed_data))
+                        for metric in ("ve", "fp", "mi")
+                        for k in config.metric_ks
+                    ),
+                    elapsed_median_s=elapsed[algo.name],
+                    speedup_vs_fsca=_speedup_vs_fsca(
+                        algo.name, elapsed[algo.name], elapsed.get("fsca")
+                    ),
                 )
             )
 

@@ -21,18 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .bench import BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
-from .errors import SelectionError, TooLarge
-from .metrics import CovarianceModel, variance_explained
-from .oracle import (
-    TABULATION_LIMIT,
-    TabulatedSetFunction,
-    bound_report,
-    compare_to_optimal,
-    exhaustive_optimal,
-)
+from .errors import SelectionError
+from .metrics import variance_explained
+from .oracle import TabulatedSetFunction, bound_report, compare_to_optimal, exhaustive_optimal
 from .selectors import ALGORITHMS
 from .simgen import gen_sim1, gen_sim2
 
@@ -125,6 +120,8 @@ def _write_select_csv(result, data: Dataset, output: str | None) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.format == "csv" and not args.output:
+        raise ValueError("csv format requires --output")
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
     if args.repeats is not None:
@@ -135,8 +132,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_benchmark(config)
     if args.output:
         emit_report(report, args.output, args.format)
-    elif args.format == "csv":
-        raise ValueError("csv format requires --output")
     else:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     for cell in report.cells:
@@ -159,6 +154,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.sigma is not None and args.metric != "mi" and args.algo != "itfs":
         raise ValueError("--sigma applies only to the mi metric or itfs")
+    if args.bounds and args.metric != "ve":
+        raise ValueError("--bounds is available only for the ve metric")
     raw = _load_input(args)
     data = center_columns(raw)
     sigma = args.sigma if args.metric == "mi" else None
@@ -171,31 +168,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "optimal_value": optimal.value,
     }
     if args.bounds:
-        if args.metric != "ve":
-            raise ValueError("--bounds is available only for the ve metric")
-        if data.v > TABULATION_LIMIT:
-            raise TooLarge(2**data.v, 2**TABULATION_LIMIT)
         table = TabulatedSetFunction.from_callable(
             data.v, lambda subset: variance_explained(data, subset)
         )
-        bounds = bound_report(table, args.k)
-        payload["bounds"] = {
-            "alpha": bounds.alpha,
-            "gamma": bounds.gamma,
-            "b_n": bounds.b_n,
-            "b_alpha_gamma": bounds.b_alpha_gamma,
-            "greedy_value": bounds.greedy_value,
-            "optimal_value": bounds.optimal_value,
-            "greedy_ratio": bounds.greedy_ratio,
-        }
+        bounds = asdict(bound_report(table, args.k))
+        del bounds["k"]
+        payload["bounds"] = bounds
     if args.algo:
         kwargs = {"sigma": args.sigma} if args.algo == "itfs" and args.sigma is not None else {}
         result = ALGORITHMS[args.algo](data, args.k, **kwargs)
-        if args.metric == "mi":
-            model = CovarianceModel.from_dataset(data, args.sigma)
-            comparison = compare_to_optimal(result.order, optimal, model=model)
-        else:
-            comparison = compare_to_optimal(result.order, optimal, data=data)
+        comparison = compare_to_optimal(result.order, optimal, data=data, sigma=sigma)
         payload["comparison"] = {
             "algorithm": args.algo,
             "order": list(result.order),

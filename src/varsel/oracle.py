@@ -2,9 +2,11 @@
 
 ``exhaustive_optimal`` finds the best k-subset for a chosen metric by
 enumerating every combination (guarded by a hard cap on the combination
-count).  ``TabulatedSetFunction`` stores a set function's value for all
-2^v subsets of a small ground set, which makes the structural quantities
-computable exactly:
+count); ``subset_scorer`` is the one place a metric name becomes a
+scoring function, for the search, ``compare_to_optimal`` and the
+benchmark's metric values.  ``TabulatedSetFunction`` stores a set
+function's value for all 2^v subsets of a small ground set, which makes
+the structural quantities computable exactly:
 
 * ``curvature``: total curvature ``alpha`` in [0, 1] (0 for modular
   functions, approaching 1 when late gains collapse),
@@ -33,7 +35,7 @@ import numpy as np
 from .dataset import Dataset, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
-from .metrics import CovarianceModel, frame_potential, mutual_information, variance_explained
+from .metrics import CovarianceModel, mutual_information
 
 __all__ = [
     "OptimalSubset",
@@ -93,9 +95,9 @@ class OptimalComparison:
     """A greedy selection head measured against an exhaustive optimum.
 
     ``n_common`` counts shared variables.  ``achieved`` is the greedy
-    head's metric value (None when no data/model was supplied to compute
-    it) and ``ratio`` expresses it as a fraction of optimal, oriented so
-    1.0 means parity for both maximized and minimized metrics.
+    head's metric value (None when no data was supplied or the optimum
+    is tabulated) and ``ratio`` expresses it as a fraction of optimal,
+    oriented so 1.0 means parity for both maximized and minimized metrics.
     """
 
     n_common: int
@@ -229,6 +231,60 @@ def _combination_values_ve(gram: np.ndarray, energy: float, chunk: np.ndarray) -
     return 100.0 * captured / energy
 
 
+def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
+    """The scoring function of a metric on ``data`` and its direction.
+
+    Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
+    array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
+    variance explained (a batched normal-equation solve with a
+    least-squares fallback), ``"fp"`` the frame potential of the
+    unit-normalized columns and ``"mi"`` the Gaussian mutual information
+    under noise scale ``sigma`` (default: 1% of the root-mean-square
+    variable scale); ``sigma`` is rejected for the other metrics.  The
+    exhaustive search, :func:`compare_to_optimal` and the benchmark's
+    metric values all score through this one function.
+    """
+    if metric not in METRIC_MAXIMIZE:
+        raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
+    if sigma is not None and metric != "mi":
+        raise ValueError(f"sigma applies only to the mi metric, not {metric!r}")
+    if not data.centered:
+        raise ValueError("subset scoring requires centered data")
+    if metric == "mi":
+        model = CovarianceModel.from_dataset(data, sigma)
+
+        def score(idx):
+            return np.array([mutual_information(model, row + 1) for row in idx])
+    elif metric == "fp":
+        unit = normalize_unit(data)
+        gram_sq = (unit.values.T @ unit.values) ** 2
+
+        def score(idx):
+            return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
+    else:
+        gram = data.values.T @ data.values
+        score = partial(_combination_values_ve, gram, float(np.trace(gram)))
+    return score, METRIC_MAXIMIZE[metric]
+
+
+def _best_subset(v: int, k: int, score, maximize: bool, metric: str) -> OptimalSubset:
+    """Best k-subset of ``range(v)`` under ``score``, scored in chunks of
+    combinations in lexicographic order; the first of exactly tied
+    subsets wins."""
+    sign = 1.0 if maximize else -1.0
+    best_value = -math.inf
+    best_combo: tuple[int, ...] | None = None
+    combos = combinations(range(v), k)
+    while chunk := list(islice(combos, _CHUNK)):
+        idx = np.asarray(chunk, dtype=int)
+        values = sign * score(idx)
+        pick = int(np.argmax(values))
+        if values[pick] > best_value:
+            best_value = float(values[pick])
+            best_combo = tuple(int(i) + 1 for i in idx[pick])
+    return OptimalSubset(frozenset(best_combo), sign * best_value, metric)
+
+
 def exhaustive_optimal(
     data: Dataset,
     k: int,
@@ -250,15 +306,11 @@ def exhaustive_optimal(
         Variance explained (maximized), frame potential (minimized) or
         Gaussian mutual information (maximized).
     sigma : float, optional
-        Noise scale for the mutual-information metric; defaults to 1% of
-        the root-mean-square variable scale.
+        Noise scale for the mutual-information metric (an error for the
+        others); defaults to 1% of the root-mean-square variable scale.
     cap : int
         Raise :class:`TooLarge` when ``C(v, k)`` exceeds this.
     """
-    if metric not in METRIC_MAXIMIZE:
-        raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
-    if not data.centered:
-        raise ValueError("exhaustive_optimal requires centered data")
     v = data.v
     k = int(k)
     if not 1 <= k <= v:
@@ -266,34 +318,8 @@ def exhaustive_optimal(
     n_comb = math.comb(v, k)
     if n_comb > cap:
         raise TooLarge(n_comb, cap)
-
-    if metric == "mi":
-        model = CovarianceModel.from_dataset(data, sigma)
-
-        def score(idx):
-            return np.array([mutual_information(model, row + 1) for row in idx])
-    elif metric == "fp":
-        unit = normalize_unit(data)
-        gram_sq = (unit.values.T @ unit.values) ** 2
-
-        def score(idx):
-            return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
-    else:
-        gram = data.values.T @ data.values
-        score = partial(_combination_values_ve, gram, float(np.trace(gram)))
-
-    sign = 1.0 if METRIC_MAXIMIZE[metric] else -1.0
-    best_value = -math.inf
-    best_combo: tuple[int, ...] | None = None
-    combos = combinations(range(v), k)
-    while chunk := list(islice(combos, _CHUNK)):
-        idx = np.asarray(chunk, dtype=int)
-        values = sign * score(idx)
-        pick = int(np.argmax(values))
-        if values[pick] > best_value:
-            best_value = float(values[pick])
-            best_combo = tuple(int(i) + 1 for i in idx[pick])
-    return OptimalSubset(frozenset(best_combo), sign * best_value, metric)
+    score, maximize = subset_scorer(data, metric, sigma)
+    return _best_subset(v, k, score, maximize, metric)
 
 
 def tabulated_optimal(table: TabulatedSetFunction, k: int) -> OptimalSubset:
@@ -301,17 +327,9 @@ def tabulated_optimal(table: TabulatedSetFunction, k: int) -> OptimalSubset:
     k = int(k)
     if not 1 <= k <= table.v:
         raise ValueError(f"k must be in 1..{table.v}, got {k}")
-    best_value = -math.inf
-    best_combo: tuple[int, ...] | None = None
-    for combo in combinations(range(table.v), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        value = float(table.values[mask])
-        if value > best_value:
-            best_value = value
-            best_combo = tuple(i + 1 for i in combo)
-    return OptimalSubset(frozenset(best_combo), best_value, "tabulated")
+    return _best_subset(
+        table.v, k, lambda idx: table.values[(1 << idx).sum(axis=1)], True, "tabulated"
+    )
 
 
 # =========================================================================
@@ -447,33 +465,27 @@ def compare_to_optimal(
     optimal: OptimalSubset,
     *,
     data: Dataset | None = None,
-    model: CovarianceModel | None = None,
+    sigma: float | None = None,
 ) -> OptimalComparison:
     """Measure the head of a greedy order against an exhaustive optimum.
 
     The first ``optimal.k`` entries of ``order`` are compared.  When
-    ``data`` (for "ve"/"fp") or ``model`` (for "mi") is provided, the
-    head's metric value and its fraction-of-optimal ratio are included;
-    the ratio is oriented so 1.0 is parity for minimized metrics too.
+    ``data`` is provided for a ``"ve"``, ``"fp"`` or ``"mi"`` optimum, the
+    head is scored by the same :func:`subset_scorer` as the search (``sigma``
+    as passed to :func:`exhaustive_optimal`), and the ratio is oriented so
+    1.0 is parity for minimized metrics too.
     """
     head = tuple(int(i) for i in order)[: optimal.k]
     if len(head) < optimal.k:
         raise ValueError(f"order has {len(head)} entries, optimum has {optimal.k}")
     n_common = len(set(head) & optimal.indices)
     achieved: float | None = None
-    if optimal.metric == "ve" and data is not None:
-        achieved = variance_explained(data, head)
-    elif optimal.metric == "fp" and data is not None:
-        unit = normalize_unit(data)
-        achieved = frame_potential(unit, head)
-    elif optimal.metric == "mi" and model is not None:
-        achieved = mutual_information(model, head)
     ratio: float | None = None
-    if achieved is not None:
-        if optimal.metric == "fp":
-            ratio = optimal.value / achieved if achieved > 0.0 else 1.0
-        else:
-            ratio = achieved / optimal.value if optimal.value > 0.0 else 1.0
+    if data is not None and optimal.metric in METRIC_MAXIMIZE:
+        score, maximize = subset_scorer(data, optimal.metric, sigma)
+        achieved = float(score(np.array([selection_tuple(head, data.v)]) - 1)[0])
+        num, den = (achieved, optimal.value) if maximize else (optimal.value, achieved)
+        ratio = num / den if den > 0.0 else 1.0
     return OptimalComparison(
         n_common=n_common,
         achieved=achieved,

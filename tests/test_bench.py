@@ -13,14 +13,20 @@ from varsel import (
     BenchCell,
     BenchConfig,
     BenchmarkReport,
+    CovarianceModel,
     Dataset,
     DatasetSource,
     SimSpec,
+    center_columns,
     emit_report,
+    frame_potential,
     measure_speedup,
+    mutual_information,
+    normalize_unit,
     report_from_json,
     run_benchmark,
     save_csv,
+    variance_explained,
 )
 
 from conftest import make_rng, random_dataset
@@ -215,6 +221,28 @@ class TestRunBenchmark:
         assert report.cell("sim2", "fsca").metric_value("ve", 5) >= report.cell(
             "sim2", "fsca"
         ).metric_value("ve", 2)
+
+    def test_metric_values_match_public_functions(self):
+        config = small_config(
+            algorithms=(AlgoConfig("fsca"), AlgoConfig("ufs")), metric_ks=(2, 5), repeats=3
+        )
+        report = run_benchmark(config)
+        datasets = [center_columns(sim2_source().load(seed)) for seed in (0, 1, 2)]
+        public = {
+            "ve": lambda data, head: variance_explained(data, head),
+            "fp": lambda data, head: frame_potential(normalize_unit(data), head),
+            "mi": lambda data, head: mutual_information(CovarianceModel.from_dataset(data), head),
+        }
+        for algo in ("fsca", "ufs"):
+            cell = report.cell("sim2", algo)
+            for metric, fn in public.items():
+                for k in (2, 5):
+                    expected = np.median(
+                        [fn(data, order[:k]) for data, order in zip(datasets, cell.orders)]
+                    )
+                    assert cell.metric_value(metric, k) == pytest.approx(
+                        expected, rel=1e-12, abs=0.0
+                    )
 
     def test_speedup_baseline_is_one(self):
         config = small_config(algorithms=(AlgoConfig("fsca"), AlgoConfig("lfsca")))

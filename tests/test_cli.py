@@ -400,6 +400,16 @@ class TestBench:
         assert code == 1
         assert "csv format requires --output" in err
 
+    def test_csv_without_output_rejected_before_running(self, capsys, tmp_path, monkeypatch):
+        def fail(config):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr("varsel.cli.run_benchmark", fail)
+        config = write_bench_config(tmp_path)
+        code, out, err = run_cli(capsys, "bench", "--config", config, "--format", "csv")
+        assert code == 1 and out == ""
+        assert "csv format requires --output" in err
+
     def test_csv_report(self, capsys, tmp_path):
         config = write_bench_config(tmp_path)
         out_path = tmp_path / "report.csv"
@@ -537,6 +547,32 @@ class TestOracle:
         )
         assert code == 1
         assert "--bounds is available only for the ve metric" in err
+
+    @pytest.mark.parametrize("metric", ["fp", "mi"])
+    def test_bounds_rejected_before_search(self, capsys, small_csv, monkeypatch, metric):
+        def fail(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("varsel.cli.exhaustive_optimal", fail)
+        code, out, err = run_cli(
+            capsys, "oracle", "--metric", metric, "--k", "2", "--bounds", "--input", small_csv
+        )
+        assert code == 1 and out == ""
+        assert "--bounds is available only for the ve metric" in err
+
+    @pytest.mark.parametrize("algo", ["itfs", "fsfp-fsca"])
+    def test_rank_deficient_comparison(self, capsys, tmp_path, algo):
+        # Noise-free sim2 has rank 4 over 8 columns: these selectors' heads
+        # at k=6 are rank deficient and still get a ratio.
+        path = tmp_path / "noise_free.csv"
+        save_csv(gen_sim2(100, 4, 8, seed=0, noise_sd=0.0), path)
+        code, out, err = run_cli(
+            capsys, "oracle", "--metric", "ve", "--k", "6", "--algo", algo,
+            "--input", str(path), "--header",
+        )
+        assert code == 0, err
+        comparison = json.loads(out)["comparison"]
+        assert comparison["ratio"] == pytest.approx(1.0, abs=1e-9)
 
     def test_algo_comparison(self, capsys, small_csv):
         code, out, _ = run_cli(

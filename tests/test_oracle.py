@@ -18,6 +18,7 @@ from varsel import (
     fsca_select,
     frame_potential,
     gen_sim2,
+    itfs_select,
     mutual_information,
     normalize_unit,
     variance_explained,
@@ -122,6 +123,22 @@ class TestTabulatedOptimal:
             max(fn(c) for c in itertools.combinations(range(1, 7), 2)), abs=1e-12
         )
         assert best.value == pytest.approx(fn(brute), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_with_exact_ties(self, seed):
+        # Few distinct integer values give many exact ties; the reference
+        # loop keeps the first strict maximum in lexicographic order.
+        rng = make_rng(seed)
+        v = 7
+        table = TabulatedSetFunction(v, rng.integers(0, 4, size=2**v), validate=False)
+        for k in range(1, v + 1):
+            best_value, best_combo = -math.inf, None
+            for combo in itertools.combinations(range(v), k):
+                value = float(table.values[sum(1 << i for i in combo)])
+                if value > best_value:
+                    best_value, best_combo = value, tuple(i + 1 for i in combo)
+            best = tabulated_optimal(table, k)
+            assert (best.ordered, best.value, best.metric) == (best_combo, best_value, "tabulated")
 
 
 # =========================================================================
@@ -228,6 +245,12 @@ class TestExhaustiveOptimal:
             exhaustive_optimal(data, 3, "ve", cap=10)
         assert info.value.n_combinations == math.comb(10, 3)
         assert info.value.cap == 10
+
+    @pytest.mark.parametrize("metric", ["ve", "fp"])
+    def test_sigma_rejected_without_mi(self, metric):
+        data = random_dataset(30, 5, seed=18)
+        with pytest.raises(ValueError, match="sigma applies only to the mi metric"):
+            exhaustive_optimal(data, 2, metric, sigma=0.1)
 
     def test_default_cap_large_instance(self):
         data = random_dataset(10, 50, seed=10)
@@ -489,6 +512,37 @@ class TestCompareToOptimal:
         best = exhaustive_optimal(data, 4, "ve")
         with pytest.raises(ValueError):
             compare_to_optimal((1, 2), best, data=data)
+
+    def test_rank_deficient_head_scored(self):
+        # Noise-free sim2 has rank 4 over 8 columns, so ITFS's 6-variable
+        # head is rank deficient; it is scored by the search's own scorer.
+        data = center_columns(gen_sim2(100, 4, 8, seed=0, noise_sd=0.0))
+        best = exhaustive_optimal(data, 6, "ve")
+        comparison = compare_to_optimal(itfs_select(data, 6).order, best, data=data)
+        assert np.isfinite(comparison.achieved)
+        assert comparison.ratio == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", ["ve", "fp"])
+    def test_sigma_rejected_without_mi(self, metric):
+        data = random_dataset(30, 5, seed=19)
+        best = exhaustive_optimal(data, 2, metric)
+        with pytest.raises(ValueError, match="sigma applies only to the mi metric"):
+            compare_to_optimal((1, 2), best, data=data, sigma=0.1)
+
+    def test_mi_achieved_uses_sigma(self):
+        data = random_dataset(30, 6, seed=20)
+        best = exhaustive_optimal(data, 3, "mi", sigma=0.3)
+        head = (2, 4, 5)
+        comparison = compare_to_optimal(head + (1,), best, data=data, sigma=0.3)
+        expected = mutual_information(CovarianceModel.from_dataset(data, 0.3), head)
+        assert comparison.achieved == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert comparison.ratio == comparison.achieved / best.value
+
+    def test_head_indices_checked(self):
+        data = random_dataset(30, 6, seed=21)
+        best = exhaustive_optimal(data, 2, "ve")
+        with pytest.raises(ValueError):
+            compare_to_optimal((1, 7), best, data=data)
 
     def test_without_data_no_ratio(self):
         data = random_dataset(30, 6, seed=17)
