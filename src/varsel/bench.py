@@ -27,7 +27,7 @@ Conventions baked in here:
 * Metric values at k (VE/FP/MI) are scored by ``oracle.subset_scorer``,
   one scorer per distinct dataset object: FP on the unit-normalized
   columns, MI under the default noise scale, regardless of per-algorithm
-  options.
+  options.  MI at ``k = v`` is None: it needs a non-empty complement.
 """
 
 from __future__ import annotations
@@ -441,7 +441,8 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     def metric_value(metric: str, k: int, results, per_seed_data) -> float | None:
         per_seed: list[float | None] = []
         for result, data in zip(results, per_seed_data):
-            if len(result.order) < k:
+            # MI needs a non-empty complement, so it has no value at k = v.
+            if len(result.order) < k or (metric == "mi" and k == data.v):
                 per_seed.append(None)
                 continue
             key = (id(data), metric)

@@ -34,7 +34,12 @@ Scoring: FSCA evaluates one candidate at a time (one matrix-vector product
 against the residual per evaluation, in both engines).  The other five
 gains score every column at once through ``step_scores``, which runs at
 most once per step; per-candidate and batch queries read that step's
-vector.
+vector.  When ``m > v``, PFS and FOS-MOD keep their residual, deflation and
+NIPALS on the v x v triangular factor ``T`` of ``X = QT``: every quantity
+they read is unchanged by the orthonormal ``Q``, so they select as on ``X``
+(up to round-off, which can decide an exact tie) at v x v cost.  FSCA and
+L-FSCA stay on the m x v residual, because their per-candidate products
+there are the evaluations the lazy engine saves.
 
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
@@ -318,12 +323,26 @@ class _SelectorGain(GainFunction):
 
 class _DeflatingGain(_SelectorGain):
     """A gain over the residual ``r`` of the data ``x``; committing a
-    column deflates by it and feeds the VE tracker the energy captured."""
+    column deflates by it and feeds the VE tracker the energy captured.
+
+    A gain with ``thin`` set reads the residual only through products that
+    an orthonormal left factor leaves unchanged (column norms, ``R^T R``,
+    ``R^T X``, NIPALS loadings and score norms, the deflation), so when
+    ``m > v`` it replaces ``x`` by the v x v triangular factor ``T`` of
+    ``X = QT`` and runs every step on ``T``.  FSCA does not: its
+    per-candidate products against the m x v residual are the evaluation
+    the lazy engine saves and the paper's cost model counts.  The VE
+    tracker keeps the centered data.
+    """
+
+    thin = False
 
     def __init__(self, data: Dataset):
+        self.ve = _VeTracker(data.values)
         self.x = data.values
-        self.r = data.values.copy()
-        self.ve = _VeTracker(self.x)
+        if self.thin and data.m > data.v:
+            self.x = np.linalg.qr(self.x, mode="r")
+        self.r = self.x.copy()
         self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.ve.energy
         self.excluded = np.zeros(data.v, dtype=bool)
 
@@ -394,6 +413,8 @@ class _FosModGain(_DeflatingGain):
     average and excluded from candidacy.
     """
 
+    thin = True
+
     def __init__(self, data: Dataset):
         super().__init__(data)
         sqnorms = np.einsum("ij,ij->j", self.x, self.x)
@@ -458,6 +479,8 @@ def nipals_first_pc(data, tol: float = 1e-9, max_iter: int = 500) -> NipalsResul
 class _PfsGain(_DeflatingGain):
     """Absolute correlation of residual columns with the residual's first
     principal component, which is recomputed once per step."""
+
+    thin = True
 
     def __init__(self, data: Dataset):
         super().__init__(data)

@@ -244,6 +244,24 @@ class TestRunBenchmark:
                         expected, rel=1e-12, abs=0.0
                     )
 
+    def test_mi_at_column_count_is_none(self):
+        config = small_config(
+            datasets=(sim2_source(m=100, u=3, v=6),),
+            algorithms=(AlgoConfig("fsca"), AlgoConfig("itfs")),
+            k_max=6,
+            metric_ks=(6,),
+        )
+        report = run_benchmark(config)
+        data = center_columns(sim2_source(m=100, u=3, v=6).load(0))
+        for algo in ("fsca", "itfs"):
+            cell = report.cell("sim2", algo)
+            assert cell.error is None
+            assert cell.metric_value("mi", 6) is None
+            assert cell.metric_value("ve", 6) == pytest.approx(100.0, rel=1e-12)
+            assert cell.metric_value("fp", 6) == pytest.approx(
+                frame_potential(normalize_unit(data), cell.orders[0]), rel=1e-12
+            )
+
     def test_speedup_baseline_is_one(self):
         config = small_config(algorithms=(AlgoConfig("fsca"), AlgoConfig("lfsca")))
         report = run_benchmark(config)

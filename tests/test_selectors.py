@@ -27,7 +27,7 @@ from varsel import (
     ufs_select,
     variance_explained,
 )
-from varsel.dataset import dataset_from_gram
+from varsel.dataset import dataset_from_gram, deflate_in_place
 from varsel.metrics import CovarianceModel, IndexSets
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, nipals_first_pc
 
@@ -390,6 +390,93 @@ class TestPfs:
     def test_non_convergence_warning_propagates(self):
         result = pfs_select(near_degenerate_spectrum(0.99), 2)
         assert any("NIPALS" in w for w in result.warnings)
+
+
+# =========================================================================
+# PFS and FOS-MOD on the triangular factor
+# =========================================================================
+
+
+def pfs_scores(x, r, warnings):
+    component = nipals_first_pc(r)
+    if not component.converged:
+        warnings.append(
+            f"NIPALS stopped at {component.iterations} iterations without converging"
+        )
+    p1 = component.scores
+    sqnorms = np.einsum("ij,ij->j", r, r)
+    return np.abs(p1 @ r) / np.sqrt(sqnorms * float(p1 @ p1))
+
+
+def fosmod_scores(x, r, warnings):
+    sqnorms = np.einsum("ij,ij->j", r, r)
+    cross = r.T @ x
+    inv_sqnorms = 1.0 / np.einsum("ij,ij->j", x, x)
+    return (cross * cross) @ inv_sqnorms / (x.shape[1] * sqnorms)
+
+
+def data_space_run(data, k, scores):
+    """A plain greedy loop over the m x v residual: ``scores`` of every
+    column, the first best unselected one, a deflation by it.  Returns the
+    order, evaluation count, warnings, native trace and VE curve."""
+    x = data.values
+    r = x.copy()
+    energy = float(np.linalg.norm(x)) ** 2
+    order, trace, ve, warnings = [], [], [], []
+    captured = 0.0
+    for _ in range(k):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = scores(x, r, warnings)
+        step[[i - 1 for i in order]] = -np.inf
+        pick = int(np.argmax(step))
+        order.append(pick + 1)
+        trace.append(float(step[pick]))
+        rr, coeffs = deflate_in_place(r, pick)
+        captured += rr * float(coeffs @ coeffs)
+        ve.append(min(max(100.0 * captured / energy, 0.0), 100.0))
+    evals = sum(data.v - step for step in range(k))
+    return tuple(order), evals, tuple(warnings), trace, ve
+
+
+DATA_SPACE = [
+    pytest.param(pfs_select, pfs_scores, id="pfs"),
+    pytest.param(fosmod_select, fosmod_scores, id="fosmod"),
+]
+
+
+class TestTriangularFactor:
+    """With m > v, PFS and FOS-MOD run on the v x v triangular factor of the
+    data; their results equal the data-space computation's."""
+
+    @pytest.mark.parametrize("select, scores", DATA_SPACE)
+    @pytest.mark.parametrize(
+        "m, u, v, k, seed",
+        [(200, 8, 30, 20, s) for s in range(4)] + [(300, 10, 40, 20, 2), (1000, 25, 50, 30, 0)],
+    )
+    def test_matches_data_space(self, select, scores, m, u, v, k, seed):
+        data = center_columns(gen_sim2(m=m, u=u, v=v, seed=seed))
+        order, evals, warnings, trace, ve = data_space_run(data, k, scores)
+        result = select(data, k)
+        assert result.order == order
+        assert result.eval_count == evals
+        assert result.warnings == warnings
+        np.testing.assert_allclose(result.native_trace, trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.ve_curve.values, ve, rtol=1e-12, atol=0.0)
+
+    def test_nipals_cap_reached(self):
+        # Seed 0 of the 200 x 30 shape above: NIPALS stops at its cap twice.
+        data = center_columns(gen_sim2(m=200, u=8, v=30, seed=0))
+        warnings = data_space_run(data, 20, pfs_scores)[2]
+        assert warnings.count("NIPALS stopped at 500 iterations without converging") == 2
+
+    @pytest.mark.parametrize("select, scores", DATA_SPACE)
+    def test_wide_path_unchanged(self, select, scores):
+        data = center_columns(gen_sim2(m=40, u=8, v=60, seed=3))
+        order, evals, warnings, trace, ve = data_space_run(data, 15, scores)
+        result = select(data, 15)
+        assert (result.order, result.eval_count, result.warnings) == (order, evals, warnings)
+        assert result.native_trace == tuple(trace)
+        assert result.ve_curve.values == tuple(ve)
 
 
 # =========================================================================
