@@ -79,6 +79,13 @@ CSV_FIXED_COLUMNS = (
 # =========================================================================
 
 
+def _required(raw: dict, key: str, where: str):
+    """``raw[key]``, or a ``ValueError`` naming the missing key."""
+    if key not in raw:
+        raise ValueError(f"{where} is missing the required key {key!r}")
+    return raw[key]
+
+
 @dataclass(frozen=True)
 class DatasetSource:
     """One dataset in the grid: either a CSV file or a simulation spec."""
@@ -125,13 +132,13 @@ class DatasetSource:
         if "sim" in raw:
             s = raw["sim"]
             sim = SimSpec(
-                family=s["family"],
+                family=_required(s, "family", "sim"),
                 m=int(s.get("m", 1000)),
                 seed=int(s.get("seed", 0)),
                 params=dict(s.get("params", {})),
             )
         return cls(
-            name=raw["name"],
+            name=_required(raw, "name", "dataset"),
             csv_path=raw.get("csv_path"),
             sim=sim,
             has_header=bool(raw.get("has_header", False)),
@@ -176,7 +183,7 @@ class AlgoConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "AlgoConfig":
         return cls(
-            name=raw["name"],
+            name=_required(raw, "name", "algorithm"),
             sigma=raw.get("sigma"),
             engine=raw.get("engine"),
         )
@@ -230,9 +237,9 @@ class BenchConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
         return cls(
-            datasets=tuple(DatasetSource.from_dict(d) for d in raw["datasets"]),
-            algorithms=tuple(AlgoConfig.from_dict(a) for a in raw["algorithms"]),
-            k_max=int(raw["k_max"]),
+            datasets=tuple(DatasetSource.from_dict(d) for d in _required(raw, "datasets", "config")),
+            algorithms=tuple(AlgoConfig.from_dict(a) for a in _required(raw, "algorithms", "config")),
+            k_max=int(_required(raw, "k_max", "config")),
             thresholds=tuple(raw.get("thresholds", (95.0, 99.0))),
             repeats=int(raw.get("repeats", 1)),
             seed_base=int(raw.get("seed_base", 0)),

@@ -325,7 +325,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     Parameters
     ----------
     path : str or Path
-        File to read (UTF-8).
+        File to read (UTF-8; a leading byte-order mark is skipped).
     has_header : bool
         When true, the first non-comment row provides column labels.
 
@@ -343,7 +343,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     labels: tuple[str, ...] | None = None
     expected = None
     header_pending = has_header
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -22,7 +22,7 @@ greedy engine:
 ``ufs_select``        Unsupervised forward selection: start from the least
                       correlated column pair and repeatedly add the column
                       with the smallest squared multiple correlation with
-                      the current selection's orthonormal basis.
+                      the current selection.
 ====================  =======================================================
 
 Selectors require explicitly centered input (none of them center silently).
@@ -34,12 +34,19 @@ Scoring: FSCA evaluates one candidate at a time (one matrix-vector product
 against the residual per evaluation, in both engines).  The other five
 gains score every column at once through ``step_scores``, which runs at
 most once per step; per-candidate and batch queries read that step's
-vector.  When ``m > v``, PFS and FOS-MOD keep their residual, deflation and
-NIPALS on the v x v triangular factor ``T`` of ``X = QT``: every quantity
-they read is unchanged by the orthonormal ``Q``, so they select as on ``X``
-(up to round-off, which can decide an exact tie) at v x v cost.  FSCA and
-L-FSCA stay on the m x v residual, because their per-candidate products
-there are the evaluations the lazy engine saves.
+vector.
+
+Every gain owns one residual of the centered data, and committing a column
+deflates it; the energy each deflation captures gives the VE curve, and
+the residual's two rank tests decide which columns stay candidates and
+which commits capture nothing.  When ``m > v``, FOS-MOD, PFS, ITFS and
+FSFP-FSCA keep their residual, deflation and NIPALS on the v x v triangular
+factor ``T`` of ``X = QT``: every quantity they read is unchanged by the
+orthonormal ``Q``, so they select as on ``X`` (up to round-off, which can
+decide an exact tie) at v x v cost.  FSCA and L-FSCA stay on the m x v
+residual, because their per-candidate products there are the evaluations
+the lazy engine saves; UFS does too, because the round-off of ``T`` would
+break its exact ties between orthogonal columns.
 
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
@@ -50,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -236,48 +242,73 @@ def _make_stop(k, tau, v: int, min_k: int) -> StoppingRule:
     return Threshold(float(tau))
 
 
-class _VeTracker:
-    """Variance explained after each step, in percent of the energy of the
-    centered data matrix ``x``.
+class _Residual:
+    """The residual ``r`` of ``x`` against the selection, and the VE trace.
 
-    Deflating selectors report the energy each deflation captures through
-    :meth:`add`.  The others hand each selected column to
-    :meth:`add_column`, which orthonormalizes it against the columns before
-    and adds the energy its new direction captures.
+    ``x`` is the centered data ``X``, or, with ``thin`` and ``m > v``, the
+    v x v triangular factor ``T`` of ``X = QT`` (see the module docstring).
+    Each commit deflates ``r``; the energy captured, in percent of
+    ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
+    the energy captured from it, ``||x_j||^2 - ||r_j||^2``.
+
+    Both rank tests live here.  :meth:`live_column` and
+    :meth:`mark_degenerate` exclude a candidate whose residual energy is at
+    most ``DEGENERATE_REL_TOL^2 ||X||^2``.  :meth:`commit` deflates only by
+    a column that keeps more than ``DEPENDENT_TOL`` of its own norm; the
+    test is per column so that it does not depend on the columns' scales.
     """
 
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self.energy = float(np.linalg.norm(x)) ** 2
+    DEPENDENT_TOL = OrthonormalBasis.DEPENDENT_TOL
+
+    def __init__(self, data: Dataset, thin: bool):
+        self.energy = float(np.linalg.norm(data.values)) ** 2
+        self.x = data.values
+        if thin and data.m > data.v:
+            self.x = np.linalg.qr(self.x, mode="r")
+        self.r = self.x.copy()
+        self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
+        self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.energy
+        self.excluded = np.zeros(data.v, dtype=bool)
         self.captured = 0.0
+        self.spanned_sq = np.zeros(data.v)
         self.trace: list[float] = []
 
-    @cached_property
-    def basis(self) -> OrthonormalBasis:
-        return OrthonormalBasis(*self.x.shape)
+    def sqnorms(self) -> np.ndarray:
+        return np.einsum("ij,ij->j", self.r, self.r)
 
-    @property
-    def value(self) -> float:
-        return self.trace[-1] if self.trace else 0.0
+    def mark_degenerate(self, sqnorms: np.ndarray) -> np.ndarray:
+        """Permanently exclude columns whose residual energy is gone."""
+        self.excluded |= sqnorms <= self.degenerate_sq
+        return self.excluded
 
-    def add(self, captured: float) -> None:
-        self.captured += captured
-        self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
-
-    def add_column(self, column: np.ndarray) -> np.ndarray | None:
-        """Track one more selected column and return its new unit direction.
-
-        A column dependent on the earlier ones captures nothing and returns
-        ``None``.
-        """
-        try:
-            direction = self.basis.extend(column)
-        except RankDeficient:
-            self.add(0.0)
+    def live_column(self, candidate: int) -> tuple[np.ndarray, float] | None:
+        """Residual column ``candidate`` and its squared norm, or ``None``
+        once the column is excluded (its energy being gone excludes it)."""
+        if self.excluded[candidate]:
             return None
-        t = direction @ self.x
-        self.add(float(t @ t))
-        return direction
+        r = self.r[:, candidate]
+        rr = float(r @ r)
+        if rr <= self.degenerate_sq:
+            self.excluded[candidate] = True
+            return None
+        return r, rr
+
+    def commit(self, candidate: int) -> bool:
+        """Deflate by column ``candidate`` and record the energy captured.
+
+        A column already in the selected span (``||r_j|| <= DEPENDENT_TOL
+        ||x_j||``) captures nothing and leaves the residual as it is.
+        Returns whether the residual was deflated.
+        """
+        self.excluded[candidate] = True
+        r = self.r[:, candidate]
+        independent = float(r @ r) > self.DEPENDENT_TOL**2 * self.x_sqnorms[candidate]
+        if independent:
+            rr, coeffs = deflate_in_place(self.r, candidate)
+            self.captured += rr * float(coeffs @ coeffs)
+            self.spanned_sq += rr * (coeffs * coeffs)
+        self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
+        return independent
 
 
 class _SelectorGain(GainFunction):
@@ -285,12 +316,13 @@ class _SelectorGain(GainFunction):
 
     ``step_scores`` scores every column for the current step; ``gain`` and
     ``gain_all`` read one cached vector per selection size, so scoring runs
-    at most once per step.  The VE tracker's value is the criterion for
+    at most once per step.  Every gain owns one :class:`_Residual` ``res``;
+    committing a column deflates it, and its VE is the criterion for
     threshold stopping.  ``initial`` is the warm start the gain has already
     committed, and ``setup_evals`` the evaluations spent choosing it.
     """
 
-    ve: _VeTracker
+    res: _Residual
     initial: tuple[int, ...] = ()
     setup_evals = 0
     warnings: tuple[str, ...] = ()
@@ -313,63 +345,15 @@ class _SelectorGain(GainFunction):
     def gain_all(self, selected, candidates):
         return self._scores(selected)[list(candidates)]
 
+    def commit(self, candidate: int) -> None:
+        self.res.commit(candidate)
+
     def value(self) -> float:
-        return self.ve.value
+        return self.res.trace[-1] if self.res.trace else 0.0
 
     def native_trace(self, gains: tuple[float, ...]) -> tuple[float, ...]:
         """Per-step values of the selector's own criterion."""
         return gains
-
-
-class _DeflatingGain(_SelectorGain):
-    """A gain over the residual ``r`` of the data ``x``; committing a
-    column deflates by it and feeds the VE tracker the energy captured.
-
-    A gain with ``thin`` set reads the residual only through products that
-    an orthonormal left factor leaves unchanged (column norms, ``R^T R``,
-    ``R^T X``, NIPALS loadings and score norms, the deflation), so when
-    ``m > v`` it replaces ``x`` by the v x v triangular factor ``T`` of
-    ``X = QT`` and runs every step on ``T``.  FSCA does not: its
-    per-candidate products against the m x v residual are the evaluation
-    the lazy engine saves and the paper's cost model counts.  The VE
-    tracker keeps the centered data.
-    """
-
-    thin = False
-
-    def __init__(self, data: Dataset):
-        self.ve = _VeTracker(data.values)
-        self.x = data.values
-        if self.thin and data.m > data.v:
-            self.x = np.linalg.qr(self.x, mode="r")
-        self.r = self.x.copy()
-        self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.ve.energy
-        self.excluded = np.zeros(data.v, dtype=bool)
-
-    def residual_sqnorms(self) -> np.ndarray:
-        return np.einsum("ij,ij->j", self.r, self.r)
-
-    def mark_degenerate(self, sqnorms: np.ndarray) -> np.ndarray:
-        """Permanently exclude columns whose residual energy is gone."""
-        self.excluded |= sqnorms <= self.degenerate_sq
-        return self.excluded
-
-    def live_column(self, candidate: int) -> tuple[np.ndarray, float] | None:
-        """Residual column ``candidate`` and its squared norm, or ``None``
-        once the column is excluded (its energy being gone excludes it)."""
-        if self.excluded[candidate]:
-            return None
-        r = self.r[:, candidate]
-        rr = float(r @ r)
-        if rr <= self.degenerate_sq:
-            self.excluded[candidate] = True
-            return None
-        return r, rr
-
-    def commit(self, candidate: int) -> None:
-        rr, coeffs = deflate_in_place(self.r, candidate)
-        self.excluded[candidate] = True
-        self.ve.add(rr * float(coeffs @ coeffs))
 
 
 # =========================================================================
@@ -377,23 +361,27 @@ class _DeflatingGain(_SelectorGain):
 # =========================================================================
 
 
-class _FscaGain(_DeflatingGain):
+class _FscaGain(_SelectorGain):
     """VE gain of a residual column: ``100 ||R^T r||^2 / (r^T r ||X||^2)``.
 
     Every evaluation — full sweeps in the plain engine and head
     re-evaluations in the lazy engine — costs one matrix-vector product
-    against the residual.  Keeping the two engines on the same evaluation
+    against the m x v residual, which is why FSCA's residual is never the
+    triangular factor.  Keeping the two engines on the same evaluation
     primitive is what makes their wall-clock ratio measure the evaluation
     savings of lazy selection rather than a batching artifact.
     """
 
+    def __init__(self, data: Dataset):
+        self.res = _Residual(data, thin=False)
+
     def gain(self, selected, candidate: int) -> float:
-        live = self.live_column(candidate)
+        live = self.res.live_column(candidate)
         if live is None:
             return EXCLUDED
         r, rr = live
-        t = r @ self.r
-        return 100.0 * float(t @ t) / (rr * self.ve.energy)
+        t = r @ self.res.r
+        return 100.0 * float(t @ t) / (rr * self.res.energy)
 
     def gain_all(self, selected, candidates):
         return None
@@ -404,7 +392,7 @@ class _FscaGain(_DeflatingGain):
 # =========================================================================
 
 
-class _FosModGain(_DeflatingGain):
+class _FosModGain(_SelectorGain):
     """Average squared correlation of a residual column with all original
     columns: ``(1/v) sum_j (x_j^T r)^2 / (||x_j||^2 ||r||^2)``.
 
@@ -413,21 +401,20 @@ class _FosModGain(_DeflatingGain):
     average and excluded from candidacy.
     """
 
-    thin = True
-
     def __init__(self, data: Dataset):
-        super().__init__(data)
-        sqnorms = np.einsum("ij,ij->j", self.x, self.x)
-        self.inv_sqnorms = np.zeros_like(sqnorms)
-        nonzero = sqnorms > 0.0
-        self.inv_sqnorms[nonzero] = 1.0 / sqnorms[nonzero]
-        self.excluded |= ~nonzero
-        self.v = self.x.shape[1]
+        self.res = _Residual(data, thin=True)
+        x_sqnorms = self.res.x_sqnorms
+        self.inv_sqnorms = np.zeros_like(x_sqnorms)
+        nonzero = x_sqnorms > 0.0
+        self.inv_sqnorms[nonzero] = 1.0 / x_sqnorms[nonzero]
+        self.res.excluded |= ~nonzero
+        self.v = data.v
 
     def step_scores(self, selected):
-        sqnorms = self.residual_sqnorms()
-        excluded = self.mark_degenerate(sqnorms)
-        cross = self.r.T @ self.x
+        res = self.res
+        sqnorms = res.sqnorms()
+        excluded = res.mark_degenerate(sqnorms)
+        cross = res.r.T @ res.x
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = (cross * cross) @ self.inv_sqnorms / (self.v * sqnorms)
         scores[excluded] = EXCLUDED
@@ -476,29 +463,28 @@ def nipals_first_pc(data, tol: float = 1e-9, max_iter: int = 500) -> NipalsResul
     return NipalsResult(scores, iterations, converged)
 
 
-class _PfsGain(_DeflatingGain):
+class _PfsGain(_SelectorGain):
     """Absolute correlation of residual columns with the residual's first
     principal component, which is recomputed once per step."""
 
-    thin = True
-
     def __init__(self, data: Dataset):
-        super().__init__(data)
+        self.res = _Residual(data, thin=True)
         self.warnings: list[str] = []
 
     def step_scores(self, selected):
-        sqnorms = self.residual_sqnorms()
-        excluded = self.mark_degenerate(sqnorms)
-        scores = np.full(self.r.shape[1], EXCLUDED)
+        res = self.res
+        sqnorms = res.sqnorms()
+        excluded = res.mark_degenerate(sqnorms)
+        scores = np.full(res.r.shape[1], EXCLUDED)
         if not excluded.all():
-            component = nipals_first_pc(self.r)
+            component = nipals_first_pc(res.r)
             if not component.converged:
                 self.warnings.append(
                     f"NIPALS stopped at {component.iterations} iterations without converging"
                 )
             p1 = component.scores
             pp = float(p1 @ p1)
-            u = p1 @ self.r
+            u = p1 @ res.r
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = np.abs(u) / np.sqrt(sqnorms * pp)
             scores[~excluded] = corr[~excluded]
@@ -526,7 +512,7 @@ class _ItfsGain(_SelectorGain):
         if sigma is not None and not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.model = CovarianceModel.from_dataset(data, sigma)
-        self.ve = _VeTracker(data.values)
+        self.res = _Residual(data, thin=True)
 
     def step_scores(self, selected):
         model = self.model
@@ -538,9 +524,6 @@ class _ItfsGain(_SelectorGain):
         scores = np.full(model.v, EXCLUDED)
         scores[unsel] = conditional_variances(model, selected, unsel) / denominators
         return scores
-
-    def commit(self, candidate: int) -> None:
-        self.ve.add_column(self.ve.x[:, candidate])
 
 
 # =========================================================================
@@ -564,7 +547,7 @@ class _FsfpGain(_SelectorGain):
         self.gram = normalized.values.T @ normalized.values
         self.diag_sq = np.diag(self.gram) ** 2
         self.pair_sums = np.zeros(normalized.v)
-        self.ve = _VeTracker(data.values)
+        self.res = _Residual(data, thin=True)
         self.fp = 0.0
         self.fp_trace: list[float] = []
         self.initial = (first.order[0] - 1,)
@@ -578,7 +561,7 @@ class _FsfpGain(_SelectorGain):
         self.fp += float(self.diag_sq[candidate]) + 2.0 * float(self.pair_sums[candidate])
         self.fp_trace.append(self.fp)
         self.pair_sums += self.gram[:, candidate] ** 2
-        self.ve.add_column(self.ve.x[:, candidate])
+        super().commit(candidate)
 
     def native_trace(self, gains):
         return tuple(self.fp_trace)
@@ -590,12 +573,14 @@ class _FsfpGain(_SelectorGain):
 
 
 class _UfsGain(_SelectorGain):
-    """Negated squared multiple correlation with the selection's basis.
+    """Negated squared multiple correlation with the selection.
 
-    ``R^2(x_i, C_S) = sum_j (c_j^T x_i)^2`` is maintained incrementally:
-    committing a column appends one orthonormal direction and adds its
-    squared inner products with every column.  The warm start is the least
-    correlated column pair.
+    ``R^2(x_i, X_S)`` is the share of ``||x_i||^2`` that the deflations
+    captured, ``spanned_sq[i] / ||x_i||^2``: a sum of positive terms, so a
+    small ``R^2`` keeps the relative precision that
+    ``1 - ||r_i||^2 / ||x_i||^2`` would lose.
+    Committing a dependent column raises :class:`RankDeficient`.  The warm
+    start is the least correlated column pair.
     """
 
     def __init__(self, data: Dataset):
@@ -605,22 +590,18 @@ class _UfsGain(_SelectorGain):
         gram = normalized.values.T @ normalized.values
         self.initial = _least_correlated_pair(gram)
         self.pair_value = abs(float(gram[self.initial]))
-        self.normalized = normalized.values
-        self.r_squared = np.zeros(normalized.v)
-        self.ve = _VeTracker(data.values)
+        self.res = _Residual(data, thin=False)
         self.committed: list[int] = []
         for i in self.initial:
             self.commit(i)
 
     def step_scores(self, selected):
-        return -self.r_squared
+        return -self.res.spanned_sq / self.res.x_sqnorms
 
     def commit(self, candidate: int) -> None:
-        direction = self.ve.add_column(self.normalized[:, candidate])
-        if direction is None:
+        if not self.res.commit(candidate):
             raise RankDeficient(tuple(i + 1 for i in self.committed) + (candidate + 1,))
         self.committed.append(candidate)
-        self.r_squared += (direction @ self.normalized) ** 2
 
     def native_trace(self, gains):
         return (self.pair_value, self.pair_value) + tuple(-g for g in gains[2:])
@@ -666,7 +647,7 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
     return SelectionResult(
         algorithm=name,
         order=tuple(i + 1 for i in run.order),
-        ve_curve=VECurve(tuple(gain.ve.trace)),
+        ve_curve=VECurve(tuple(gain.res.trace)),
         native_trace=gain.native_trace(run.gains),
         eval_count=gain.setup_evals + run.eval_count,
         elapsed=elapsed,
@@ -768,7 +749,7 @@ def ufs_select(
     Columns are scaled to unit norm (applied here when needed).  The first
     two variables are the least-correlated column pair; each later step
     adds the candidate with the smallest squared multiple correlation
-    against the orthonormal basis of the selection.  The underlying set
+    with the selected columns.  The underlying set
     function is submodular, so ``engine="lazy"`` reproduces the plain
     sequence exactly.
 

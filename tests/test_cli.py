@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +480,18 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--config", config)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_missing_required_key(self, capsys, tmp_path):
+        path = Path(write_bench_config(tmp_path))
+        no_name = json.loads(path.read_text())
+        del no_name["datasets"][0]["name"]
+        no_k_max = json.loads(path.read_text())
+        del no_k_max["k_max"]
+        for config, key in ((no_name, "name"), (no_k_max, "k_max")):
+            path.write_text(json.dumps(config))
+            code, _, err = run_cli(capsys, "bench", "--config", str(path))
+            assert code == 1
+            assert err.startswith("error:") and repr(key) in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -273,6 +273,14 @@ class TestCsv:
         data = load_csv(path, has_header=True)
         assert data.labels == ("a", "b")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text("1.0,2\n3,4\n", encoding="utf-8-sig")
+        np.testing.assert_allclose(load_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("a,b\n1,2\n3,4\n", encoding="utf-8-sig")
+        assert load_csv(path, has_header=True).labels == ("a", "b")
+
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\nNaN,4\n")

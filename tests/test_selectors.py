@@ -91,6 +91,21 @@ class TestSelectionResult:
             assert result.eval_count >= 0
             assert result.elapsed >= 0.0
 
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_ve_curve_matches_independent_projection(self, name, shape):
+        # Tall (m > v) runs FOS-MOD, PFS, ITFS and FSFP-FSCA on the
+        # triangular factor; wide (m < v) runs every selector on the data.
+        if shape == "tall":
+            data, k = random_dataset(30, 8, seed=9), 8
+        else:
+            data, k = random_dataset(12, 20, seed=24), 6
+        result = ALGORITHMS[name](data, k)
+        assert len(result.ve_curve) == k
+        for j in range(1, k + 1):
+            expected = variance_explained(data, result.order[:j])
+            assert result.ve_curve[j - 1] == pytest.approx(expected, abs=1e-9)
+
     def test_to_dict(self):
         result = fsca_select(random_dataset(20, 4, seed=1), 2)
         payload = result.to_dict()
@@ -213,13 +228,6 @@ class TestFsca:
         expected = tuple(int(i) + 1 for i in np.argsort(-np.asarray(scales), kind="stable"))
         assert result.order == expected
 
-    def test_ve_curve_matches_independent_projection(self):
-        data = random_dataset(30, 8, seed=9)
-        result = fsca_select(data, 8)
-        for j in range(1, 9):
-            expected = variance_explained(data, result.order[:j])
-            assert result.ve_curve[j - 1] == pytest.approx(expected, abs=1e-6)
-
     def test_full_selection_reaches_hundred(self):
         result = fsca_select(random_dataset(25, 6, seed=10), 6)
         assert result.ve_curve[-1] == pytest.approx(100.0, abs=1e-6)
@@ -334,13 +342,6 @@ class TestFosMod:
         firsts = [fosmod_select(centered_sim1(seed), 1).order[0] for seed in range(10)]
         assert all(first in (25, 26) for first in firsts)
         assert 25 in firsts
-
-    def test_ve_curve_matches_independent_projection(self):
-        data = random_dataset(30, 6, seed=24)
-        result = fosmod_select(data, 5)
-        for j in range(1, 6):
-            expected = variance_explained(data, result.order[:j])
-            assert result.ve_curve[j - 1] == pytest.approx(expected, abs=1e-6)
 
     def test_native_trace_matches_direct_average(self):
         # [DERIVED] step-1 score recomputed directly from the definition.
@@ -714,10 +715,16 @@ class TestUfs:
             ufs_select(data, 4)
 
     def test_column_scaling_invariance(self):
-        data = random_dataset(40, 7, seed=38)
-        scales = make_rng(39).uniform(0.5, 3.0, size=7)
-        scaled = Dataset(data.values * scales, centered=True)
-        assert ufs_select(data, 5).order == ufs_select(scaled, 5).order
+        # The second input scales UFS's first pick, column 16, by 1e-10: the
+        # rank test must compare each residual column with its own norm.
+        sim2 = center_columns(gen_sim2(m=300, u=10, v=40, seed=7))
+        cases = [
+            (random_dataset(40, 7, seed=38), make_rng(39).uniform(0.5, 3.0, size=7), 5),
+            (sim2, np.where(np.arange(40) == 15, 1e-10, 1.0), 12),
+        ]
+        for data, scales, k in cases:
+            scaled = Dataset(data.values * scales, centered=True)
+            assert ufs_select(data, k).order == ufs_select(scaled, k).order
 
     def test_requires_at_least_two(self):
         with pytest.raises(ValueError):
