@@ -1,10 +1,8 @@
-"""Shared linear-algebra helpers.
+"""Symmetric positive-definite solves, log-determinants and inverses.
 
-Symmetric positive-definite solves and log-determinants go through a Cholesky
-factorization.  When the factorization fails, a diagonal jitter of
-``1e-10 * trace(A) / n`` is added once and the factorization retried; a second
-failure raises :class:`SpdFactorizationError` for the caller to translate into
-its own error type.
+All three go through one Cholesky factorization, :func:`_factor`, the one
+place that decides what a failure means: :class:`SingularCovariance`, with
+no jitter, so every value returned belongs to the matrix the caller passed.
 """
 
 from __future__ import annotations
@@ -12,41 +10,27 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-JITTER_SCALE = 1e-10
+from .errors import SingularCovariance
 
 
-class SpdFactorizationError(Exception):
-    """Cholesky factorization failed even after the jitter retry."""
-
-
-def _factor_with_jitter(matrix: np.ndarray):
+def _factor(matrix: np.ndarray):
     try:
-        return cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    n = matrix.shape[0]
-    jitter = JITTER_SCALE * float(np.trace(matrix)) / n
-    try:
-        return cho_factor(
-            matrix + jitter * np.eye(n), lower=True, check_finite=False
-        )
+        return cho_factor(np.asarray(matrix, dtype=float), lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise SpdFactorizationError(str(exc)) from exc
+        raise SingularCovariance(f"regularized covariance is singular: {exc}") from exc
 
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for symmetric positive-definite ``matrix``."""
-    factor = _factor_with_jitter(np.asarray(matrix, dtype=float))
-    return cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
+    return cho_solve(_factor(matrix), np.asarray(rhs, dtype=float), check_finite=False)
 
 
 def spd_logdet(matrix: np.ndarray) -> float:
     """Log-determinant of a symmetric positive-definite matrix."""
-    factor, _ = _factor_with_jitter(np.asarray(matrix, dtype=float))
+    factor, _ = _factor(matrix)
     return 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via Cholesky."""
-    factor = _factor_with_jitter(np.asarray(matrix, dtype=float))
-    return cho_solve(factor, np.eye(matrix.shape[0]), check_finite=False)
+    return cho_solve(_factor(matrix), np.eye(matrix.shape[0]), check_finite=False)

@@ -79,11 +79,27 @@ CSV_FIXED_COLUMNS = (
 # =========================================================================
 
 
-def _required(raw: dict, key: str, where: str):
-    """``raw[key]``, or a ``ValueError`` naming the missing key."""
-    if key not in raw:
-        raise ValueError(f"{where} is missing the required key {key!r}")
-    return raw[key]
+_JSON = {"object": (dict,), "list": (list,), "string": (str,), "boolean": (bool,),
+         "number": (int, float), "integer": (int,)}
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, where: str, kind: str, default=_REQUIRED, items: str | None = None):
+    """``raw[key]`` checked to be a JSON ``kind`` (a list of ``items`` when
+    given; exact types, so a boolean is no number), or ``default`` when the
+    key is absent or null.  A ``ValueError`` names a ``raw`` that is no
+    object, a required key that is absent, and a key of the wrong type."""
+    if type(raw) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    value = raw.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} is missing the required key {key!r}")
+        return default
+    if type(value) not in _JSON[kind] or (items and any(type(x) not in _JSON[items] for x in value)):
+        kind = f"list of {items}s" if items else kind
+        raise ValueError(f"{where} key {key!r} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -128,20 +144,17 @@ class DatasetSource:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DatasetSource":
-        sim = None
-        if "sim" in raw:
-            s = raw["sim"]
-            sim = SimSpec(
-                family=_required(s, "family", "sim"),
-                m=int(s.get("m", 1000)),
-                seed=int(s.get("seed", 0)),
-                params=dict(s.get("params", {})),
-            )
+        s = _field(raw, "sim", "dataset", "object", None)
         return cls(
-            name=_required(raw, "name", "dataset"),
-            csv_path=raw.get("csv_path"),
-            sim=sim,
-            has_header=bool(raw.get("has_header", False)),
+            name=_field(raw, "name", "dataset", "string"),
+            csv_path=_field(raw, "csv_path", "dataset", "string", None),
+            sim=None if s is None else SimSpec(
+                family=_field(s, "family", "sim", "string"),
+                m=_field(s, "m", "sim", "integer", 1000),
+                seed=_field(s, "seed", "sim", "integer", 0),
+                params=dict(_field(s, "params", "sim", "object", {})),
+            ),
+            has_header=_field(raw, "has_header", "dataset", "boolean", False),
         )
 
 
@@ -183,9 +196,9 @@ class AlgoConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "AlgoConfig":
         return cls(
-            name=_required(raw, "name", "algorithm"),
-            sigma=raw.get("sigma"),
-            engine=raw.get("engine"),
+            name=_field(raw, "name", "algorithm", "string"),
+            sigma=_field(raw, "sigma", "algorithm", "number", None),
+            engine=_field(raw, "engine", "algorithm", "string", None),
         )
 
 
@@ -237,13 +250,13 @@ class BenchConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
         return cls(
-            datasets=tuple(DatasetSource.from_dict(d) for d in _required(raw, "datasets", "config")),
-            algorithms=tuple(AlgoConfig.from_dict(a) for a in _required(raw, "algorithms", "config")),
-            k_max=int(_required(raw, "k_max", "config")),
-            thresholds=tuple(raw.get("thresholds", (95.0, 99.0))),
-            repeats=int(raw.get("repeats", 1)),
-            seed_base=int(raw.get("seed_base", 0)),
-            metric_ks=tuple(raw.get("metric_ks", ())),
+            datasets=tuple(DatasetSource.from_dict(d) for d in _field(raw, "datasets", "config", "list")),
+            algorithms=tuple(AlgoConfig.from_dict(a) for a in _field(raw, "algorithms", "config", "list")),
+            k_max=_field(raw, "k_max", "config", "integer"),
+            thresholds=tuple(_field(raw, "thresholds", "config", "list", (95.0, 99.0), "number")),
+            repeats=_field(raw, "repeats", "config", "integer", 1),
+            seed_base=_field(raw, "seed_base", "config", "integer", 0),
+            metric_ks=tuple(_field(raw, "metric_ks", "config", "list", (), "integer")),
         )
 
 
@@ -593,14 +606,7 @@ def emit_report(report: BenchmarkReport, path, format: str = "json") -> None:
             writer = csv.writer(fh)
             writer.writerow(list(CSV_FIXED_COLUMNS) + threshold_cols)
             for cell in report.cells:
-                row = [
-                    cell.dataset,
-                    cell.algorithm,
-                    _csv_value(cell.auc),
-                    _csv_value(cell.r),
-                    _csv_value(cell.elapsed_median_s),
-                    _csv_value(cell.speedup_vs_fsca),
-                ]
+                row = [_csv_value(getattr(cell, name)) for name in CSV_FIXED_COLUMNS]
                 if cell.error is None:
                     row.extend(_csv_value(cell.k_for(t)) for t in report.config.thresholds)
                 else:

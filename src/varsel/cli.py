@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .bench import BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
@@ -123,12 +123,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.format == "csv" and not args.output:
         raise ValueError("csv format requires --output")
     with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        config = BenchConfig.from_dict(json.load(fh))
     if args.repeats is not None:
-        raw["repeats"] = args.repeats
+        config = replace(config, repeats=args.repeats)
     if args.seed is not None:
-        raw["seed_base"] = args.seed
-    config = BenchConfig.from_dict(raw)
+        config = replace(config, seed_base=args.seed)
     report = run_benchmark(config)
     if args.output:
         emit_report(report, args.output, args.format)

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactorizationError, spd_solve
-from .errors import EmptyFile, ParseError, RaggedRows, RankDeficient, ZeroColumn
+from ._linalg import spd_solve
+from .errors import EmptyFile, ParseError, RaggedRows, RankDeficient, SingularCovariance, ZeroColumn
 
 #: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
 FLAG_TOL = 1e-9
@@ -38,6 +38,9 @@ ZERO_NORM_TOL = 1e-12
 #: A residual pivot with norm below ``DEGENERATE_REL_TOL * ||X||_F`` is
 #: considered inside the span of the selection and cannot be deflated.
 DEGENERATE_REL_TOL = 1e-10
+
+#: Relative diagonal jitter of ``project_onto``'s one Cholesky retry.
+JITTER_SCALE = 1e-10
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -210,8 +213,10 @@ def selection_tuple(selected, v: int) -> tuple[int, ...]:
 def project_onto(data: Dataset, selected) -> np.ndarray:
     """Least-squares reconstruction of all columns from the selected ones.
 
-    Solves the normal equations on the selected Gram matrix with a
-    symmetric positive-definite factorization (single jitter retry).
+    Solves the normal equations on the selected Gram matrix ``G`` by
+    Cholesky.  ``G`` squares the condition number that the singular-value
+    test admits (up to 1e20), so when Cholesky fails it is retried once with
+    ``JITTER_SCALE * tr(G) / k`` on its diagonal: the package's only jitter.
 
     Returns
     -------
@@ -221,7 +226,7 @@ def project_onto(data: Dataset, selected) -> np.ndarray:
     Raises
     ------
     RankDeficient
-        If the selected Gram matrix cannot be factorized.
+        If the selected columns are numerically dependent.
     """
     sel = selection_tuple(selected, data.v)
     if not sel:
@@ -235,8 +240,12 @@ def project_onto(data: Dataset, selected) -> np.ndarray:
     rhs = x_s.T @ data.values
     try:
         coeffs = spd_solve(gram, rhs)
-    except SpdFactorizationError as exc:
-        raise RankDeficient(sel) from exc
+    except SingularCovariance:
+        jitter = JITTER_SCALE * float(np.trace(gram)) / len(sel)
+        try:
+            coeffs = spd_solve(gram + jitter * np.eye(len(sel)), rhs)
+        except SingularCovariance as exc:
+            raise RankDeficient(sel) from exc
     return x_s @ coeffs
 
 

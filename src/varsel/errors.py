@@ -69,7 +69,8 @@ class ThresholdNeverReached(SelectionError):
 
 
 class SingularCovariance(SelectionError):
-    """A covariance factorization failed even after a jitter retry."""
+    """A regularized covariance failed Cholesky, with no jitter retry: its
+    blocks' eigenvalues are at least ``s^2``, so ``s^2`` is zero or below round-off."""
 
 
 class TooLarge(SelectionError):

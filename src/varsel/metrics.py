@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactorizationError, spd_logdet, spd_solve
+from ._linalg import spd_logdet, spd_solve
 from .dataset import Dataset, IndexSets, project_onto, selection_tuple
-from .errors import LengthMismatch, SingularCovariance, ThresholdNeverReached
+from .errors import LengthMismatch, ThresholdNeverReached
 
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
 RANK_TIE_TOL = 1e-9
@@ -105,14 +105,10 @@ class CovarianceModel:
 
     @cached_property
     def logdet(self) -> float:
-        """``log det A``, from one Cholesky factorization without the jitter
-        retry: a singular ``A`` makes every mutual information infinite, so it
-        raises :class:`SingularCovariance` instead of a jitter-set value."""
-        try:
-            factor = np.linalg.cholesky(self.block(range(self.v)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(f"regularized covariance is singular: {exc}") from exc
-        return 2.0 * float(np.sum(np.log(np.diag(factor))))
+        """``log det A``, by the same Cholesky path as every block: a singular
+        ``A`` makes every mutual information infinite, so it raises
+        :class:`SingularCovariance`."""
+        return spd_logdet(self.block(range(self.v)))
 
     @classmethod
     def from_dataset(cls, data: Dataset, sigma: float | None = None) -> "CovarianceModel":
@@ -189,18 +185,15 @@ def frame_potential(data: Dataset, selected) -> float:
 def conditional_variances(model: CovarianceModel, given, targets) -> np.ndarray:
     """``diag(A_TT - A_TG A_GG^{-1} A_GT)`` for disjoint 0-based index sets:
     the variance of each target given the ``given`` block under the
-    regularized covariance ``A``; :class:`SingularCovariance` if ``A_GG``
-    cannot be factorized."""
+    regularized covariance ``A``; :class:`SingularCovariance`, with no
+    jitter retry, if ``A_GG`` fails Cholesky (``s^2`` zero or below
+    round-off)."""
     given = np.asarray(given, dtype=int)
     variances = np.diag(model.cov)[targets] + model.sigma_noise**2
     if given.size == 0:
         return variances
     cross = model.cov[np.ix_(given, targets)]
-    try:
-        solved = spd_solve(model.block(given), cross)
-    except SpdFactorizationError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    return variances - np.einsum("ij,ij->j", cross, solved)
+    return variances - np.einsum("ij,ij->j", cross, spd_solve(model.block(given), cross))
 
 
 def mutual_information(model: CovarianceModel, selected) -> float:
@@ -214,18 +207,16 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     Raises
     ------
     SingularCovariance
-        If ``A`` is singular (the mutual information is infinite), or a
-        block factorization fails even after the jitter retry.
+        If ``A`` is singular (the mutual information is infinite).  A block
+        of a positive-definite ``A`` is positive definite, so a block fails
+        Cholesky only when ``A`` does; none is retried with jitter.
     """
     sel0 = np.array(selection_tuple(selected, model.v), dtype=int) - 1
     if not 0 < sel0.size < model.v:
         raise ValueError("mutual information requires a non-empty selection and complement")
     rest = np.ones(model.v, dtype=bool)
     rest[sel0] = False
-    try:
-        logdets = spd_logdet(model.block(sel0)) + spd_logdet(model.block(np.flatnonzero(rest)))
-    except SpdFactorizationError as exc:
-        raise SingularCovariance(str(exc)) from exc
+    logdets = spd_logdet(model.block(sel0)) + spd_logdet(model.block(np.flatnonzero(rest)))
     return 0.5 * (logdets - model.logdet)
 
 
@@ -242,6 +233,7 @@ def delta_mi(model: CovarianceModel, sets: IndexSets, candidate: int) -> float:
     empty selection the numerator is ``var(x_i) + s^2``.  Larger is better:
     the numerator favours candidates not yet explained by the selection, the
     denominator penalizes candidates the remaining variables explain well.
+    Raises :class:`SingularCovariance` as :func:`conditional_variances` does.
     """
     if candidate not in sets.unselected:
         raise ValueError(f"candidate {candidate} is not unselected")

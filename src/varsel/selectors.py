@@ -61,7 +61,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._linalg import SpdFactorizationError, spd_inverse
+from ._linalg import spd_inverse
 from .dataset import DEGENERATE_REL_TOL, Dataset, deflate_in_place, normalize_unit
 from .engine import (
     EXCLUDED,
@@ -73,7 +73,7 @@ from .engine import (
     greedy_select,
     lazy_greedy_select,
 )
-from .errors import RankDeficient, SingularCovariance
+from .errors import RankDeficient
 from .metrics import CovarianceModel, VECurve, conditional_variances
 
 __all__ = [
@@ -124,7 +124,8 @@ class SelectionResult:
         Wall-clock seconds for the selection (preprocessing done inside the
         selector, such as unit-normalization, included).
     warnings : tuple of str
-        Non-fatal anomalies (early exhaustion, non-converged NIPALS).
+        Non-fatal anomalies (early exhaustion, a pick that adds no
+        variance, non-converged NIPALS).
     """
 
     algorithm: str
@@ -272,6 +273,7 @@ class _Residual:
         self.captured = 0.0
         self.spanned_sq = np.zeros(data.v)
         self.trace: list[float] = []
+        self.first_idle_pick: int | None = None
 
     def sqnorms(self) -> np.ndarray:
         return np.einsum("ij,ij->j", self.r, self.r)
@@ -297,8 +299,9 @@ class _Residual:
         """Deflate by column ``candidate`` and record the energy captured.
 
         A column already in the selected span (``||r_j|| <= DEPENDENT_TOL
-        ||x_j||``) captures nothing and leaves the residual as it is.
-        Returns whether the residual was deflated.
+        ||x_j||``) captures nothing and leaves the residual as it is; the
+        first such pick (1-based) is kept in ``first_idle_pick``.  Returns
+        whether the residual was deflated.
         """
         self.excluded[candidate] = True
         r = self.r[:, candidate]
@@ -307,6 +310,8 @@ class _Residual:
             rr, coeffs = deflate_in_place(self.r, candidate)
             self.captured += rr * float(coeffs @ coeffs)
             self.spanned_sq += rr * (coeffs * coeffs)
+        elif self.first_idle_pick is None:
+            self.first_idle_pick = len(self.trace) + 1
         self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
         return independent
 
@@ -517,10 +522,7 @@ class _ItfsGain(_SelectorGain):
     def step_scores(self, selected):
         model = self.model
         unsel = np.setdiff1d(np.arange(model.v), selected)
-        try:
-            denominators = 1.0 / np.diag(spd_inverse(model.block(unsel)))
-        except SpdFactorizationError as exc:
-            raise SingularCovariance(str(exc)) from exc
+        denominators = 1.0 / np.diag(spd_inverse(model.block(unsel)))
         scores = np.full(model.v, EXCLUDED)
         scores[unsel] = conditional_variances(model, selected, unsel) / denominators
         return scores
@@ -644,6 +646,9 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
     warnings = list(gain.warnings)
     if run.exhausted:
         warnings.insert(0, "selection stopped early: every remaining column lies in the selected span")
+    elif gain.res.first_idle_pick is not None:
+        pick = gain.res.first_idle_pick
+        warnings.insert(0, f"pick {pick} adds no variance: it lies in the span of the earlier picks")
     return SelectionResult(
         algorithm=name,
         order=tuple(i + 1 for i in run.order),
@@ -713,7 +718,9 @@ def itfs_select(
     selection to its posterior variance given the other unselected
     variables, both regularized by the noise variance ``sigma**2``.
 
-    ``sigma`` defaults to 1% of the root-mean-square variable scale.
+    ``sigma`` defaults to 1% of the root-mean-square variable scale.  A
+    ``sigma**2`` too small for a block to pass Cholesky raises
+    :class:`~varsel.errors.SingularCovariance`; no jitter stands in for it.
     """
     return _select("itfs", data, k, tau, lambda: _ItfsGain(data, sigma))
 

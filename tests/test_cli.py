@@ -500,6 +500,40 @@ class TestBench:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"datasets": [1]}, "dataset must be a JSON object, got 1"),
+            ({"datasets": {"name": "s"}}, "key 'datasets' must be a JSON list"),
+            ({"datasets": [{"name": "s", "sim": 5}]}, "key 'sim' must be a JSON object"),
+            (
+                {"datasets": [{"name": "s", "sim": {"family": "sim2", "params": [1]}}]},
+                "key 'params' must be a JSON object",
+            ),
+            ({"metric_ks": 5}, "key 'metric_ks' must be a JSON list of integers"),
+            ({"algorithms": [{"name": "itfs", "sigma": "0.5"}]}, "key 'sigma' must be a JSON number"),
+            ({"algorithms": ["fsca"]}, "algorithm must be a JSON object, got 'fsca'"),
+            ({"thresholds": "95"}, "key 'thresholds' must be a JSON list of numbers"),
+            (
+                {"datasets": [{"name": "s", "csv_path": "x.csv", "has_header": "false"}]},
+                "key 'has_header' must be a JSON boolean",
+            ),
+            (None, "config must be a JSON object"),
+        ],
+        ids=[
+            "dataset-not-object", "datasets-not-list", "sim-not-object", "params-not-object",
+            "metric_ks-not-list", "sigma-string", "algorithm-not-object", "thresholds-string",
+            "has_header-string", "config-not-object",
+        ],
+    )
+    def test_config_value_of_wrong_json_type(self, capsys, tmp_path, overrides, message):
+        path = Path(write_bench_config(tmp_path, **(overrides or {})))
+        if overrides is None:
+            path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
 
 # =========================================================================
 # oracle
@@ -622,6 +656,18 @@ class TestOracle:
         )
         assert code == 1
         assert "sigma must be positive" in err
+
+    def test_mi_with_zero_sigma_on_singular_covariance(self, capsys, tmp_path):
+        # Noise-free sim2 has rank 3 over 8 columns: at sigma 0 the
+        # regularized covariance is singular and every MI is infinite.
+        path = tmp_path / "noise_free.csv"
+        save_csv(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0), path)
+        code, out, err = run_cli(
+            capsys, "oracle", "--metric", "mi", "--sigma", "0", "--k", "3",
+            "--input", str(path), "--header",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: regularized covariance is singular")
 
     @pytest.mark.parametrize(
         "extra", [("--metric", "ve", "--algo", "fsca"), ("--metric", "fp"), ("--metric", "ve")]

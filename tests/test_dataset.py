@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
 from varsel import (
     Dataset,
@@ -20,6 +21,7 @@ from varsel import (
     normalize_unit,
     project_onto,
     save_csv,
+    variance_explained,
 )
 from varsel.dataset import dataset_from_gram
 
@@ -181,6 +183,26 @@ class TestProjectOnto:
         data = center_columns(Dataset(dup))
         with pytest.raises(RankDeficient):
             project_onto(data, (1, 2))
+
+    def test_ill_conditioned_gram_retried_once_with_jitter(self, monkeypatch):
+        # sigma_min / sigma_max of columns 1, 2 is 5.9e-9: they pass the
+        # singular-value test, but their Gram matrix fails plain Cholesky.
+        x1 = np.random.default_rng(2).standard_normal(50)
+        x2 = x1 + 1e-8 * np.random.default_rng(102).standard_normal(50)
+        x3 = np.random.default_rng(3).standard_normal(50)
+        data = center_columns(Dataset(np.column_stack([x1, x2, x3])))
+        failures = []
+
+        def counting(*args, **kwargs):
+            try:
+                return cho_factor(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failures.append(args)
+                raise
+
+        monkeypatch.setattr("varsel._linalg.cho_factor", counting)
+        assert variance_explained(data, (1, 2)) == 64.30595789406462
+        assert len(failures) == 1
 
     def test_idempotence(self):
         data = random_dataset(15, 5, seed=9)

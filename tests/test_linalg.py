@@ -1,0 +1,31 @@
+"""Symmetric positive-definite helpers: one Cholesky, no jitter."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.linalg import cho_factor
+
+from varsel import SingularCovariance
+from varsel._linalg import spd_inverse, spd_logdet, spd_solve
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: spd_solve(a, np.ones(2)), spd_inverse, spd_logdet],
+    ids=["spd_solve", "spd_inverse", "spd_logdet"],
+)
+def test_indefinite_matrix_raises_after_one_attempt(monkeypatch, call):
+    # Eigenvalues 3 and -1: no jitter of round-off size could make this
+    # factorizable, and none is tried.
+    attempts = []
+
+    def counting(*args, **kwargs):
+        attempts.append(args)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr("varsel._linalg.cho_factor", counting)
+    with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
+        call(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(attempts) == 1
+

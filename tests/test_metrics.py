@@ -21,6 +21,7 @@ from varsel import (
     center_columns,
     delta_mi,
     frame_potential,
+    gen_sim2,
     k_at_threshold,
     mutual_information,
     normalize_unit,
@@ -28,6 +29,7 @@ from varsel import (
     relative_performance,
     variance_explained,
 )
+from varsel.metrics import conditional_variances
 
 from conftest import make_rng, random_dataset
 
@@ -294,6 +296,16 @@ class TestDeltaMi:
         sets = IndexSets.from_selected((1,), 3)
         with pytest.raises(ValueError):
             delta_mi(model, sets, 1)
+
+    def test_singular_covariance_raises(self):
+        # Noise-free sim2 with u = 3 has rank 3 over 8 variables; at
+        # sigma = 0 conditioning on four or more of them is singular.
+        data = center_columns(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0))
+        model = CovarianceModel(data.values.T @ data.values / data.m, 0.0)
+        with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
+            delta_mi(model, IndexSets.from_selected((), 8), 1)
+        with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
+            conditional_variances(model, np.arange(1, 8), [0])
 
 
 class TestSelectionValidation:

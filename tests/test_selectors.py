@@ -11,6 +11,7 @@ from varsel import (
     Dataset,
     RankDeficient,
     SelectionResult,
+    SingularCovariance,
     ThresholdNeverReached,
     center_columns,
     delta_mi,
@@ -564,6 +565,13 @@ class TestItfs:
         data = random_dataset(30, 5, seed=32)
         explicit = 0.01 * math.sqrt(float(np.mean(np.diag(data.values.T @ data.values / 30))))
         assert itfs_select(data, 3).order == itfs_select(data, 3, sigma=explicit).order
+
+    def test_sigma_below_round_off_raises(self):
+        # Noise-free sim2 has rank 10; at sigma = 1e-7 the unselected block
+        # fails Cholesky, and no jitter may replace the requested sigma.
+        data = center_columns(gen_sim2(m=300, u=10, v=40, seed=7, noise_sd=0.0))
+        with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
+            itfs_select(data, 12, sigma=1e-7)
 
 
 # =========================================================================
