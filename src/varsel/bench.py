@@ -82,6 +82,8 @@ CSV_FIXED_COLUMNS = (
 _JSON = {"object": (dict,), "list": (list,), "string": (str,), "boolean": (bool,),
          "number": (int, float), "integer": (int,)}
 _REQUIRED = object()
+#: JSON kinds of the ``sim.params`` values; ``SimSpec`` rejects other keys.
+_SIM_PARAMS = {"u": "integer", "v": "integer", "noise_sd": "number"}
 
 
 def _field(raw: dict, key: str, where: str, kind: str, default=_REQUIRED, items: str | None = None):
@@ -145,6 +147,7 @@ class DatasetSource:
     @classmethod
     def from_dict(cls, raw: dict) -> "DatasetSource":
         s = _field(raw, "sim", "dataset", "object", None)
+        params = {} if s is None else _field(s, "params", "sim", "object", {})
         return cls(
             name=_field(raw, "name", "dataset", "string"),
             csv_path=_field(raw, "csv_path", "dataset", "string", None),
@@ -152,7 +155,8 @@ class DatasetSource:
                 family=_field(s, "family", "sim", "string"),
                 m=_field(s, "m", "sim", "integer", 1000),
                 seed=_field(s, "seed", "sim", "integer", 0),
-                params=dict(_field(s, "params", "sim", "object", {})),
+                params={key: _field(params, key, "sim params", _SIM_PARAMS.get(key, "number"))
+                        for key in params},
             ),
             has_header=_field(raw, "has_header", "dataset", "boolean", False),
         )

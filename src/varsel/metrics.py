@@ -182,18 +182,27 @@ def frame_potential(data: Dataset, selected) -> float:
 # =========================================================================
 
 
+def _schur_diagonal(matrix: np.ndarray, given, targets, shift: float = 0.0) -> np.ndarray:
+    """``diag(M_TT - M_TG M_GG^{-1} M_GT)`` of ``M = matrix + shift I`` for
+    disjoint 0-based index sets, from one Cholesky of ``M_GG``, which
+    raises :class:`SingularCovariance` if it fails."""
+    given = np.asarray(given, dtype=int)
+    diagonal = np.diag(matrix)[targets] + shift
+    if given.size == 0:
+        return diagonal
+    block = matrix[np.ix_(given, given)]
+    block.flat[:: given.size + 1] += shift
+    cross = matrix[np.ix_(given, targets)]
+    return diagonal - np.einsum("ij,ij->j", cross, spd_solve(block, cross))
+
+
 def conditional_variances(model: CovarianceModel, given, targets) -> np.ndarray:
     """``diag(A_TT - A_TG A_GG^{-1} A_GT)`` for disjoint 0-based index sets:
     the variance of each target given the ``given`` block under the
     regularized covariance ``A``; :class:`SingularCovariance`, with no
     jitter retry, if ``A_GG`` fails Cholesky (``s^2`` zero or below
     round-off)."""
-    given = np.asarray(given, dtype=int)
-    variances = np.diag(model.cov)[targets] + model.sigma_noise**2
-    if given.size == 0:
-        return variances
-    cross = model.cov[np.ix_(given, targets)]
-    return variances - np.einsum("ij,ij->j", cross, spd_solve(model.block(given), cross))
+    return _schur_diagonal(model.cov, given, targets, model.sigma_noise**2)
 
 
 def mutual_information(model: CovarianceModel, selected) -> float:

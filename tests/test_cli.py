@@ -510,6 +510,14 @@ class TestBench:
                 {"datasets": [{"name": "s", "sim": {"family": "sim2", "params": [1]}}]},
                 "key 'params' must be a JSON object",
             ),
+            (
+                {"datasets": [{"name": "s", "sim": {"family": "sim2", "params": {"u": "3", "v": 8}}}]},
+                "sim params key 'u' must be a JSON integer, got '3'",
+            ),
+            (
+                {"datasets": [{"name": "s", "sim": {"family": "sim2", "params": {"noise_sd": True}}}]},
+                "sim params key 'noise_sd' must be a JSON number, got True",
+            ),
             ({"metric_ks": 5}, "key 'metric_ks' must be a JSON list of integers"),
             ({"algorithms": [{"name": "itfs", "sigma": "0.5"}]}, "key 'sigma' must be a JSON number"),
             ({"algorithms": ["fsca"]}, "algorithm must be a JSON object, got 'fsca'"),
@@ -522,6 +530,7 @@ class TestBench:
         ],
         ids=[
             "dataset-not-object", "datasets-not-list", "sim-not-object", "params-not-object",
+            "param-u-string", "param-noise_sd-boolean",
             "metric_ks-not-list", "sigma-string", "algorithm-not-object", "thresholds-string",
             "has_header-string", "config-not-object",
         ],

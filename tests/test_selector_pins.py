@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from varsel import RankDeficient, center_columns, fsfp_fsca_select, gen_sim2, ufs_select
-from varsel.selectors import ALGORITHMS
+from varsel.metrics import _schur_diagonal
+from varsel.selectors import ALGORITHMS, _ItfsGain
+
+from reference import itfs_denominators
 
 EXHAUSTED = "selection stopped early: every remaining column lies in the selected span"
 IDLE_PICK_11 = "pick 11 adds no variance: it lies in the span of the earlier picks"
@@ -243,11 +246,16 @@ RANK_TEN = {
         (20, 38, 16, 31, 15, 24, 22, 40, 25, 13, 21, 14),
         414,
         (IDLE_PICK_11,),
+        # Recorded from the precision-matrix denominators.  With cond(A)
+        # about 1e5 these digits are round-off: the values recorded from
+        # inverting A_UU each step were up to 1.1e-12 from the 60-digit
+        # trace, these are up to 2.2e-12, and both routes' denominators are
+        # within 5.8e-12 of it (test_itfs_denominators_match_reference).
         (
-            12512.426494716823, 11246.289050883304, 10308.294954642635,
-            8317.629396299655, 7965.054860515967, 5704.677520010706,
-            3382.7914213407707, 2282.180735143557, 1868.5739364225958,
-            1112.9042498732645, 2.525409608037975, 2.0988791377440923,
+            12512.426494716821, 11246.289050874393, 10308.294954635514,
+            8317.62939630307, 7965.054860518542, 5704.677520010097,
+            3382.7914213371805, 2282.180735141078, 1868.5739364230458,
+            1112.9042498713534, 2.5254096080362043, 2.0988791377475113,
         ),
         (
             17.37151313994315, 35.58640124150428, 48.81092806690811,
@@ -336,3 +344,20 @@ def test_rank_ten_ufs_lazy_raises():
     with pytest.raises(RankDeficient) as info:
         ufs_select(sim2(noise_sd=0.0), 12, engine="lazy")
     assert info.value.indices == (7, 26, 9, 5, 2, 1, 6, 8, 3, 4, 13)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("noise_sd, pinned", [(0.1, SIM2), (0.0, RANK_TEN)], ids=["noisy", "noise-free"])
+def test_itfs_denominators_match_reference(noise_sd, pinned):
+    # Every candidate's ITFS denominator at every step of the pinned order,
+    # as the gain computes it from its precision matrix, against the inverse
+    # of A_UU in 60 digits.  The bound is about cond(A) * eps, with cond(A)
+    # about 1e5 on both inputs; measured: 2.3e-13 noisy, 5.7e-12 noise-free.
+    gain = _ItfsGain(sim2(noise_sd), None)
+    order = [i - 1 for i in pinned["itfs"][0]]
+    for step in range(len(order)):
+        selected = order[:step]
+        unsel = np.setdiff1d(np.arange(gain.model.v), selected)
+        denominators = 1.0 / _schur_diagonal(gain.precision, selected, unsel)
+        expected = itfs_denominators(gain.model.cov, gain.model.sigma_noise, selected)
+        np.testing.assert_allclose(denominators, expected, rtol=1e-11, atol=0.0)

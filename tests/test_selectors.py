@@ -28,9 +28,11 @@ from varsel import (
     ufs_select,
     variance_explained,
 )
+from varsel._linalg import spd_inverse
 from varsel.dataset import dataset_from_gram, deflate_in_place
-from varsel.metrics import CovarianceModel, IndexSets
-from varsel.selectors import ALGORITHMS, OrthonormalBasis, nipals_first_pc
+from varsel.engine import EXCLUDED
+from varsel.metrics import CovarianceModel, IndexSets, conditional_variances
+from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
 
@@ -565,6 +567,29 @@ class TestItfs:
         data = random_dataset(30, 5, seed=32)
         explicit = 0.01 * math.sqrt(float(np.mean(np.diag(data.values.T @ data.values / 30))))
         assert itfs_select(data, 3).order == itfs_select(data, 3, sigma=explicit).order
+
+    @pytest.mark.parametrize("m, v", [(40, 60), (200, 30)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("k, tau", [(12, None), (None, 99.0)], ids=["cardinality", "tau"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unselected_block_inverse(self, m, v, k, tau, seed):
+        # The denominators from the precision matrix against the route they
+        # replaced: one Cholesky inverse of the unselected block A_UU per step.
+        class UnselectedBlockInverse(_ItfsGain):
+            def step_scores(self, selected):
+                model = self.model
+                unsel = np.setdiff1d(np.arange(model.v), selected)
+                denominators = 1.0 / np.diag(spd_inverse(model.block(unsel)))
+                scores = np.full(model.v, EXCLUDED)
+                scores[unsel] = conditional_variances(model, selected, unsel) / denominators
+                return scores
+
+        data = center_columns(gen_sim2(m=m, u=10, v=v, seed=seed))
+        result = itfs_select(data, k, tau=tau)
+        expected = _select("itfs", data, k, tau, lambda: UnselectedBlockInverse(data, None))
+        assert result.order == expected.order
+        assert result.eval_count == expected.eval_count
+        assert result.warnings == expected.warnings
+        np.testing.assert_allclose(result.native_trace, expected.native_trace, rtol=1e-10)
 
     def test_sigma_below_round_off_raises(self):
         # Noise-free sim2 has rank 10; at sigma = 1e-7 the unselected block
