@@ -15,7 +15,6 @@ from .bench import (
     DatasetSource,
     emit_report,
     measure_speedup,
-    report_from_json,
     run_benchmark,
 )
 from .dataset import (
@@ -25,7 +24,6 @@ from .dataset import (
     dataset_from_gram,
     load_csv,
     normalize_unit,
-    project_onto,
     save_csv,
 )
 from .engine import (
@@ -99,7 +97,6 @@ __all__ = [
     "IndexSets",
     "center_columns",
     "normalize_unit",
-    "project_onto",
     "dataset_from_gram",
     "load_csv",
     "save_csv",
@@ -160,7 +157,6 @@ __all__ = [
     "run_benchmark",
     "measure_speedup",
     "emit_report",
-    "report_from_json",
     # errors
     "SelectionError",
     "ZeroColumn",

@@ -57,7 +57,6 @@ __all__ = [
     "run_benchmark",
     "measure_speedup",
     "emit_report",
-    "report_from_json",
 ]
 
 SCHEMA_VERSION = "1.0.0"
@@ -322,28 +321,6 @@ class BenchCell:
             "error": self.error,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BenchCell":
-        return cls(
-            dataset=raw["dataset"],
-            algorithm=raw["algorithm"],
-            seeds=tuple(int(s) for s in raw.get("seeds", ())),
-            orders=tuple(tuple(int(i) for i in o) for o in raw.get("orders", ())),
-            ve_curves=tuple(tuple(float(x) for x in c) for c in raw.get("ve_curves", ())),
-            auc=raw.get("auc"),
-            k_at=tuple(
-                (float(t), None if k is None else int(k)) for t, k in raw.get("k_at", ())
-            ),
-            r=raw.get("r"),
-            metric_values=tuple(
-                (m, int(k), None if v is None else float(v))
-                for m, k, v in raw.get("metric_values", ())
-            ),
-            elapsed_median_s=raw.get("elapsed_median_s"),
-            speedup_vs_fsca=raw.get("speedup_vs_fsca"),
-            error=raw.get("error"),
-        )
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
@@ -371,15 +348,6 @@ class BenchmarkReport:
             "config": self.config.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BenchmarkReport":
-        return cls(
-            config=BenchConfig.from_dict(raw["config"]),
-            cells=tuple(BenchCell.from_dict(c) for c in raw["cells"]),
-            schema_version=raw.get("schema_version", SCHEMA_VERSION),
-            generated_at=raw.get("generated_at", ""),
-        )
 
 
 # =========================================================================
@@ -626,9 +594,3 @@ def _csv_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def report_from_json(path) -> BenchmarkReport:
-    """Re-read a JSON report written by :func:`emit_report`."""
-    with open(path, encoding="utf-8") as fh:
-        return BenchmarkReport.from_dict(json.load(fh))

@@ -1,4 +1,4 @@
-"""Data-matrix substrate: preprocessing, projection, deflation, CSV I/O.
+"""Data-matrix substrate: preprocessing, deflation, CSV I/O.
 
 A data matrix holds ``m`` observations (rows) of ``v`` variables (columns) as
 float64.  All variable indices crossing the public boundary of this module,
@@ -8,8 +8,6 @@ Conventions
 -----------
 * Centering subtracts the column mean; unit-normalization divides each column
   by its Euclidean norm.
-* ``project_onto(data, S)`` returns ``X_S (X_S^T X_S)^{-1} X_S^T X``, the
-  least-squares reconstruction of every column from the selected columns.
 * ``deflate_in_place(values, p0)`` removes, in place, the rank-one
   contribution of column ``p0`` of a residual matrix:
   ``R_next = R - (r r^T / r^T r) R``.  Repeated deflation by a selection
@@ -26,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import spd_solve
-from .errors import EmptyFile, ParseError, RaggedRows, RankDeficient, SingularCovariance, ZeroColumn
+from .errors import EmptyFile, ParseError, RaggedRows, ZeroColumn
 
 #: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
 FLAG_TOL = 1e-9
@@ -39,8 +36,9 @@ ZERO_NORM_TOL = 1e-12
 #: considered inside the span of the selection and cannot be deflated.
 DEGENERATE_REL_TOL = 1e-10
 
-#: Relative diagonal jitter of ``project_onto``'s one Cholesky retry.
-JITTER_SCALE = 1e-10
+#: A column whose residual against the columns before it keeps at most this
+#: fraction of its own norm is dependent on them: a scale-free test.
+DEPENDENT_TOL = 1e-10
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -195,7 +193,7 @@ def normalize_unit(data: Dataset) -> Dataset:
 
 
 # =========================================================================
-# Projection and deflation
+# Selections, Gram roots and deflation
 # =========================================================================
 
 
@@ -210,43 +208,11 @@ def selection_tuple(selected, v: int) -> tuple[int, ...]:
     return sel
 
 
-def project_onto(data: Dataset, selected) -> np.ndarray:
-    """Least-squares reconstruction of all columns from the selected ones.
-
-    Solves the normal equations on the selected Gram matrix ``G`` by
-    Cholesky.  ``G`` squares the condition number that the singular-value
-    test admits (up to 1e20), so when Cholesky fails it is retried once with
-    ``JITTER_SCALE * tr(G) / k`` on its diagonal: the package's only jitter.
-
-    Returns
-    -------
-    ndarray, shape (m, v)
-        ``X_S (X_S^T X_S)^{-1} X_S^T X``.
-
-    Raises
-    ------
-    RankDeficient
-        If the selected columns are numerically dependent.
-    """
-    sel = selection_tuple(selected, data.v)
-    if not sel:
-        raise ValueError("cannot project onto an empty selection")
-    cols = np.array(sel, dtype=int) - 1
-    x_s = data.values[:, cols]
-    singular = np.linalg.svd(x_s, compute_uv=False)
-    if singular[-1] <= DEGENERATE_REL_TOL * singular[0]:
-        raise RankDeficient(sel)
-    gram = x_s.T @ x_s
-    rhs = x_s.T @ data.values
-    try:
-        coeffs = spd_solve(gram, rhs)
-    except SingularCovariance:
-        jitter = JITTER_SCALE * float(np.trace(gram)) / len(sel)
-        try:
-            coeffs = spd_solve(gram + jitter * np.eye(len(sel)), rhs)
-        except SingularCovariance as exc:
-            raise RankDeficient(sel) from exc
-    return x_s @ coeffs
+def _gram_root(data: Dataset) -> np.ndarray:
+    """``T`` of ``X = QT`` (v x v) when ``m > v``, else ``X``: the smaller
+    matrix with Gram ``X^T X``, on which residual norms and the energy a
+    subspace captures read as on ``X``, up to round-off."""
+    return np.linalg.qr(data.values, mode="r") if data.m > data.v else data.values
 
 
 def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:

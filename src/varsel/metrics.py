@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import spd_logdet, spd_solve
-from .dataset import Dataset, IndexSets, project_onto, selection_tuple
-from .errors import LengthMismatch, ThresholdNeverReached
+from .dataset import DEPENDENT_TOL, Dataset, IndexSets, selection_tuple
+from .errors import LengthMismatch, RankDeficient, ThresholdNeverReached
 
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
 RANK_TIE_TOL = 1e-9
@@ -134,24 +134,50 @@ def default_sigma(cov: np.ndarray) -> float:
 # =========================================================================
 
 
+def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``||Q_S^T root||^2`` for each row ``S`` of the ``(n, k)`` 0-based
+    ``subsets``, and whether ``S`` is independent; with ``root^T root =
+    X^T X`` it is the energy of ``X`` in the span of ``X_S``.
+
+    ``Q_S R_S`` is a Householder QR of ``root[:, S]``.  Column ``j`` is
+    dependent when ``|R_jj|``, its residual against the columns before it,
+    is at most ``DEPENDENT_TOL ||root_j||``, or when ``j`` is past the row
+    count; past it ``Q_S`` leaves the span, so ``S`` is scored without it.
+    """
+    n, k = subsets.shape
+    q, r = np.linalg.qr(np.swapaxes(root.T[subsets], 1, 2))
+    diagonal = np.zeros((n, k))
+    diagonal[:, : r.shape[1]] = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    dependent = diagonal <= DEPENDENT_TOL * np.linalg.norm(root, axis=0)[subsets]
+    coords = np.matmul(np.swapaxes(q, 1, 2), root)
+    captured = np.einsum("nkv,nkv->n", coords, coords)
+    independent = ~dependent.any(axis=1)
+    redo = np.flatnonzero(~independent)
+    if redo.size:
+        keep = np.arange(k) != dependent[redo].argmax(axis=1)[:, None]
+        captured[redo] = _captured_energy(root, subsets[redo][keep].reshape(redo.size, k - 1))[0]
+    return captured, independent
+
+
 def variance_explained(data: Dataset, selected) -> float:
     """Percentage of total variance captured by projecting onto a selection.
 
-    ``VE = (1 - ||X - Xhat||_F^2 / ||X||_F^2) * 100`` where ``Xhat`` is the
-    least-squares reconstruction from the selected columns.  The empty
-    selection scores 0.
+    ``VE = 100 ||Q_S^T X||_F^2 / ||X||_F^2``, ``Q_S`` an orthonormal basis of
+    the selected columns from their Householder QR: the energy of the
+    least-squares reconstruction from them, at O(mk(k + v)) cost.  The
+    empty selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
+    A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
+    against the columns before it raises :class:`RankDeficient`.
     """
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    if not sel:
-        return 0.0
-    approx = project_onto(data, sel)
-    total = float(np.linalg.norm(data.values)) ** 2
-    resid = float(np.linalg.norm(data.values - approx)) ** 2
-    return (1.0 - resid / total) * 100.0
+    captured, independent = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
+    if not independent[0]:
+        raise RankDeficient(sel)
+    return 100.0 * float(captured[0]) / float(np.linalg.norm(data.values)) ** 2
 
 
 # =========================================================================

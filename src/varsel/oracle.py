@@ -4,9 +4,12 @@
 enumerating every combination (guarded by a hard cap on the combination
 count); ``subset_scorer`` is the one place a metric name becomes a
 scoring function, for the search, ``compare_to_optimal`` and the
-benchmark's metric values.  ``TabulatedSetFunction`` stores a set
-function's value for all 2^v subsets of a small ground set, which makes
-the structural quantities computable exactly:
+benchmark's metric values; its VE is ``metrics.variance_explained``'s
+rule, batched, and a dependent subset scores the VE of its span.
+
+``TabulatedSetFunction`` stores a set function's value for all 2^v
+subsets of a small ground set, which makes the structural quantities
+computable exactly:
 
 * ``curvature``: total curvature ``alpha`` in [0, 1] (0 for modular
   functions, approaching 1 when late gains collapse),
@@ -27,15 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
 
-from .dataset import Dataset, normalize_unit, selection_tuple
+from .dataset import Dataset, _gram_root, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
-from .metrics import CovarianceModel, mutual_information
+from .metrics import CovarianceModel, _captured_energy, mutual_information
 
 __all__ = [
     "OptimalSubset",
@@ -59,6 +61,9 @@ TABULATION_LIMIT = 12
 
 _CHUNK = 2048
 
+#: Subset values within this fraction of each other tie: round-off cannot order them.
+_TIE_REL_TOL = 1e-12
+
 #: Metrics supported by exhaustive search, mapped to their direction.
 METRIC_MAXIMIZE = {"ve": True, "mi": True, "fp": False}
 
@@ -73,8 +78,9 @@ class OptimalSubset:
     """Best k-subset found by exhaustive enumeration.
 
     ``indices`` is a frozenset of 1-based variable indices; ``value`` is
-    the metric value it achieves.  Among exactly tied subsets the
-    lexicographically smallest index tuple is reported.
+    the metric value it achieves.  Among subsets tied within round-off
+    (``_TIE_REL_TOL``) the lexicographically smallest index tuple is
+    reported.
     """
 
     indices: frozenset[int]
@@ -218,31 +224,18 @@ class TabulatedSetFunction:
 # =========================================================================
 
 
-def _combination_values_ve(gram: np.ndarray, energy: float, chunk: np.ndarray) -> np.ndarray:
-    sub = gram[chunk[:, :, None], chunk[:, None, :]]
-    cross = gram[chunk]
-    try:
-        solved = np.linalg.solve(sub, cross)
-    except np.linalg.LinAlgError:
-        solved = np.empty_like(cross)
-        for row in range(chunk.shape[0]):
-            solved[row] = np.linalg.lstsq(sub[row], cross[row], rcond=None)[0]
-    captured = np.einsum("bkv,bkv->b", solved, cross)
-    return 100.0 * captured / energy
-
-
 def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
     """The scoring function of a metric on ``data`` and its direction.
 
     Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
     array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
-    variance explained (a batched normal-equation solve with a
-    least-squares fallback), ``"fp"`` the frame potential of the
-    unit-normalized columns and ``"mi"`` the Gaussian mutual information
-    under noise scale ``sigma`` (default: 1% of the root-mean-square
-    variable scale); ``sigma`` is rejected for the other metrics.  The
-    exhaustive search, :func:`compare_to_optimal` and the benchmark's
-    metric values all score through this one function.
+    variance explained by the rule of ``metrics.variance_explained``, on
+    the Gram root of ``X`` (a dependent subset scores its span's), ``"fp"``
+    the frame potential of the unit-normalized columns and ``"mi"`` the
+    Gaussian mutual information under noise scale ``sigma`` (default: 1%
+    of the root-mean-square variable scale); ``sigma`` is rejected for the
+    other metrics.  The exhaustive search, :func:`compare_to_optimal` and
+    the benchmark's metric values all score through this one function.
     """
     if metric not in METRIC_MAXIMIZE:
         raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
@@ -262,15 +255,19 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
         def score(idx):
             return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
     else:
-        gram = data.values.T @ data.values
-        score = partial(_combination_values_ve, gram, float(np.trace(gram)))
+        root = _gram_root(data)
+        energy = float(np.linalg.norm(data.values)) ** 2
+
+        def score(idx):
+            return 100.0 * _captured_energy(root, idx)[0] / energy
     return score, METRIC_MAXIMIZE[metric]
 
 
 def _best_subset(v: int, k: int, score, maximize: bool, metric: str) -> OptimalSubset:
     """Best k-subset of ``range(v)`` under ``score``, scored in chunks of
-    combinations in lexicographic order; the first of exactly tied
-    subsets wins."""
+    combinations in lexicographic order.  A subset displaces the best so
+    far only by beating it by more than ``_TIE_REL_TOL``, so the first of
+    subsets tied within round-off wins."""
     sign = 1.0 if maximize else -1.0
     best_value = -math.inf
     best_combo: tuple[int, ...] | None = None
@@ -278,8 +275,9 @@ def _best_subset(v: int, k: int, score, maximize: bool, metric: str) -> OptimalS
     while chunk := list(islice(combos, _CHUNK)):
         idx = np.asarray(chunk, dtype=int)
         values = sign * score(idx)
-        pick = int(np.argmax(values))
-        if values[pick] > best_value:
+        top = float(values.max())
+        if best_combo is None or top > best_value + _TIE_REL_TOL * abs(best_value):
+            pick = int(np.argmax(values >= top - _TIE_REL_TOL * abs(top)))
             best_value = float(values[pick])
             best_combo = tuple(int(i) + 1 for i in idx[pick])
     return OptimalSubset(frozenset(best_combo), sign * best_value, metric)

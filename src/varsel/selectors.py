@@ -62,7 +62,8 @@ from time import perf_counter
 import numpy as np
 
 from ._linalg import spd_inverse
-from .dataset import DEGENERATE_REL_TOL, Dataset, deflate_in_place, normalize_unit
+from .dataset import DEGENERATE_REL_TOL, DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
+from .dataset import normalize_unit
 from .engine import (
     EXCLUDED,
     Cardinality,
@@ -172,10 +173,6 @@ class OrthonormalBasis:
     dependent on the current basis.
     """
 
-    #: A candidate whose orthogonal part is below this fraction of its norm
-    #: is considered dependent on the basis.
-    DEPENDENT_TOL = 1e-10
-
     def __init__(self, m: int, capacity: int):
         self._store = np.zeros((m, capacity))
         self._count = 0
@@ -202,7 +199,7 @@ class OrthonormalBasis:
                 basis = self._store[:, : self._count]
                 c -= basis @ (basis.T @ c)
         norm_c = float(np.linalg.norm(c))
-        if norm_c <= self.DEPENDENT_TOL * norm_x:
+        if norm_c <= DEPENDENT_TOL * norm_x:
             raise RankDeficient(())
         c /= norm_c
         if self._count >= self._store.shape[1]:
@@ -259,13 +256,9 @@ class _Residual:
     test is per column so that it does not depend on the columns' scales.
     """
 
-    DEPENDENT_TOL = OrthonormalBasis.DEPENDENT_TOL
-
     def __init__(self, data: Dataset, thin: bool):
         self.energy = float(np.linalg.norm(data.values)) ** 2
-        self.x = data.values
-        if thin and data.m > data.v:
-            self.x = np.linalg.qr(self.x, mode="r")
+        self.x = _gram_root(data) if thin else data.values
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
         self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.energy
@@ -305,7 +298,7 @@ class _Residual:
         """
         self.excluded[candidate] = True
         r = self.r[:, candidate]
-        independent = float(r @ r) > self.DEPENDENT_TOL**2 * self.x_sqnorms[candidate]
+        independent = float(r @ r) > DEPENDENT_TOL**2 * self.x_sqnorms[candidate]
         if independent:
             rr, coeffs = deflate_in_place(self.r, candidate)
             self.captured += rr * float(coeffs @ coeffs)

@@ -1,4 +1,4 @@
-"""Data substrate: preprocessing, projection, deflation, CSV I/O."""
+"""Data substrate: preprocessing, deflation against the reference projection, CSV I/O."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor
 
 from varsel import (
     Dataset,
@@ -19,13 +18,12 @@ from varsel import (
     center_columns,
     load_csv,
     normalize_unit,
-    project_onto,
     save_csv,
-    variance_explained,
 )
 from varsel.dataset import dataset_from_gram
 
 from conftest import deflated, make_rng, random_dataset
+from reference import project_onto
 
 
 # =========================================================================
@@ -148,6 +146,9 @@ class TestNormalizeUnit:
 
 
 class TestProjectOnto:
+    """The reference projection that deflation is checked against (60-digit
+    normal equations, ``tests/reference.py``)."""
+
     def test_full_span_returns_data(self):
         data = random_dataset(12, 4, seed=4)
         xhat = project_onto(data, (1, 2, 3, 4))
@@ -183,26 +184,6 @@ class TestProjectOnto:
         data = center_columns(Dataset(dup))
         with pytest.raises(RankDeficient):
             project_onto(data, (1, 2))
-
-    def test_ill_conditioned_gram_retried_once_with_jitter(self, monkeypatch):
-        # sigma_min / sigma_max of columns 1, 2 is 5.9e-9: they pass the
-        # singular-value test, but their Gram matrix fails plain Cholesky.
-        x1 = np.random.default_rng(2).standard_normal(50)
-        x2 = x1 + 1e-8 * np.random.default_rng(102).standard_normal(50)
-        x3 = np.random.default_rng(3).standard_normal(50)
-        data = center_columns(Dataset(np.column_stack([x1, x2, x3])))
-        failures = []
-
-        def counting(*args, **kwargs):
-            try:
-                return cho_factor(*args, **kwargs)
-            except np.linalg.LinAlgError:
-                failures.append(args)
-                raise
-
-        monkeypatch.setattr("varsel._linalg.cho_factor", counting)
-        assert variance_explained(data, (1, 2)) == 64.30595789406462
-        assert len(failures) == 1
 
     def test_idempotence(self):
         data = random_dataset(15, 5, seed=9)

@@ -14,6 +14,7 @@ from varsel import (
     Dataset,
     IndexSets,
     LengthMismatch,
+    RankDeficient,
     SingularCovariance,
     ThresholdNeverReached,
     VECurve,
@@ -25,13 +26,14 @@ from varsel import (
     k_at_threshold,
     mutual_information,
     normalize_unit,
-    project_onto,
     relative_performance,
     variance_explained,
 )
 from varsel.metrics import conditional_variances
+from varsel.oracle import subset_scorer
 
 from conftest import make_rng, random_dataset
+from reference import project_onto, subset_ve
 
 
 # =========================================================================
@@ -134,6 +136,39 @@ class TestVarianceExplained:
         base = variance_explained(data, tuple(int(i) for i in subset))
         bigger = variance_explained(data, tuple(int(i) for i in subset) + (extra,))
         assert bigger >= base - 1e-9
+
+    def test_ill_conditioned_pair_matches_reference(self):
+        # sigma_min / sigma_max of columns 1, 2 is 5.9e-9, so their Gram
+        # matrix fails plain Cholesky; a QR of the columns does not need it.
+        x1 = np.random.default_rng(2).standard_normal(50)
+        x2 = x1 + 1e-8 * np.random.default_rng(102).standard_normal(50)
+        x3 = np.random.default_rng(3).standard_normal(50)
+        data = center_columns(Dataset(np.column_stack([x1, x2, x3])))
+        expected = subset_ve(data, (1, 2))
+        assert variance_explained(data, (1, 2)) == pytest.approx(expected, rel=1e-9)
+        scored = subset_scorer(data, "ve")[0](np.array([[0, 1]]))[0]
+        assert scored == pytest.approx(expected, rel=1e-9)
+
+    def test_exact_duplicate_raises(self):
+        x = make_rng(8).normal(size=(10, 2))
+        data = center_columns(Dataset(np.column_stack([x[:, 0], x[:, 1], x[:, 0]])))
+        with pytest.raises(RankDeficient):
+            variance_explained(data, (1, 2, 3))
+
+    def test_tiny_column_scale_is_not_dependence(self):
+        # The dependence test is per column, so a column's scale cannot
+        # make it dependent.
+        data = random_dataset(20, 4, seed=9)
+        values = data.values.copy()
+        values[:, 1] *= 1e-12
+        scaled = Dataset(values, centered=True)
+        expected = subset_ve(scaled, (2, 3))
+        assert variance_explained(scaled, (2, 3)) == pytest.approx(expected, rel=1e-12)
+
+    def test_more_columns_than_rows_raises(self):
+        data = random_dataset(5, 8, seed=10)
+        with pytest.raises(RankDeficient):
+            variance_explained(data, (1, 2, 3, 4, 5, 6))
 
 
 # =========================================================================
@@ -317,7 +352,7 @@ class TestSelectionValidation:
             "ve": variance_explained,
             "fp": frame_potential,
             "mi": lambda d, s: mutual_information(CovarianceModel.from_dataset(d, 0.1), s),
-            "project_onto": project_onto,
+            "project_onto": project_onto,  # the reference coerces selections alike
         }[metric]
         with pytest.raises(ValueError, match="distinct indices in 1..4"):
             call(data, selected)

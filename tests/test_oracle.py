@@ -35,10 +35,12 @@ from varsel.oracle import (
     curvature,
     exhaustive_optimal,
     submodularity_ratio,
+    subset_scorer,
     tabulated_optimal,
 )
 
 from conftest import make_rng, orthogonal_dataset, random_dataset
+from reference import subset_ve
 
 
 # =========================================================================
@@ -177,6 +179,24 @@ class TestExhaustiveOptimal:
         brute_best = max(values.values())
         assert best.value == pytest.approx(brute_best, abs=1e-9)
         assert values[best.ordered] == pytest.approx(brute_best, abs=1e-9)
+
+    def test_noise_free_subsets_score_their_span(self):
+        # Noise-free sim2 has rank 3, so every 4-subset is dependent and
+        # scores the variance its span explains.
+        data = center_columns(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0))
+        combos = list(itertools.combinations(range(1, 9), 4))
+        scored = subset_scorer(data, "ve")[0](np.array(combos) - 1)
+        expected = [subset_ve(data, combo) for combo in combos]
+        np.testing.assert_allclose(scored, expected, rtol=0, atol=1e-12)
+
+    def test_dependent_column_inside_subset_scores_span(self):
+        # Past a dependent column, the Householder Q holds a direction
+        # outside the span, so the columns after it must be scored anew.
+        x = make_rng(5).normal(size=(30, 3))
+        data = center_columns(Dataset(np.column_stack([x[:, 0], x[:, 0], x[:, 1], x[:, 2]])))
+        scored = subset_scorer(data, "ve")[0](np.array([[0, 1, 2], [1, 0, 3]]))
+        expected = [subset_ve(data, (1, 3)), subset_ve(data, (2, 4))]
+        np.testing.assert_allclose(scored, expected, rtol=1e-12)
 
     def test_fp_matches_brute_force(self):
         data = normalize_unit(random_dataset(30, 8, seed=6))
