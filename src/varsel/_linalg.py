@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .errors import SingularCovariance
 
@@ -32,5 +33,11 @@ def spd_logdet(matrix: np.ndarray) -> float:
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
-    return cho_solve(_factor(matrix), np.eye(matrix.shape[0]), check_finite=False)
+    """Inverse of a symmetric positive-definite matrix via Cholesky: LAPACK
+    ``potri`` overwrites the factor with the inverse's lower triangle, which
+    is mirrored row by row into the upper one (no n x n temporary)."""
+    factor, _ = _factor(matrix)
+    inverse = dpotri(factor, lower=1, overwrite_c=1)[0]
+    for j in range(inverse.shape[0] - 1):
+        inverse[j, j + 1 :] = inverse[j + 1 :, j]
+    return inverse

@@ -13,7 +13,8 @@ greedy engine:
                       original columns; deflates like FSCA.
 ``pfs_select``        Principal-feature selection: per step, correlate the
                       residual columns with the residual's first principal
-                      component (NIPALS) and pick the best-aligned one.
+                      component (one dense eigensolve) and pick the
+                      best-aligned one.
 ``itfs_select``       Information-theoretic selection under a Gaussian
                       model: maximize the posterior-variance ratio
                       ``var(x|S) / var(x|U\\x)``.
@@ -40,13 +41,14 @@ Every gain owns one residual of the centered data, and committing a column
 deflates it; the energy each deflation captures gives the VE curve, and
 the residual's two rank tests decide which columns stay candidates and
 which commits capture nothing.  When ``m > v``, FOS-MOD, PFS, ITFS and
-FSFP-FSCA keep their residual, deflation and NIPALS on the v x v triangular
-factor ``T`` of ``X = QT``: every quantity they read is unchanged by the
-orthonormal ``Q``, so they select as on ``X`` (up to round-off, which can
-decide an exact tie) at v x v cost.  FSCA and L-FSCA stay on the m x v
-residual, because their per-candidate products there are the evaluations
-the lazy engine saves; UFS does too, because the round-off of ``T`` would
-break its exact ties between orthogonal columns.
+FSFP-FSCA keep their residual and deflation on the v x v triangular
+factor ``T`` of ``X = QT``: every quantity they read (column norms,
+``R^T R``, ``R^T X``, and ``R^T p`` for PFS's first component ``p``) is
+unchanged by the orthonormal ``Q``, so they select as on ``X`` (up to
+round-off, which can decide an exact tie) at v x v cost.  FSCA and L-FSCA
+stay on the m x v residual, because their per-candidate products there are
+the evaluations the lazy engine saves; UFS does too, because the round-off
+of ``T`` would break its exact ties between orthogonal columns.
 
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
@@ -60,6 +62,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+from scipy.linalg import eigh
 
 from ._linalg import spd_inverse
 from .dataset import DEGENERATE_REL_TOL, DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
@@ -126,7 +129,8 @@ class SelectionResult:
         selector, such as unit-normalization, included).
     warnings : tuple of str
         Non-fatal anomalies (early exhaustion, a pick that adds no
-        variance, non-converged NIPALS).
+        variance, a PFS step whose first principal component is
+        ill-defined).
     """
 
     algorithm: str
@@ -461,9 +465,29 @@ def nipals_first_pc(data, tol: float = 1e-9, max_iter: int = 500) -> NipalsResul
     return NipalsResult(scores, iterations, converged)
 
 
+#: A relative eigengap ``(l1 - l2) / l1`` at most this leaves the residual's
+#: first principal component ill-defined: the computed vector's error bound
+#: ``eps l1 / (l1 - l2)`` then exceeds ``sqrt(eps)``.
+_ILL_DEFINED_GAP = math.sqrt(np.finfo(float).eps)
+
+
+def _first_component(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scores of the first principal component of ``r``, and its relative
+    eigengap ``(l1 - l2) / l1``: the top two eigenpairs of ``r r^T``, the
+    smaller Gram since PFS's residual is never taller than it is wide (the
+    data when ``m <= v``, the v x v factor ``T`` otherwise).  With one row
+    (``T`` of a single column), ``l2`` is 0."""
+    gram = r @ r.T
+    n = gram.shape[0]
+    values, vectors = eigh(gram, subset_by_index=[max(n - 2, 0), n - 1], check_finite=False)
+    second = values[0] if n > 1 else 0.0
+    return vectors[:, -1], float((values[-1] - second) / values[-1])
+
+
 class _PfsGain(_SelectorGain):
     """Absolute correlation of residual columns with the residual's first
-    principal component, which is recomputed once per step."""
+    principal component, recomputed once per step; a step whose component
+    is ill-defined adds a warning."""
 
     def __init__(self, data: Dataset):
         self.res = _Residual(data, thin=True)
@@ -475,12 +499,12 @@ class _PfsGain(_SelectorGain):
         excluded = res.mark_degenerate(sqnorms)
         scores = np.full(res.r.shape[1], EXCLUDED)
         if not excluded.all():
-            component = nipals_first_pc(res.r)
-            if not component.converged:
+            p1, gap = _first_component(res.r)
+            if gap <= _ILL_DEFINED_GAP:
                 self.warnings.append(
-                    f"NIPALS stopped at {component.iterations} iterations without converging"
+                    f"step {len(selected) + 1}: the residual's first principal component is "
+                    f"ill-defined (relative eigengap {gap:.1e})"
                 )
-            p1 = component.scores
             pp = float(p1 @ p1)
             u = p1 @ res.r
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -694,9 +718,12 @@ def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = No
 def pfs_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
     """Principal-feature selection.
 
-    Per step, computes the first principal component of the residual by
-    NIPALS and selects the residual column with the largest absolute
-    correlation to it, then deflates.
+    Per step, computes the first principal component of the residual from
+    the top two eigenpairs of its smaller Gram and selects the residual
+    column with the largest absolute correlation to it, then deflates.  A
+    step whose relative eigengap ``(l1 - l2) / l1`` is at most
+    ``sqrt(eps)`` has no well-defined component, and adds a warning naming
+    the step and the gap.
     """
     return _select("pfs", data, k, tau, lambda: _PfsGain(data))
 

@@ -1,11 +1,13 @@
-"""Reference values computed from the definitions in 60-digit arithmetic.
+"""Reference values computed from the definitions.
 
 Each function restates a quantity that varsel computes, straight from its
 definition and with none of the package's shortcuts (no precision matrix,
-no factor reuse, no deflation), in mpmath at ``DIGITS`` significant
-digits.  Float inputs are converted exactly and each result is rounded to
-float64 once, at the end, so a test can measure the package's round-off
-against it.
+no factor reuse, no deflation, no triangular factor).  Most work in mpmath
+at ``DIGITS`` significant digits: float inputs are converted exactly and
+each result is rounded to float64 once, at the end, so a test can measure
+the package's round-off against it.  :func:`pfs_select` works in float64,
+by a QR projection and an SVD, so it is cheap enough to run on every PFS
+shape the tests use.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from varsel.dataset import Dataset, selection_tuple
+from varsel.dataset import DEGENERATE_REL_TOL, Dataset, selection_tuple
 from varsel.errors import RankDeficient
 
 DIGITS = 60
@@ -71,3 +73,97 @@ def itfs_denominators(cov: np.ndarray, sigma: float, selected) -> np.ndarray:
         )
         inverse = mpmath.inverse(block)
         return np.array([float(1 / inverse[t, t]) for t in range(len(unsel))])
+
+
+def pfs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """PFS's 1-based order and the score of each pick.
+
+    Each step forms the residual ``R = (I - P_S) X``, with ``P_S`` the
+    projection onto the selected columns by a QR factorization of ``X_S``,
+    and its first principal component ``p = s_1 u_1`` from the SVD of
+    ``R``.  It picks the first best absolute correlation
+    ``|r_j^T p| / (||r_j|| ||p||)`` among the unselected columns whose
+    residual keeps more than ``DEGENERATE_REL_TOL^2 ||X||^2`` of energy; the
+    order ends early when no such column is left.
+    """
+    x = data.values
+    floor = DEGENERATE_REL_TOL**2 * float(np.sum(x * x))
+    order, trace = [], []
+    for _ in range(k):
+        residual = x.copy()
+        if order:
+            q = np.linalg.qr(x[:, order])[0]
+            residual -= q @ (q.T @ x)
+        norms = np.linalg.norm(residual, axis=0)
+        live = norms**2 > floor
+        live[order] = False
+        if not live.any():
+            break
+        u, s, _ = np.linalg.svd(residual, full_matrices=False)
+        p = u[:, 0] * s[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.abs(p @ residual) / (norms * np.linalg.norm(p))
+        order.append(int(np.argmax(np.where(live, scores, -np.inf))))
+        trace.append(float(scores[order[-1]]))
+    return tuple(i + 1 for i in order), np.array(trace)
+
+
+def pfs_scores_exact(data: Dataset, order) -> list[np.ndarray]:
+    """The PFS scores of every column (see :func:`pfs_select`) at ``DIGITS``
+    digits before each pick of the 1-based ``order`` (the first entry
+    scores the empty selection), from the residual Gram
+    ``R^T R = X^T X - X^T X_S (X_S^T X_S)^{-1} X_S^T X``.
+
+    With ``w`` its top unit eigenvector, ``p = R w`` and ``R^T p = l1 w``,
+    so column ``j`` scores ``sqrt(l1) |w_j| / sqrt((R^T R)_jj)`` (NaN for a
+    column with no residual).  ``w`` is found by inverse iteration shifted
+    to the float64 top eigenvalue, and ``l1`` is certified as the largest
+    eigenvalue by a Cholesky factorization of ``l1 (1 + 10^-30) I - R^T R``.
+    """
+    picks = [int(i) - 1 for i in order]
+    steps = []
+    with mpmath.workdps(DIGITS):
+        x = mpmath.matrix(data.values.tolist())
+        full = x.T * x
+        for step in range(len(picks)):
+            chosen = picks[:step]
+            gram = full.copy()
+            if chosen:
+                cross = mpmath.matrix([[full[i, j] for j in range(data.v)] for i in chosen])
+                block = mpmath.matrix([[full[i, j] for j in chosen] for i in chosen])
+                gram -= cross.T * (mpmath.inverse(block) * cross)
+            top, w = _top_eigenpair(gram)
+            steps.append(
+                np.array(
+                    [
+                        float(mpmath.sqrt(top) * abs(w[j]) / mpmath.sqrt(gram[j, j]))
+                        if gram[j, j] > 0
+                        else np.nan
+                        for j in range(data.v)
+                    ]
+                )
+            )
+    return steps
+
+
+def _top_eigenpair(gram):
+    """Largest eigenvalue and its unit eigenvector of the symmetric mpmath
+    matrix ``gram`` (call inside ``workdps``)."""
+    n = gram.rows
+    shift = mpmath.mpf(float(np.linalg.eigvalsh(np.array(gram.tolist(), dtype=float))[-1]))
+    solve = mpmath.inverse(gram - shift * mpmath.eye(n))
+    w = mpmath.matrix([1] * n)
+    for _ in range(20):
+        w_next = solve * w
+        w_next /= mpmath.norm(w_next)
+        if (w_next.T * w)[0] < 0:
+            w_next = -w_next
+        converged = mpmath.norm(w_next - w) < mpmath.mpf(10) ** (5 - DIGITS)
+        w = w_next
+        if converged:
+            break
+    else:
+        raise ArithmeticError("inverse iteration did not converge")
+    top = (w.T * gram * w)[0]
+    mpmath.cholesky(top * (1 + mpmath.mpf(10) ** -30) * mpmath.eye(n) - gram)
+    return top, w

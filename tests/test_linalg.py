@@ -29,3 +29,12 @@ def test_indefinite_matrix_raises_after_one_attempt(monkeypatch, call):
         call(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert len(attempts) == 1
 
+
+def test_inverse_is_symmetric_and_inverts():
+    # potri fills one triangle of the inverse; the other is its mirror.
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(40, 30))
+    matrix = g.T @ g + 0.1 * np.eye(30)
+    inverse = spd_inverse(matrix)
+    assert np.array_equal(inverse, inverse.T)
+    np.testing.assert_allclose(inverse @ matrix, np.eye(30), rtol=0.0, atol=1e-12)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from varsel import (
     Dataset,
@@ -35,6 +36,7 @@ from varsel.metrics import CovarianceModel, IndexSets, conditional_variances
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
+from reference import pfs_select as pfs_reference
 
 
 def centered_sim1(seed):
@@ -391,9 +393,49 @@ class TestPfs:
             )
         assert abs(float(np.median(gaps))) <= 3.0
 
-    def test_non_convergence_warning_propagates(self):
-        result = pfs_select(near_degenerate_spectrum(0.99), 2)
-        assert any("NIPALS" in w for w in result.warnings)
+    def test_degenerate_top_eigenvalue_warns(self):
+        # Orthogonal columns of equal norm: every direction in their span is
+        # a first principal component, so no step's component is defined.
+        result = pfs_select(orthogonal_dataset(8), 3)
+        assert len(result.warnings) == 3
+        for step, warning in enumerate(result.warnings, start=1):
+            assert warning.startswith(
+                f"step {step}: the residual's first principal component is ill-defined"
+            )
+
+    def test_close_singular_values_do_not_warn(self):
+        # A singular-value ratio of 0.99 stopped NIPALS at its cap; the
+        # relative eigengap 1 - 0.99^2 is far above sqrt(eps).
+        data = near_degenerate_spectrum(0.99)
+        result = pfs_select(data, 2)
+        assert result.warnings == ()
+        assert result.order == pfs_reference(data, 2)[0]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(center_columns(gen_sim1(m=200, seed=0)), id="sim1-200-seed0"),
+            pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
+            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
+            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=2)), id="sim2-200x30-seed2"),
+            pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
+            # NIPALS stopped at its cap twice here, and its order left the
+            # exact one at step 10.
+            pytest.param(center_columns(gen_sim2(m=100, u=25, v=300, seed=2)), id="sim2-100x300-seed2"),
+        ],
+    )
+    def test_order_matches_reference(self, data):
+        result = pfs_select(data, 12)
+        order, trace = pfs_reference(data, 12)
+        assert result.order == order
+        assert result.warnings == ()
+        np.testing.assert_allclose(result.native_trace, trace, rtol=1e-12, atol=0.0)
+
+    def test_one_column(self):
+        # The residual is the 1 x 1 factor T, whose Gram has one eigenvalue.
+        result = pfs_select(random_dataset(6, 1, seed=3), 1)
+        assert (result.order, result.warnings) == ((1,), ())
+        assert result.native_trace[0] == pytest.approx(1.0, abs=1e-15)
 
 
 # =========================================================================
@@ -402,12 +444,25 @@ class TestPfs:
 
 
 def pfs_scores(x, r, warnings):
+    # The top eigenvector of the smaller Gram: r r^T, as PFS takes it, or
+    # r^T r with p = r w for a data-space residual taller than it is wide.
+    tall = r.shape[0] > r.shape[1]
+    gram = r.T @ r if tall else r @ r.T
+    n = gram.shape[0]
+    top = scipy.linalg.eigh(gram, subset_by_index=[n - 2, n - 1], check_finite=False)[1][:, -1]
+    return component_correlations(r, r @ top if tall else top)
+
+
+def nipals_pfs_scores(x, r, warnings):
     component = nipals_first_pc(r)
     if not component.converged:
         warnings.append(
             f"NIPALS stopped at {component.iterations} iterations without converging"
         )
-    p1 = component.scores
+    return component_correlations(r, component.scores)
+
+
+def component_correlations(r, p1):
     sqnorms = np.einsum("ij,ij->j", r, r)
     return np.abs(p1 @ r) / np.sqrt(sqnorms * float(p1 @ p1))
 
@@ -470,7 +525,7 @@ class TestTriangularFactor:
     def test_nipals_cap_reached(self):
         # Seed 0 of the 200 x 30 shape above: NIPALS stops at its cap twice.
         data = center_columns(gen_sim2(m=200, u=8, v=30, seed=0))
-        warnings = data_space_run(data, 20, pfs_scores)[2]
+        warnings = data_space_run(data, 20, nipals_pfs_scores)[2]
         assert warnings.count("NIPALS stopped at 500 iterations without converging") == 2
 
     @pytest.mark.parametrize("select, scores", DATA_SPACE)
