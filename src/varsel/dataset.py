@@ -6,13 +6,16 @@ and of the rest of the package, are 1-based; internal numpy work is 0-based.
 
 Conventions
 -----------
-* Centering subtracts the column mean; unit-normalization divides each column
-  by its Euclidean norm.
+* Centering subtracts the column mean, and makes a constant column exactly
+  zero; unit-normalization divides each column by its Euclidean norm.
 * ``deflate_in_place(values, p0)`` removes, in place, the rank-one
   contribution of column ``p0`` of a residual matrix:
   ``R_next = R - (r r^T / r^T r) R``.  Repeated deflation by a selection
   equals one projection-based residual against that selection, up to
   round-off.
+* A column is dependent on others when its residual against them keeps at
+  most ``DEPENDENT_TOL`` of its own norm: the one, scale-free rank test of
+  selector candidacy, selector commits and subset VE.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ FLAG_TOL = 1e-9
 
 #: Columns with norm at or below this are treated as zero by normalization.
 ZERO_NORM_TOL = 1e-12
-
-#: A residual pivot with norm below ``DEGENERATE_REL_TOL * ||X||_F`` is
-#: considered inside the span of the selection and cannot be deflated.
-DEGENERATE_REL_TOL = 1e-10
 
 #: A column whose residual against the columns before it keeps at most this
 #: fraction of its own norm is dependent on them: a scale-free test.
@@ -166,10 +165,17 @@ class IndexSets:
 
 
 def center_columns(data: Dataset) -> Dataset:
-    """Subtract each column's mean.  Idempotent on already-centered data."""
+    """Subtract each column's mean; a constant column becomes exactly zero,
+    not the round-off of its mean, which the rank test would count as an
+    independent direction.  Idempotent on already-centered data."""
     if data.centered:
         return data
-    values = data.values - data.values.mean(axis=0)
+    raw = data.values
+    values = raw - raw.mean(axis=0)
+    # Only a column whose first and last entries agree can be constant; a
+    # full pass over ``raw`` would cost more than the mean on small inputs.
+    maybe = np.flatnonzero(raw[0] == raw[-1])
+    values[:, maybe[np.all(raw[:, maybe] == raw[0, maybe], axis=0)]] = 0.0
     return Dataset(values, labels=data.labels, centered=True, unit_norm=False)
 
 

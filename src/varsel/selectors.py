@@ -19,7 +19,7 @@ greedy engine:
                       model: maximize the posterior-variance ratio
                       ``var(x|S) / var(x|U\\x)``.
 ``fsfp_fsca_select``  Frame-potential minimization on unit-norm columns,
-                      seeded with the first FSCA pick.
+                      starting from FSCA's first pick.
 ``ufs_select``        Unsupervised forward selection: start from the least
                       correlated column pair and repeatedly add the column
                       with the smallest squared multiple correlation with
@@ -39,7 +39,7 @@ vector.
 
 Every gain owns one residual of the centered data, and committing a column
 deflates it; the energy each deflation captures gives the VE curve, and
-the residual's two rank tests decide which columns stay candidates and
+the residual's one rank test decides which columns stay candidates and
 which commits capture nothing.  When ``m > v``, FOS-MOD, PFS, ITFS and
 FSFP-FSCA keep their residual and deflation on the v x v triangular
 factor ``T`` of ``X = QT``: every quantity they read (column norms,
@@ -65,7 +65,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from ._linalg import spd_inverse
-from .dataset import DEGENERATE_REL_TOL, DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
+from .dataset import DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
 from .dataset import normalize_unit
 from .engine import (
     EXCLUDED,
@@ -253,11 +253,11 @@ class _Residual:
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
     the energy captured from it, ``||x_j||^2 - ||r_j||^2``.
 
-    Both rank tests live here.  :meth:`live_column` and
-    :meth:`mark_degenerate` exclude a candidate whose residual energy is at
-    most ``DEGENERATE_REL_TOL^2 ||X||^2``.  :meth:`commit` deflates only by
-    a column that keeps more than ``DEPENDENT_TOL`` of its own norm; the
-    test is per column so that it does not depend on the columns' scales.
+    The rank test lives here: column ``j`` lies in the selected span when
+    ``||r_j||^2 <= floor_sq[j] = DEPENDENT_TOL^2 ||x_j||^2``, the scale-free
+    test of :func:`~varsel.metrics.variance_explained`.  :meth:`live_column`
+    and :meth:`mark_degenerate` exclude such a candidate (a zero column from
+    the start), and :meth:`commit` does not deflate by it.
     """
 
     def __init__(self, data: Dataset, thin: bool):
@@ -265,7 +265,7 @@ class _Residual:
         self.x = _gram_root(data) if thin else data.values
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
-        self.degenerate_sq = (DEGENERATE_REL_TOL**2) * self.energy
+        self.floor_sq = DEPENDENT_TOL**2 * self.x_sqnorms
         self.excluded = np.zeros(data.v, dtype=bool)
         self.captured = 0.0
         self.spanned_sq = np.zeros(data.v)
@@ -276,18 +276,18 @@ class _Residual:
         return np.einsum("ij,ij->j", self.r, self.r)
 
     def mark_degenerate(self, sqnorms: np.ndarray) -> np.ndarray:
-        """Permanently exclude columns whose residual energy is gone."""
-        self.excluded |= sqnorms <= self.degenerate_sq
+        """Permanently exclude columns that lie in the selected span."""
+        self.excluded |= sqnorms <= self.floor_sq
         return self.excluded
 
     def live_column(self, candidate: int) -> tuple[np.ndarray, float] | None:
         """Residual column ``candidate`` and its squared norm, or ``None``
-        once the column is excluded (its energy being gone excludes it)."""
+        once the column is excluded (lying in the selected span excludes it)."""
         if self.excluded[candidate]:
             return None
         r = self.r[:, candidate]
         rr = float(r @ r)
-        if rr <= self.degenerate_sq:
+        if rr <= self.floor_sq[candidate]:
             self.excluded[candidate] = True
             return None
         return r, rr
@@ -295,14 +295,13 @@ class _Residual:
     def commit(self, candidate: int) -> bool:
         """Deflate by column ``candidate`` and record the energy captured.
 
-        A column already in the selected span (``||r_j|| <= DEPENDENT_TOL
-        ||x_j||``) captures nothing and leaves the residual as it is; the
-        first such pick (1-based) is kept in ``first_idle_pick``.  Returns
-        whether the residual was deflated.
+        A column already in the selected span captures nothing and leaves
+        the residual as it is; the first such pick (1-based) is kept in
+        ``first_idle_pick``.  Returns whether the residual was deflated.
         """
         self.excluded[candidate] = True
         r = self.r[:, candidate]
-        independent = float(r @ r) > DEPENDENT_TOL**2 * self.x_sqnorms[candidate]
+        independent = float(r @ r) > self.floor_sq[candidate]
         if independent:
             rr, coeffs = deflate_in_place(self.r, candidate)
             self.captured += rr * float(coeffs @ coeffs)
@@ -321,12 +320,11 @@ class _SelectorGain(GainFunction):
     at most once per step.  Every gain owns one :class:`_Residual` ``res``;
     committing a column deflates it, and its VE is the criterion for
     threshold stopping.  ``initial`` is the warm start the gain has already
-    committed, and ``setup_evals`` the evaluations spent choosing it.
+    committed.
     """
 
     res: _Residual
     initial: tuple[int, ...] = ()
-    setup_evals = 0
     warnings: tuple[str, ...] = ()
     _step: tuple[int, np.ndarray] | None = None
 
@@ -400,7 +398,7 @@ class _FosModGain(_SelectorGain):
 
     Columns already selected contribute zero because the residual is
     orthogonal to them; original columns with zero norm are left out of the
-    average and excluded from candidacy.
+    average (the residual's rank test excludes them from candidacy).
     """
 
     def __init__(self, data: Dataset):
@@ -409,7 +407,6 @@ class _FosModGain(_SelectorGain):
         self.inv_sqnorms = np.zeros_like(x_sqnorms)
         nonzero = x_sqnorms > 0.0
         self.inv_sqnorms[nonzero] = 1.0 / x_sqnorms[nonzero]
-        self.res.excluded |= ~nonzero
         self.v = data.v
 
     def step_scores(self, selected):
@@ -560,24 +557,24 @@ class _FsfpGain(_SelectorGain):
     Adding ``x_i`` to the selection raises the frame potential by
     ``<x_i, x_i>^2 + 2 sum_{j in S} <x_i, x_j>^2``; the gain is the
     negative of that increment, and the per-candidate inner-product sums
-    are maintained incrementally so each step's scores cost O(v).  The warm
-    start is the FSCA pick on the normalized data.
+    are maintained incrementally so each step's scores cost O(v).  The
+    first step scores FSCA's first-step criterion on the unit columns
+    instead, ``sum_j G_ij^2 / G_ii`` for their Gram ``G``, so the first pick
+    is FSCA's pick on the normalized data.
     """
 
     def __init__(self, data: Dataset):
         normalized = normalize_unit(data)
-        first = fsca_select(normalized, 1)
         self.gram = normalized.values.T @ normalized.values
         self.diag_sq = np.diag(self.gram) ** 2
         self.pair_sums = np.zeros(normalized.v)
         self.res = _Residual(data, thin=True)
         self.fp = 0.0
         self.fp_trace: list[float] = []
-        self.initial = (first.order[0] - 1,)
-        self.setup_evals = first.eval_count
-        self.commit(self.initial[0])
 
     def step_scores(self, selected):
+        if not selected:
+            return np.einsum("ij,ij->j", self.gram, self.gram) / np.diag(self.gram)
         return -(self.diag_sq + 2.0 * self.pair_sums)
 
     def commit(self, candidate: int) -> None:
@@ -675,7 +672,7 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
         order=tuple(i + 1 for i in run.order),
         ve_curve=VECurve(tuple(gain.res.trace)),
         native_trace=gain.native_trace(run.gains),
-        eval_count=gain.setup_evals + run.eval_count,
+        eval_count=run.eval_count,
         elapsed=elapsed,
         warnings=tuple(warnings),
     )
@@ -760,14 +757,14 @@ def fsfp_fsca_select(
     tau: float | None = None,
     engine: str = "greedy",
 ) -> SelectionResult:
-    """Frame-potential minimization seeded with the first FSCA pick.
+    """Frame-potential minimization from the first FSCA pick.
 
     Columns are scaled to unit norm (part of the algorithm; applied here
-    when the input is not already unit-norm).  The first variable is the
-    FSCA choice on the normalized data; each later step adds the candidate
-    whose inclusion increases the frame potential of the selection least.
-    The frame-potential gain is submodular, so ``engine="lazy"`` reproduces
-    the plain sequence exactly.
+    when the input is not already unit-norm).  The first step scores
+    FSCA's first-step criterion on the normalized data; each later step
+    adds the candidate whose inclusion increases the frame potential of the
+    selection least.  The frame-potential gain is submodular, so
+    ``engine="lazy"`` reproduces the plain sequence exactly.
     """
     return _select("fsfp-fsca", data, k, tau, lambda: _FsfpGain(data), engine)
 

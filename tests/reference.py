@@ -5,9 +5,12 @@ definition and with none of the package's shortcuts (no precision matrix,
 no factor reuse, no deflation, no triangular factor).  Most work in mpmath
 at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
-the package's round-off against it.  :func:`pfs_select` works in float64,
-by a QR projection and an SVD, so it is cheap enough to run on every PFS
-shape the tests use.
+the package's round-off against it.  :func:`fsca_select` and
+:func:`pfs_select` work in float64, by QR projections (and an SVD for
+PFS), so they are cheap enough to run on every shape the tests use.
+
+A column is a candidate while its residual against the selection keeps
+more than ``DEPENDENT_TOL`` of its own norm, the package's one rank test.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from varsel.dataset import DEGENERATE_REL_TOL, Dataset, selection_tuple
+from varsel.dataset import DEPENDENT_TOL, Dataset, selection_tuple
 from varsel.errors import RankDeficient
 
 DIGITS = 60
@@ -75,6 +78,46 @@ def itfs_denominators(cov: np.ndarray, sigma: float, selected) -> np.ndarray:
         return np.array([float(1 / inverse[t, t]) for t in range(len(unsel))])
 
 
+def _residual(x: np.ndarray, order) -> np.ndarray:
+    """``(I - P_S) x`` for the 0-based ``order``, with ``P_S`` the projection
+    onto those columns by a QR factorization of ``x_S``."""
+    if not order:
+        return x.copy()
+    q = np.linalg.qr(x[:, order])[0]
+    return x - q @ (q.T @ x)
+
+
+def _live(x: np.ndarray, residual: np.ndarray, order) -> np.ndarray:
+    """Unselected columns whose residual keeps more than ``DEPENDENT_TOL``
+    of their own norm."""
+    live = np.linalg.norm(residual, axis=0) > DEPENDENT_TOL * np.linalg.norm(x, axis=0)
+    live[list(order)] = False
+    return live
+
+
+def fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """FSCA's 1-based order and its VE curve, in percent.
+
+    Each step scores every candidate ``j`` by the VE of the projection of
+    ``X`` onto ``[X_S, x_j]``, by a QR factorization of those columns, and
+    picks the first best; the order ends early when no candidate is left.
+    """
+    x = data.values
+    energy = float(np.sum(x * x))
+    order, curve = [], []
+    for _ in range(k):
+        live = _live(x, _residual(x, order), order)
+        if not live.any():
+            break
+        scores = np.full(data.v, -np.inf)
+        for j in np.flatnonzero(live):
+            q = np.linalg.qr(x[:, order + [j]])[0]
+            scores[j] = 100.0 * float(np.sum((q.T @ x) ** 2)) / energy
+        order.append(int(np.argmax(scores)))
+        curve.append(float(scores[order[-1]]))
+    return tuple(i + 1 for i in order), np.array(curve)
+
+
 def pfs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
     """PFS's 1-based order and the score of each pick.
 
@@ -82,21 +125,15 @@ def pfs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
     projection onto the selected columns by a QR factorization of ``X_S``,
     and its first principal component ``p = s_1 u_1`` from the SVD of
     ``R``.  It picks the first best absolute correlation
-    ``|r_j^T p| / (||r_j|| ||p||)`` among the unselected columns whose
-    residual keeps more than ``DEGENERATE_REL_TOL^2 ||X||^2`` of energy; the
-    order ends early when no such column is left.
+    ``|r_j^T p| / (||r_j|| ||p||)`` among the candidates; the order ends
+    early when no candidate is left.
     """
     x = data.values
-    floor = DEGENERATE_REL_TOL**2 * float(np.sum(x * x))
     order, trace = [], []
     for _ in range(k):
-        residual = x.copy()
-        if order:
-            q = np.linalg.qr(x[:, order])[0]
-            residual -= q @ (q.T @ x)
+        residual = _residual(x, order)
         norms = np.linalg.norm(residual, axis=0)
-        live = norms**2 > floor
-        live[order] = False
+        live = _live(x, residual, order)
         if not live.any():
             break
         u, s, _ = np.linalg.svd(residual, full_matrices=False)

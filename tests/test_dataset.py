@@ -112,6 +112,17 @@ class TestCenterColumns:
     def test_constant_column_becomes_zero(self):
         data = center_columns(Dataset([[7.0], [7.0], [7.0]]))
         np.testing.assert_array_equal(data.values, np.zeros((3, 1)))
+        # Beside other columns the mean's round-off grows with the rows; a
+        # constant column must still centre to exact zeros, not to a
+        # constant vector (nor fail the centred-flag check).
+        for constant, m in ((12345.678, 5000), (100000.7, 1000), (100000.7, 5000),
+                            (1e6 + 0.1, 100), (1e6 + 0.1, 1000), (0.1, 1000)):
+            values = make_rng(m).normal(size=(m, 3))
+            values[:, 1] = constant
+            values[-1, 2] = values[0, 2]
+            data = center_columns(Dataset(values))
+            np.testing.assert_array_equal(data.values[:, 1], np.zeros(m))
+            assert np.ptp(data.values[:, 2]) > 0.0
 
     def test_original_unmodified(self):
         raw = Dataset([[1.0, 3.0], [3.0, 5.0]])

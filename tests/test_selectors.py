@@ -14,6 +14,7 @@ from varsel import (
     SelectionResult,
     SingularCovariance,
     ThresholdNeverReached,
+    ZeroColumn,
     center_columns,
     delta_mi,
     frame_potential,
@@ -36,6 +37,7 @@ from varsel.metrics import CovarianceModel, IndexSets, conditional_variances
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
+from reference import fsca_select as fsca_reference
 from reference import pfs_select as pfs_reference
 
 
@@ -45,6 +47,27 @@ def centered_sim1(seed):
 
 def centered_sim2(seed):
     return center_columns(gen_sim2(m=1000, u=25, v=50, seed=seed))
+
+
+def rescaled(data: Dataset, column: int, scale: float) -> Dataset:
+    """``data`` with its 1-based ``column`` multiplied by ``scale``."""
+    values = data.values.copy()
+    values[:, column - 1] *= scale
+    return Dataset(values, centered=True)
+
+
+#: Columns on which a candidacy floor relative to ``||X||``, instead of to
+#: the column's own norm, changes the FSCA, L-FSCA, FOS-MOD or PFS order
+#: once the column's scale is 1e-9 of the data or below.
+RESCALED_COLUMNS = [
+    pytest.param(center_columns(gen_sim1(m=500, seed=0)), 13, id="sim1-500-col13"),
+    pytest.param(center_columns(gen_sim1(m=500, seed=0)), 1, id="sim1-500-col1"),
+    pytest.param(center_columns(gen_sim2(m=300, u=10, v=30, seed=1)), 15, id="sim2-300x30-col15"),
+    pytest.param(center_columns(gen_sim2(m=300, u=10, v=30, seed=1)), 2, id="sim2-300x30-col2"),
+]
+
+#: Selectors whose candidacy is the residual's rank test.
+EXCLUDING = ("fsca", "lfsca", "fosmod", "pfs")
 
 
 def basis_of(columns: np.ndarray) -> OrthonormalBasis:
@@ -290,6 +313,28 @@ class TestFsca:
             result = fsca_select(centered_sim1(seed), 2)
             hits += set(result.order) == {25, 26}
         assert hits >= 9
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(center_columns(gen_sim1(m=200, seed=0)), id="sim1-200-seed0"),
+            pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
+            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
+            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=2)), id="sim2-200x30-seed2"),
+            pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
+        ],
+    )
+    def test_order_matches_reference(self, data):
+        result = fsca_select(data, 12)
+        order, curve = fsca_reference(data, 12)
+        assert result.order == order
+        np.testing.assert_allclose(result.ve_curve.values, curve, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("data, column", RESCALED_COLUMNS)
+    def test_rescaled_column_matches_reference(self, data, column):
+        for scale in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            scaled = rescaled(data, column, scale)
+            assert fsca_select(scaled, 8).order == fsca_reference(scaled, 8)[0], scale
 
 
 class TestLfsca:
@@ -539,6 +584,58 @@ class TestTriangularFactor:
 
 
 # =========================================================================
+# The shared rank test: candidacy is per column
+# =========================================================================
+
+
+class TestRankTest:
+    @pytest.mark.parametrize("name", EXCLUDING)
+    def test_tiny_independent_column_is_selected(self, name):
+        # Column 4 at 1e-12 of the others is independent by the per-column
+        # test that variance_explained applies, so it is a candidate.
+        values = np.random.default_rng(0).normal(size=(50, 4))
+        values -= values.mean(axis=0)
+        values[:, 3] *= 1e-12
+        data = Dataset(values, centered=True)
+        assert variance_explained(data, (1, 2, 3, 4)) == pytest.approx(100.0)
+        result = ALGORITHMS[name](data, 4)
+        assert sorted(result.order) == [1, 2, 3, 4]
+        assert result.warnings == ()
+
+    @pytest.mark.parametrize("name", EXCLUDING)
+    @pytest.mark.parametrize("data, column", RESCALED_COLUMNS)
+    def test_order_invariant_to_one_column_scale(self, name, data, column):
+        select = ALGORITHMS[name]
+        expected = select(rescaled(data, column, 1e-6), 8).order
+        for scale in (1e-8, 1e-9, 1e-10, 1e-12, 1e-14):
+            assert select(rescaled(data, column, scale), 8).order == expected, scale
+
+    def test_fosmod_never_picks_a_zero_column(self):
+        values = random_dataset(30, 5, seed=39).values.copy()
+        values[:, 2] = 0.0
+        result = fosmod_select(Dataset(values, centered=True), 5)
+        assert sorted(result.order) == [1, 2, 4, 5]
+        assert result.warnings == (
+            "selection stopped early: every remaining column lies in the selected span",
+        )
+
+    @pytest.mark.parametrize("constant", [1000.1, 0.1])
+    def test_constant_column(self, constant):
+        # A constant column centres to exact zeros: the unit-norm selectors
+        # reject it by name, and the others never pick it.
+        values = gen_sim1(m=1000, seed=0).values.copy()
+        values[:, 5] = constant
+        data = center_columns(Dataset(values))
+        for select in (fsfp_fsca_select, ufs_select):
+            with pytest.raises(ZeroColumn) as info:
+                select(data, 5)
+            assert info.value.index == 6
+        for name in EXCLUDING:
+            result = ALGORITHMS[name](data, 26)
+            assert 6 not in result.order and len(result.order) == 25
+
+
+# =========================================================================
 # ITFS
 # =========================================================================
 
@@ -665,6 +762,14 @@ class TestFsfpFsca:
             data = random_dataset(40, 8, seed=seed)
             unit = normalize_unit(data)
             assert fsfp_fsca_select(data, 4).order[0] == fsca_select(unit, 1).order[0]
+
+    def test_nonpositive_threshold_selects_nothing(self):
+        # As for the other threshold-mode selectors: the empty selection
+        # already explains 0%.
+        data = random_dataset(30, 5, seed=38)
+        for tau in (0.0, -1.0):
+            result = fsfp_fsca_select(data, tau=tau)
+            assert (result.order, result.native_trace, result.eval_count) == ((), (), 0)
 
     def test_orthonormal_ascends_after_first(self):
         data = orthonormal_dataset(7)
