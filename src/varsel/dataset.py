@@ -32,9 +32,6 @@ from .errors import EmptyFile, ParseError, RaggedRows, ZeroColumn
 #: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
 FLAG_TOL = 1e-9
 
-#: Columns with norm at or below this are treated as zero by normalization.
-ZERO_NORM_TOL = 1e-12
-
 #: A column whose residual against the columns before it keeps at most this
 #: fraction of its own norm is dependent on them: a scale-free test.
 DEPENDENT_TOL = 1e-10
@@ -185,13 +182,14 @@ def normalize_unit(data: Dataset) -> Dataset:
     Raises
     ------
     ZeroColumn
-        If any column norm is at or below ``ZERO_NORM_TOL`` (1-based index of
-        the first offender).
+        If any column norm is zero (1-based index of the first offender),
+        as is every constant column after centering: the only columns the
+        per-column ``DEPENDENT_TOL`` test rejects before any selection.
     """
     if data.unit_norm:
         return data
     norms = np.linalg.norm(data.values, axis=0)
-    bad = np.nonzero(norms <= ZERO_NORM_TOL)[0]
+    bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise ZeroColumn(int(bad[0]) + 1)
     values = data.values / norms

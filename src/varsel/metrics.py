@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import spd_logdet, spd_solve
+from ._linalg import spd_inverse, spd_logdet, spd_solve
 from .dataset import DEPENDENT_TOL, Dataset, IndexSets, selection_tuple
 from .errors import LengthMismatch, RankDeficient, ThresholdNeverReached
 
@@ -99,16 +99,18 @@ class CovarianceModel:
         """A new copy of ``A_II`` for 0-based ``index``, where ``A = cov + s^2 I``
         is the regularized covariance that all conditioning uses."""
         index = np.asarray(index, dtype=int)
-        out = self.cov[np.ix_(index, index)]
+        out = self.cov[index[:, None], index]
         out.flat[:: index.size + 1] += self.sigma_noise**2
         return out
 
     @cached_property
-    def logdet(self) -> float:
-        """``log det A``, by the same Cholesky path as every block: a singular
-        ``A`` makes every mutual information infinite, so it raises
-        :class:`SingularCovariance`."""
-        return spd_logdet(self.block(range(self.v)))
+    def precision(self) -> np.ndarray:
+        """The precision matrix ``P = A^{-1}`` (read-only), by the same
+        Cholesky path as every block: a singular ``A`` makes every mutual
+        information infinite, so it raises :class:`SingularCovariance`."""
+        precision = spd_inverse(self.block(range(self.v)))
+        precision.setflags(write=False)
+        return precision
 
     @classmethod
     def from_dataset(cls, data: Dataset, sigma: float | None = None) -> "CovarianceModel":
@@ -235,24 +237,24 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     """Mutual information (nats) between the selection and its complement.
 
     For the Gaussian model with regularized covariance ``A = Sigma + s^2 I``,
-    ``MI(S; U) = (log det A_SS + log det A_UU - log det A) / 2``, each
-    log-determinant from a Cholesky factorization (``log det A`` once per
-    model).
+    ``MI(S; U) = (log det A_SS + log det A_UU - log det A) / 2``.  Since
+    ``det A = det A_UU / det P_SS`` for the precision matrix ``P = A^{-1}``
+    (``(P_SS)^{-1}`` is the Schur complement of ``A_UU`` in ``A``), it is
+    computed as ``(log det A_SS + log det P_SS) / 2``: two k x k Cholesky
+    factorizations per subset, with ``P`` inverted once per model.
 
     Raises
     ------
     SingularCovariance
-        If ``A`` is singular (the mutual information is infinite).  A block
-        of a positive-definite ``A`` is positive definite, so a block fails
-        Cholesky only when ``A`` does; none is retried with jitter.
+        If ``A`` is singular (the mutual information is infinite).  Blocks
+        of the positive-definite ``A`` and ``P`` are positive definite, so
+        none is retried with jitter.
     """
     sel0 = np.array(selection_tuple(selected, model.v), dtype=int) - 1
     if not 0 < sel0.size < model.v:
         raise ValueError("mutual information requires a non-empty selection and complement")
-    rest = np.ones(model.v, dtype=bool)
-    rest[sel0] = False
-    logdets = spd_logdet(model.block(sel0)) + spd_logdet(model.block(np.flatnonzero(rest)))
-    return 0.5 * (logdets - model.logdet)
+    precision_block = model.precision[sel0[:, None], sel0]
+    return 0.5 * (spd_logdet(model.block(sel0)) + spd_logdet(precision_block))
 
 
 def delta_mi(model: CovarianceModel, sets: IndexSets, candidate: int) -> float:

@@ -61,6 +61,14 @@ TABULATION_LIMIT = 12
 
 _CHUNK = 2048
 
+#: Float64 entries in one stacked QR of the ``ve`` scorer: a subset of
+#: ``k`` columns of the ``r x v`` Gram root holds about ``k (3r + v)`` (the
+#: gathered columns, LAPACK's copy of them, ``Q`` and ``Q^T root``).
+_QR_ENTRIES = 1 << 19
+
+#: Pairs scored per array in one pass of :func:`submodularity_ratio`.
+_GAMMA_ENTRIES = 1 << 15
+
 #: Subset values within this fraction of each other tie: round-off cannot order them.
 _TIE_REL_TOL = 1e-12
 
@@ -259,7 +267,9 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
         energy = float(np.linalg.norm(data.values)) ** 2
 
         def score(idx):
-            return 100.0 * _captured_energy(root, idx)[0] / energy
+            rows = max(1, _QR_ENTRIES // (idx.shape[1] * (3 * root.shape[0] + root.shape[1])))
+            parts = np.split(idx, range(rows, len(idx), rows))
+            return 100.0 * np.concatenate([_captured_energy(root, p)[0] for p in parts]) / energy
     return score, METRIC_MAXIMIZE[metric]
 
 
@@ -383,27 +393,43 @@ def submodularity_ratio(table: TabulatedSetFunction) -> float:
     Pairs whose joint gain is numerically zero are vacuous and skipped;
     submodular functions give 1, and the singleton pairs keep the ratio
     from exceeding 1 whenever any informative pair exists.
+
+    The bases ``L`` with ``c`` free variables are scored together, in
+    chunks of at most ``_GAMMA_ENTRIES`` pairs: every subset ``S`` of the
+    free variables and its numerator are built by doubling over the free
+    variables in increasing order, so each numerator is summed in that
+    order whatever the chunking.
     """
     values = table.values
     v = table.v
     scale = max(1.0, float(np.max(np.abs(values))))
     tol = 1e-12 * scale
+    masks = np.arange(2**v)
+    free = ((masks[:, None] >> np.arange(v)) & 1) == 0
+    n_free = free.sum(axis=1)
     worst = math.inf
-    for base in range(2**v):
-        comp = [b for b in range(v) if not base & (1 << b)]
-        if not comp:
-            continue
-        sub_masks = np.zeros(1, dtype=np.int64)
-        numerators = np.zeros(1)
-        for b in comp:
-            single_gain = float(values[base | (1 << b)] - values[base])
-            sub_masks = np.concatenate([sub_masks, sub_masks | (1 << b)])
-            numerators = np.concatenate([numerators, numerators + single_gain])
-        joint = values[base | sub_masks] - values[base]
-        usable = joint > tol
-        usable[0] = False
-        if usable.any():
-            worst = min(worst, float((numerators[usable] / joint[usable]).min()))
+    for c in range(1, v + 1):
+        width = 1 << c
+        rows = n_free == c
+        bases = masks[rows]
+        free_bits = 1 << np.nonzero(free[rows])[1].reshape(-1, c)
+        step = _GAMMA_ENTRIES // width
+        for start in range(0, bases.size, step):
+            base = bases[start : start + step]
+            bits = free_bits[start : start + step]
+            base_value = values[base][:, None]
+            sub_masks = np.zeros((base.size, width), dtype=np.int64)
+            numerators = np.zeros((base.size, width))
+            for j in range(c):
+                half = 1 << j
+                single_gain = values[base | bits[:, j]][:, None] - base_value
+                sub_masks[:, half : 2 * half] = sub_masks[:, :half] | bits[:, j : j + 1]
+                numerators[:, half : 2 * half] = numerators[:, :half] + single_gain
+            joint = values[base[:, None] | sub_masks] - base_value
+            usable = joint > tol
+            usable[:, 0] = False
+            if usable.any():
+                worst = min(worst, float((numerators[usable] / joint[usable]).min()))
     if worst is math.inf:
         return 1.0
     return float(max(0.0, worst))

@@ -64,7 +64,6 @@ from time import perf_counter
 import numpy as np
 from scipy.linalg import eigh
 
-from ._linalg import spd_inverse
 from .dataset import DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
 from .dataset import normalize_unit
 from .engine import (
@@ -520,29 +519,35 @@ class _ItfsGain(_SelectorGain):
     model with isotropic noise regularization.
 
     The gain holds the covariance model, whose regularized covariance is
-    ``A = cov + s^2 I``, and its precision matrix ``P = A^{-1}``, inverted
-    once per run.  Per step, :func:`~varsel.metrics.conditional_variances`
+    ``A = cov + s^2 I`` and whose precision matrix ``P = A^{-1}`` is
+    inverted once per run (``model.precision``, which mutual information
+    also reads).  Per step, :func:`~varsel.metrics.conditional_variances`
     gives every numerator from one factorization of the selected block
     ``A_SS``.  The posterior variance of ``x_i`` given the rest of the
     unselected block is ``1 / ((A_UU)^{-1})_ii``, and since
     ``(A_UU)^{-1} = P_UU - P_US P_SS^{-1} P_SU`` every denominator comes
     from one factorization of ``P_SS``: a step costs O(k^2 v), not the
     O(v^3) of inverting ``A_UU``.
+
+    A zero column (a constant one, after centering) scores ``s^2 / s^2 = 1``
+    but adds no variance, so the residual's rank test excludes it from the
+    start; ITFS applies no other rank test.
     """
 
     def __init__(self, data: Dataset, sigma: float | None):
         if sigma is not None and not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.model = CovarianceModel.from_dataset(data, sigma)
-        self.precision = spd_inverse(self.model.block(range(self.model.v)))
         self.res = _Residual(data, thin=True)
+        self.res.mark_degenerate(self.res.x_sqnorms)
 
     def step_scores(self, selected):
         model = self.model
         unsel = np.setdiff1d(np.arange(model.v), selected)
         scores = np.full(model.v, EXCLUDED)
         numerators = conditional_variances(model, selected, unsel)
-        scores[unsel] = numerators * _schur_diagonal(self.precision, selected, unsel)
+        scores[unsel] = numerators * _schur_diagonal(model.precision, selected, unsel)
+        scores[self.res.excluded] = EXCLUDED
         return scores
 
 

@@ -59,6 +59,15 @@ def subset_ve(data: Dataset, selected) -> float:
         return float(100 * captured / mpmath.fsum(a * a for a in x))
 
 
+def _regularized_block(cov: np.ndarray, sigma: float, index) -> mpmath.matrix:
+    """``A_II`` of ``A = cov + sigma^2 I`` as an mpmath matrix (call inside
+    ``workdps``)."""
+    noise = mpmath.mpf(float(sigma)) ** 2
+    return mpmath.matrix(
+        [[mpmath.mpf(float(cov[i, j])) + (noise if i == j else 0) for j in index] for i in index]
+    )
+
+
 def itfs_denominators(cov: np.ndarray, sigma: float, selected) -> np.ndarray:
     """ITFS denominators ``var(x_i | U \\ x_i) = 1 / ((A_UU)^{-1})_ii`` for
     every unselected column ``i``, in increasing order of ``i``.
@@ -70,12 +79,23 @@ def itfs_denominators(cov: np.ndarray, sigma: float, selected) -> np.ndarray:
     chosen = {int(i) for i in selected}
     unsel = [i for i in range(cov.shape[0]) if i not in chosen]
     with mpmath.workdps(DIGITS):
-        noise = mpmath.mpf(float(sigma)) ** 2
-        block = mpmath.matrix(
-            [[mpmath.mpf(float(cov[i, j])) + (noise if i == j else 0) for j in unsel] for i in unsel]
-        )
-        inverse = mpmath.inverse(block)
+        inverse = mpmath.inverse(_regularized_block(cov, sigma, unsel))
         return np.array([float(1 / inverse[t, t]) for t in range(len(unsel))])
+
+
+def mutual_information(cov: np.ndarray, sigma: float, selected) -> float:
+    """Gaussian mutual information (nats) between the 0-based ``selected``
+    variables and the rest, ``(log det A_SS + log det A_UU - log det A) / 2``
+    with ``A = cov + sigma^2 I``, each determinant by LU factorization."""
+    chosen = sorted({int(i) for i in selected})
+    v = cov.shape[0]
+    rest = [i for i in range(v) if i not in chosen]
+    with mpmath.workdps(DIGITS):
+        logdets = [
+            mpmath.log(mpmath.det(_regularized_block(cov, sigma, index)))
+            for index in (chosen, rest, range(v))
+        ]
+        return float((logdets[0] + logdets[1] - logdets[2]) / 2)
 
 
 def _residual(x: np.ndarray, order) -> np.ndarray:

@@ -33,6 +33,7 @@ from varsel.metrics import conditional_variances
 from varsel.oracle import subset_scorer
 
 from conftest import make_rng, random_dataset
+from reference import mutual_information as reference_mi
 from reference import project_onto, subset_ve
 
 
@@ -281,6 +282,30 @@ class TestMutualInformation:
                 expected = 0.5 * (np.linalg.slogdet(prior)[1] - np.linalg.slogdet(posterior)[1])
                 got = mutual_information(model, tuple(sel0 + 1))
                 assert got == pytest.approx(expected, abs=1e-10)
+
+    @staticmethod
+    def max_relative_error(model, seed):
+        """Largest relative error of 20 random subsets against 60 digits."""
+        rng = make_rng(seed)
+        errors = []
+        for _ in range(20):
+            sel0 = np.sort(rng.choice(model.v, size=int(rng.integers(1, model.v)), replace=False))
+            expected = reference_mi(model.cov, model.sigma_noise, sel0)
+            errors.append(abs(mutual_information(model, tuple(sel0 + 1)) - expected) / expected)
+        return max(errors)
+
+    def test_matches_reference_at_default_sigma(self):
+        data = center_columns(gen_sim2(m=300, u=6, v=16, seed=1))
+        assert self.max_relative_error(CovarianceModel.from_dataset(data), seed=21) <= 1e-12
+
+    @pytest.mark.parametrize("ratio, bound", [(1e-4, 1e-8), (1e-6, 1e-4)])
+    def test_envelope_on_rank_four_covariance(self, ratio, bound):
+        # sigma at 1e-4 and 1e-6 of the variable scale on a rank-4 covariance
+        # (README "Numerical envelope" gives the measured errors).
+        data = center_columns(gen_sim2(m=300, u=4, v=16, seed=1, noise_sd=0.0))
+        cov = CovarianceModel.from_dataset(data).cov
+        model = CovarianceModel(cov, ratio * math.sqrt(float(np.mean(np.diag(cov)))))
+        assert self.max_relative_error(model, seed=22) <= bound
 
 
 class TestDeltaMi:

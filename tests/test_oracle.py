@@ -366,6 +366,18 @@ def independent_submodularity_ratio(table):
     return max(0.0, worst)
 
 
+def random_monotone_table(v, seed):
+    """Uniform random values made monotone by a subset-max transform: each
+    subset takes the largest value of its subsets, so most are not
+    submodular."""
+    values = make_rng(seed).random(2**v)
+    masks = np.arange(2**v)
+    for b in range(v):
+        with_bit = masks[(masks >> b) & 1 == 1]
+        values[with_bit] = np.maximum(values[with_bit], values[with_bit ^ (1 << b)])
+    return TabulatedSetFunction(v, values)
+
+
 class TestSubmodularityRatio:
     def test_submodular_reaches_one(self):
         for seed in range(6):
@@ -394,18 +406,15 @@ class TestSubmodularityRatio:
         assert submodularity_ratio(table) < 1.0 - 1e-3
 
     def test_matches_independent_enumeration(self):
-        # [DERIVED] literal disjoint-pair double loop.
-        for seed in range(4):
-            table = TabulatedSetFunction.from_callable(5, coverage_function(seed, v=5))
-            assert submodularity_ratio(table) == pytest.approx(
-                independent_submodularity_ratio(table), abs=1e-12
-            )
+        # [DERIVED] literal disjoint-pair double loop.  Both sum each
+        # numerator over S in increasing variable order, so they agree exactly.
+        tables = [TabulatedSetFunction.from_callable(5, coverage_function(seed, v=5)) for seed in range(4)]
         gram = np.array([[1.0, 0.6, -0.5], [0.6, 1.0, 0.2], [-0.5, 0.2, 1.0]])
         data = dataset_from_gram(gram)
-        table = TabulatedSetFunction.from_callable(3, lambda s: variance_explained(data, s))
-        assert submodularity_ratio(table) == pytest.approx(
-            independent_submodularity_ratio(table), abs=1e-12
-        )
+        tables.append(TabulatedSetFunction.from_callable(3, lambda s: variance_explained(data, s)))
+        tables += [random_monotone_table(v, seed=v) for v in range(1, 9)]
+        for table in tables:
+            assert submodularity_ratio(table) == independent_submodularity_ratio(table)
 
     def test_fp_difference_function_is_submodular(self):
         # The complement-set view of the frame-potential difference grows

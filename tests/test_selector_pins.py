@@ -364,7 +364,7 @@ def test_itfs_denominators_match_reference(noise_sd, pinned):
     for step in range(len(order)):
         selected = order[:step]
         unsel = np.setdiff1d(np.arange(gain.model.v), selected)
-        denominators = 1.0 / _schur_diagonal(gain.precision, selected, unsel)
+        denominators = 1.0 / _schur_diagonal(gain.model.precision, selected, unsel)
         expected = itfs_denominators(gain.model.cov, gain.model.sigma_noise, selected)
         np.testing.assert_allclose(denominators, expected, rtol=1e-11, atol=0.0)
 
