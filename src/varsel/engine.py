@@ -138,8 +138,8 @@ def _validate(v: int, stop: StoppingRule, initial: Sequence[int]) -> list[int]:
     if isinstance(stop, Cardinality):
         if stop.k > v:
             raise ValueError(f"k={stop.k} exceeds the {v} candidates")
-        if stop.k <= len(init):
-            raise ValueError(f"k={stop.k} does not exceed the warm start size {len(init)}")
+        if stop.k < len(init):
+            raise ValueError(f"k={stop.k} is below the warm start size {len(init)}")
     return init
 
 

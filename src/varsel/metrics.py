@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import spd_inverse, spd_logdet, spd_solve
 from .dataset import DEPENDENT_TOL, Dataset, IndexSets, selection_tuple
-from .errors import LengthMismatch, RankDeficient, ThresholdNeverReached
+from .errors import LengthMismatch, ThresholdNeverReached
 
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
 RANK_TIE_TOL = 1e-9
@@ -136,15 +136,16 @@ def default_sigma(cov: np.ndarray) -> float:
 # =========================================================================
 
 
-def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """``||Q_S^T root||^2`` for each row ``S`` of the ``(n, k)`` 0-based
-    ``subsets``, and whether ``S`` is independent; with ``root^T root =
-    X^T X`` it is the energy of ``X`` in the span of ``X_S``.
+    ``subsets``; with ``root^T root = X^T X`` it is the energy of ``X`` in
+    the span of ``X_S``.
 
     ``Q_S R_S`` is a Householder QR of ``root[:, S]``.  Column ``j`` is
     dependent when ``|R_jj|``, its residual against the columns before it,
     is at most ``DEPENDENT_TOL ||root_j||``, or when ``j`` is past the row
-    count; past it ``Q_S`` leaves the span, so ``S`` is scored without it.
+    count; it adds nothing to the span, so ``S`` is scored without its
+    first dependent column.
     """
     n, k = subsets.shape
     q, r = np.linalg.qr(np.swapaxes(root.T[subsets], 1, 2))
@@ -153,32 +154,31 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray,
     dependent = diagonal <= DEPENDENT_TOL * np.linalg.norm(root, axis=0)[subsets]
     coords = np.matmul(np.swapaxes(q, 1, 2), root)
     captured = np.einsum("nkv,nkv->n", coords, coords)
-    independent = ~dependent.any(axis=1)
-    redo = np.flatnonzero(~independent)
+    redo = np.flatnonzero(dependent.any(axis=1))
     if redo.size:
         keep = np.arange(k) != dependent[redo].argmax(axis=1)[:, None]
-        captured[redo] = _captured_energy(root, subsets[redo][keep].reshape(redo.size, k - 1))[0]
-    return captured, independent
+        captured[redo] = _captured_energy(root, subsets[redo][keep].reshape(redo.size, k - 1))
+    return captured
 
 
 def variance_explained(data: Dataset, selected) -> float:
     """Percentage of total variance captured by projecting onto a selection.
 
     ``VE = 100 ||Q_S^T X||_F^2 / ||X||_F^2``, ``Q_S`` an orthonormal basis of
-    the selected columns from their Householder QR: the energy of the
-    least-squares reconstruction from them, at O(mk(k + v)) cost.  The
-    empty selection scores 0.
+    the span of the selected columns from their Householder QR: the energy
+    of the least-squares reconstruction from them, at O(mk(k + v)) cost.
+    The empty selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
-    against the columns before it raises :class:`RankDeficient`.
+    against the columns before it lies in their span and adds nothing: a
+    dependent selection scores the VE of its span, as the oracle's ``ve``
+    scorer does.
     """
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    captured, independent = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
-    if not independent[0]:
-        raise RankDeficient(sel)
+    captured = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
     return 100.0 * float(captured[0]) / float(np.linalg.norm(data.values)) ** 2
 
 

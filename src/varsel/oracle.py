@@ -269,7 +269,7 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
         def score(idx):
             rows = max(1, _QR_ENTRIES // (idx.shape[1] * (3 * root.shape[0] + root.shape[1])))
             parts = np.split(idx, range(rows, len(idx), rows))
-            return 100.0 * np.concatenate([_captured_energy(root, p)[0] for p in parts]) / energy
+            return 100.0 * np.concatenate([_captured_energy(root, p) for p in parts]) / energy
     return score, METRIC_MAXIMIZE[metric]
 
 
@@ -498,10 +498,13 @@ def compare_to_optimal(
     head is scored by the same :func:`subset_scorer` as the search (``sigma``
     as passed to :func:`exhaustive_optimal`), and the ratio is oriented so
     1.0 is parity for minimized metrics too.
+
+    A head shorter than ``optimal.k`` is scored as it is.  A selector
+    returns one when it stopped at the numerical rank, so the head spans
+    every column: under ``"ve"`` it reaches the optimum, while under
+    ``"fp"`` and ``"mi"`` the ratio compares subsets of different sizes.
     """
     head = tuple(int(i) for i in order)[: optimal.k]
-    if len(head) < optimal.k:
-        raise ValueError(f"order has {len(head)} entries, optimum has {optimal.k}")
     n_common = len(set(head) & optimal.indices)
     achieved: float | None = None
     ratio: float | None = None

@@ -70,7 +70,6 @@ from .engine import (
     EXCLUDED,
     Cardinality,
     GainFunction,
-    GreedyRun,
     StoppingRule,
     Threshold,
     greedy_select,
@@ -291,24 +290,22 @@ class _Residual:
             return None
         return r, rr
 
-    def commit(self, candidate: int) -> bool:
+    def commit(self, candidate: int) -> None:
         """Deflate by column ``candidate`` and record the energy captured.
 
         A column already in the selected span captures nothing and leaves
         the residual as it is; the first such pick (1-based) is kept in
-        ``first_idle_pick``.  Returns whether the residual was deflated.
+        ``first_idle_pick``.
         """
         self.excluded[candidate] = True
         r = self.r[:, candidate]
-        independent = float(r @ r) > self.floor_sq[candidate]
-        if independent:
+        if float(r @ r) > self.floor_sq[candidate]:
             rr, coeffs = deflate_in_place(self.r, candidate)
             self.captured += rr * float(coeffs @ coeffs)
             self.spanned_sq += rr * (coeffs * coeffs)
         elif self.first_idle_pick is None:
             self.first_idle_pick = len(self.trace) + 1
         self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
-        return independent
 
 
 class _SelectorGain(GainFunction):
@@ -603,9 +600,10 @@ class _UfsGain(_SelectorGain):
     ``R^2(x_i, X_S)`` is the share of ``||x_i||^2`` that the deflations
     captured, ``spanned_sq[i] / ||x_i||^2``: a sum of positive terms, so a
     small ``R^2`` keeps the relative precision that
-    ``1 - ||r_i||^2 / ||x_i||^2`` would lose.
-    Committing a dependent column raises :class:`RankDeficient`.  The warm
-    start is the least correlated column pair.
+    ``1 - ||r_i||^2 / ||x_i||^2`` would lose.  A column that the residual's
+    rank test puts in the selected span (``R^2`` of 1) is excluded, so the
+    selection stops at the numerical rank.  The warm start is the least
+    correlated column pair.
     """
 
     def __init__(self, data: Dataset):
@@ -616,17 +614,15 @@ class _UfsGain(_SelectorGain):
         self.initial = _least_correlated_pair(gram)
         self.pair_value = abs(float(gram[self.initial]))
         self.res = _Residual(data, thin=False)
-        self.committed: list[int] = []
         for i in self.initial:
             self.commit(i)
 
     def step_scores(self, selected):
-        return -self.res.spanned_sq / self.res.x_sqnorms
-
-    def commit(self, candidate: int) -> None:
-        if not self.res.commit(candidate):
-            raise RankDeficient(tuple(i + 1 for i in self.committed) + (candidate + 1,))
-        self.committed.append(candidate)
+        res = self.res
+        excluded = res.mark_degenerate(res.sqnorms())
+        scores = -res.spanned_sq / res.x_sqnorms
+        scores[excluded] = EXCLUDED
+        return scores
 
     def native_trace(self, gains):
         return (self.pair_value, self.pair_value) + tuple(-g for g in gains[2:])
@@ -651,7 +647,8 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
 
     ``make_gain()`` builds the gain, preprocessing and warm start included,
     inside the timed region.  ``k`` may not be below the warm start's size;
-    when it equals it, the warm start is the result and no engine runs.
+    when it equals it, the engine returns the warm start with no
+    evaluation.
     """
     if not data.centered:
         raise ValueError(f"{name} requires centered data (apply center_columns first)")
@@ -661,17 +658,14 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
         raise ValueError(f"engine must be one of {sorted(engines)}, got {engine!r}")
     gain = make_gain()
     stop = _make_stop(k, tau, data.v, min_k=max(1, len(gain.initial)))
-    if isinstance(stop, Cardinality) and stop.k == len(gain.initial):
-        run = GreedyRun(gain.initial, (math.nan,) * stop.k, 0)
-    else:
-        run = engines[engine](gain, data.v, stop, initial=gain.initial)
+    run = engines[engine](gain, data.v, stop, initial=gain.initial)
     elapsed = perf_counter() - started
     warnings = list(gain.warnings)
-    if run.exhausted:
-        warnings.insert(0, "selection stopped early: every remaining column lies in the selected span")
-    elif gain.res.first_idle_pick is not None:
+    if gain.res.first_idle_pick is not None:
         pick = gain.res.first_idle_pick
         warnings.insert(0, f"pick {pick} adds no variance: it lies in the span of the earlier picks")
+    if run.exhausted:
+        warnings.insert(0, "selection stopped early: every remaining column lies in the selected span")
     return SelectionResult(
         algorithm=name,
         order=tuple(i + 1 for i in run.order),
@@ -786,7 +780,8 @@ def ufs_select(
     Columns are scaled to unit norm (applied here when needed).  The first
     two variables are the least-correlated column pair; each later step
     adds the candidate with the smallest squared multiple correlation
-    with the selected columns.  The underlying set
+    with the selected columns; a column in their span is never added, so
+    the selection stops at the numerical rank.  The underlying set
     function is submodular, so ``engine="lazy"`` reproduces the plain
     sequence exactly.
 

@@ -161,6 +161,5 @@ class SimSpec:
 
 def dataset_from_spec(spec: SimSpec) -> Dataset:
     """Materialize the dataset a :class:`SimSpec` describes."""
-    if spec.family == "sim1":
-        return gen_sim1(spec.m, spec.seed, **spec.params)
-    return gen_sim2(spec.m, seed=spec.seed, **{"u": 25, "v": 50, **spec.params})
+    generate = gen_sim1 if spec.family == "sim1" else gen_sim2
+    return generate(spec.m, seed=spec.seed, **spec.params)

@@ -286,22 +286,24 @@ class TestRunBenchmark:
             run_benchmark(small_config(k_max=13))
 
     def test_cell_error_captured(self, tmp_path):
+        # A constant column has no unit-norm version, so ufs raises
+        # ZeroColumn; fsca never picks it.
         rng = make_rng(5)
         x = rng.normal(size=(40, 4))
-        x[:, 3] = x[:, 0] + x[:, 1]
-        path = tmp_path / "deficient.csv"
+        x[:, 3] = 1.0
+        path = tmp_path / "constant.csv"
         save_csv(Dataset(x), path)
         config = small_config(
-            datasets=(DatasetSource(name="deficient", csv_path=str(path)),),
+            datasets=(DatasetSource(name="constant", csv_path=str(path)),),
             algorithms=(AlgoConfig("fsca"), AlgoConfig("ufs")),
             k_max=4,
         )
         report = run_benchmark(config)
         assert report.has_errors
-        bad = report.cell("deficient", "ufs")
+        bad = report.cell("constant", "ufs")
         assert bad.error is not None and "seed" in bad.error
         assert bad.auc is None
-        good = report.cell("deficient", "fsca")
+        good = report.cell("constant", "fsca")
         assert good.error is None
 
     def test_determinism(self):
@@ -400,11 +402,11 @@ class TestReports:
     def test_csv_error_cell_blank_fields(self, tmp_path):
         rng = make_rng(6)
         x = rng.normal(size=(30, 4))
-        x[:, 3] = x[:, 0] - x[:, 1]
-        data_path = tmp_path / "deficient.csv"
+        x[:, 3] = 1.0
+        data_path = tmp_path / "constant.csv"
         save_csv(Dataset(x), data_path)
         config = small_config(
-            datasets=(DatasetSource(name="deficient", csv_path=str(data_path)),),
+            datasets=(DatasetSource(name="constant", csv_path=str(data_path)),),
             algorithms=(AlgoConfig("ufs"),),
             k_max=4,
         )

@@ -452,12 +452,12 @@ class TestBench:
     def test_error_cell_exit_code(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 4))
-        x[:, 3] = x[:, 0] + x[:, 1]
-        data_path = tmp_path / "deficient.csv"
+        x[:, 3] = 1.0
+        data_path = tmp_path / "constant.csv"
         save_csv(Dataset(x), data_path)
         config = write_bench_config(
             tmp_path,
-            datasets=[{"name": "deficient", "csv_path": str(data_path)}],
+            datasets=[{"name": "constant", "csv_path": str(data_path)}],
             algorithms=[{"name": "ufs"}],
             k_max=4,
             thresholds=[95.0],
@@ -466,7 +466,7 @@ class TestBench:
             capsys, "bench", "--config", config, "--output", str(tmp_path / "r.json")
         )
         assert code == 2
-        assert "cell failed: deficient/ufs" in err
+        assert "cell failed: constant/ufs" in err
 
     def test_invalid_json_config(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -628,6 +628,37 @@ class TestOracle:
         )
         assert code == 0, err
         comparison = json.loads(out)["comparison"]
+        assert comparison["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.fixture
+    def rank_three_csv(self, capsys, tmp_path):
+        # Noise-free sim2 300 x 8 with rank 3.
+        path = str(tmp_path / "nf.csv")
+        code, _, err = run_cli(
+            capsys, "gen", "sim2", "--m", "300", "--u", "3", "--v", "8", "--seed", "0",
+            "--noise-sd", "0", "--output", path,
+        )
+        assert code == 0, err
+        return path
+
+    def test_bounds_on_rank_deficient_data(self, capsys, rank_three_csv):
+        code, out, err = run_cli(
+            capsys, "oracle", "--input", rank_three_csv, "--header", "--k", "3", "--bounds"
+        )
+        assert code == 0, err
+        bounds = json.loads(out)["bounds"]
+        assert bounds["greedy_ratio"] >= bounds["b_alpha_gamma"] - 1e-9
+
+    def test_comparison_with_selection_stopped_at_rank(self, capsys, rank_three_csv):
+        # fsca stops after 3 picks, which span every column: under ve they
+        # reach the 5-subset optimum.
+        code, out, err = run_cli(
+            capsys, "oracle", "--input", rank_three_csv, "--header", "--k", "5",
+            "--algo", "fsca",
+        )
+        assert code == 0, err
+        comparison = json.loads(out)["comparison"]
+        assert len(comparison["order"]) == 3
         assert comparison["ratio"] == pytest.approx(1.0, abs=1e-9)
 
     def test_algo_comparison(self, capsys, small_csv):

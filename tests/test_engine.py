@@ -226,7 +226,10 @@ class TestGreedySelect:
     def test_warm_start_validation(self):
         gain = ModularGain([1.0, 2.0])
         with pytest.raises(ValueError):
-            greedy_select(gain, 2, Cardinality(1), initial=(0,))
+            greedy_select(gain, 2, Cardinality(1), initial=(0, 1))
+        for select in (greedy_select, lazy_greedy_select):
+            run = select(gain, 2, Cardinality(1), initial=(1,))
+            assert run.order == (1,) and run.eval_count == 0 and not run.exhausted
         with pytest.raises(ValueError):
             greedy_select(gain, 2, Cardinality(2), initial=(5,))
         with pytest.raises(ValueError):

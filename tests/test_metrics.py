@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from varsel import (
     Dataset,
     IndexSets,
     LengthMismatch,
-    RankDeficient,
     SingularCovariance,
     ThresholdNeverReached,
     VECurve,
@@ -30,7 +30,7 @@ from varsel import (
     variance_explained,
 )
 from varsel.metrics import conditional_variances
-from varsel.oracle import subset_scorer
+from varsel.oracle import TabulatedSetFunction, subset_scorer
 
 from conftest import make_rng, random_dataset
 from reference import mutual_information as reference_mi
@@ -150,11 +150,11 @@ class TestVarianceExplained:
         scored = subset_scorer(data, "ve")[0](np.array([[0, 1]]))[0]
         assert scored == pytest.approx(expected, rel=1e-9)
 
-    def test_exact_duplicate_raises(self):
+    def test_exact_duplicate_adds_nothing(self):
+        # Column 3 equals column 1, so it lies in the span of (1, 2).
         x = make_rng(8).normal(size=(10, 2))
         data = center_columns(Dataset(np.column_stack([x[:, 0], x[:, 1], x[:, 0]])))
-        with pytest.raises(RankDeficient):
-            variance_explained(data, (1, 2, 3))
+        assert variance_explained(data, (1, 2, 3)) == variance_explained(data, (1, 2))
 
     def test_tiny_column_scale_is_not_dependence(self):
         # The dependence test is per column, so a column's scale cannot
@@ -166,10 +166,26 @@ class TestVarianceExplained:
         expected = subset_ve(scaled, (2, 3))
         assert variance_explained(scaled, (2, 3)) == pytest.approx(expected, rel=1e-12)
 
-    def test_more_columns_than_rows_raises(self):
+    def test_more_columns_than_rows_spans_everything(self):
+        # Centred data with 5 rows has rank 4, which 6 generic columns span.
         data = random_dataset(5, 8, seed=10)
-        with pytest.raises(RankDeficient):
-            variance_explained(data, (1, 2, 3, 4, 5, 6))
+        assert variance_explained(data, (1, 2, 3, 4, 5, 6)) == pytest.approx(100.0, abs=1e-9)
+
+    def test_rank_deficient_subsets_score_their_span(self):
+        # Noise-free sim2 has rank 3 over 8 columns, so every subset of
+        # more than three columns is dependent.  Each scores the VE of its
+        # span, as the oracle's scorer does, and adding a column never
+        # lowers it, so the table is monotone.
+        data = center_columns(gen_sim2(300, 3, 8, seed=0, noise_sd=0.0))
+        table = TabulatedSetFunction.from_callable(8, lambda s: variance_explained(data, s))
+        score = subset_scorer(data, "ve")[0]
+        for k in range(1, 9):
+            subsets = np.array(list(itertools.combinations(range(8), k)))
+            masks = (1 << subsets).sum(axis=1)
+            np.testing.assert_allclose(table.values[masks], score(subsets), rtol=1e-9, atol=0)
+        for i in range(8):
+            without = np.arange(256)[(np.arange(256) & (1 << i)) == 0]
+            assert np.all(table.values[without | (1 << i)] >= table.values[without] - 1e-9)
 
 
 # =========================================================================

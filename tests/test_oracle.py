@@ -536,11 +536,23 @@ class TestCompareToOptimal:
         head = set(result.order[:2])
         assert comparison.n_common == len(head & best.indices)
 
-    def test_short_order_rejected(self):
+    def test_short_order_scored_as_is(self):
         data = random_dataset(30, 6, seed=16)
         best = exhaustive_optimal(data, 4, "ve")
-        with pytest.raises(ValueError):
-            compare_to_optimal((1, 2), best, data=data)
+        comparison = compare_to_optimal((1, 2), best, data=data)
+        assert comparison.n_common == len({1, 2} & best.indices)
+        assert comparison.achieved == pytest.approx(variance_explained(data, (1, 2)), rel=1e-9)
+        assert comparison.ratio == pytest.approx(comparison.achieved / best.value)
+
+    def test_order_stopped_at_rank_reaches_ve_optimum(self):
+        # Noise-free sim2 has rank 3: FSCA stops after 3 picks, which span
+        # every column, so they explain what the best 5-subset does.
+        data = center_columns(gen_sim2(300, 3, 8, seed=0, noise_sd=0.0))
+        best = exhaustive_optimal(data, 5, "ve")
+        order = fsca_select(data, 5).order
+        assert len(order) == 3
+        comparison = compare_to_optimal(order, best, data=data)
+        assert comparison.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_rank_deficient_head_scored(self):
         # Noise-free sim2 has rank 4 over 8 columns, so ITFS's 6-variable

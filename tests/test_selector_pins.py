@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from varsel import RankDeficient, center_columns, fsfp_fsca_select, gen_sim2, ufs_select
+from varsel import center_columns, fsfp_fsca_select, gen_sim2, ufs_select
 from varsel.metrics import _schur_diagonal
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
@@ -340,16 +340,15 @@ def test_rank_ten_fsfp_lazy():
     assert_pinned(fsfp_fsca_select(sim2(noise_sd=0.0), 12, engine="lazy"), expected)
 
 
-def test_rank_ten_ufs_raises():
-    with pytest.raises(RankDeficient) as info:
-        ufs_select(sim2(noise_sd=0.0), 12)
-    assert info.value.indices == (7, 26, 9, 5, 2, 1, 6, 8, 3, 4, 13)
-
-
-def test_rank_ten_ufs_lazy_raises():
-    with pytest.raises(RankDeficient) as info:
-        ufs_select(sim2(noise_sd=0.0), 12, engine="lazy")
-    assert info.value.indices == (7, 26, 9, 5, 2, 1, 6, 8, 3, 4, 13)
+@pytest.mark.parametrize("engine", ["greedy", "lazy"])
+def test_rank_ten_ufs_stops(engine):
+    # UFS excludes the columns in the selected span, so it stops at the
+    # rank like the deflating selectors; column 13, its next pick by R^2
+    # before the rank test, is one of them.
+    result = ufs_select(sim2(noise_sd=0.0), 12, engine=engine)
+    assert result.order == (7, 26, 9, 5, 2, 1, 6, 8, 3, 4)
+    assert result.warnings == (EXHAUSTED,)
+    assert result.ve_curve[-1] == pytest.approx(100.0, abs=1e-9)
 
 
 @pytest.mark.slow

@@ -69,6 +69,12 @@ RESCALED_COLUMNS = [
 #: Selectors whose candidacy is the residual's rank test.
 EXCLUDING = ("fsca", "lfsca", "fosmod", "pfs")
 
+EXHAUSTED = "selection stopped early: every remaining column lies in the selected span"
+
+
+def idle_pick(n: int) -> str:
+    return f"pick {n} adds no variance: it lies in the span of the earlier picks"
+
 
 def basis_of(columns: np.ndarray) -> OrthonormalBasis:
     """A basis grown with ``extend`` from the columns, left to right."""
@@ -615,9 +621,7 @@ class TestRankTest:
         values[:, 2] = 0.0
         result = fosmod_select(Dataset(values, centered=True), 5)
         assert sorted(result.order) == [1, 2, 4, 5]
-        assert result.warnings == (
-            "selection stopped early: every remaining column lies in the selected span",
-        )
+        assert result.warnings == (EXHAUSTED,)
 
     @pytest.mark.parametrize("constant", [1000.1, 0.1])
     def test_constant_column(self, constant):
@@ -634,6 +638,18 @@ class TestRankTest:
         for name in EXCLUDING + ("itfs",):
             result = ALGORITHMS[name](data, 26)
             assert 6 not in result.order and len(result.order) == 25
+
+    def test_idle_pick_reported_with_early_stop(self):
+        # Noise-free sim2 has rank 3, and the constant ninth column is never
+        # a candidate: ITFS makes the same 8 picks at k=9 as at k=8, picks
+        # 4-8 add nothing, and at k=9 it also runs out of candidates.
+        x = gen_sim2(100, 3, 8, seed=0, noise_sd=0.0).values
+        data = center_columns(Dataset(np.column_stack([x, np.full(100, 2.5)])))
+        full = itfs_select(data, 8)
+        stopped = itfs_select(data, 9)
+        assert stopped.order == full.order and len(full.order) == 8
+        assert full.warnings == (idle_pick(4),)
+        assert stopped.warnings == (EXHAUSTED, idle_pick(4))
 
 
 # =========================================================================
@@ -855,6 +871,19 @@ def naive_ufs(data, k):
 
 
 class TestUfs:
+    def test_dependent_warm_start_pair(self):
+        # Rank-one data: every pair is dependent, so the warm start's second
+        # column adds nothing and no third column is a candidate.
+        a = make_rng(36).normal(size=30)
+        a -= a.mean()
+        data = Dataset(np.column_stack([a, -2.0 * a, 3.0 * a]), centered=True)
+        pair = ufs_select(data, 2)
+        assert len(pair.order) == 2 and pair.eval_count == 0
+        assert pair.warnings == (idle_pick(2),)
+        stopped = ufs_select(data, 3)
+        assert stopped.order == pair.order
+        assert stopped.warnings == (EXHAUSTED, idle_pick(2))
+
     def test_hand_gram_first_pair(self):
         # [DERIVED] |Q| off-diagonals 0.9, 0.1, 0.5: the 0.1 entry wins.
         gram = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.5], [0.1, 0.5, 1.0]])
@@ -899,14 +928,17 @@ class TestUfs:
             lazy = ufs_select(data, 6, engine="lazy")
             assert greedy.order == lazy.order
 
-    def test_dependent_committed_column_raises(self):
+    def test_dependent_column_stops_at_rank(self):
         rng = make_rng(37)
         x = rng.normal(size=(30, 4))
         x[:, 2] = x[:, 0] + x[:, 1]
         x -= x.mean(axis=0)
         data = Dataset(x, centered=True)
-        with pytest.raises(RankDeficient):
-            ufs_select(data, 4)
+        for engine in ("greedy", "lazy"):
+            result = ufs_select(data, 4, engine=engine)
+            assert len(result.order) == 3
+            assert result.warnings == (EXHAUSTED,)
+            assert result.ve_curve[-1] == pytest.approx(100.0, abs=1e-9)
 
     def test_column_scaling_invariance(self):
         # The second input scales UFS's first pick, column 16, by 1e-10: the
