@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -294,12 +295,26 @@ def dataset_from_gram(gram: np.ndarray, labels=None, m: int | None = None) -> Da
 # =========================================================================
 
 
+#: A line holding any of these goes to the row-by-row reader: ``"`` starts
+#: the csv module's quoting, and ``\x1c``-``\x1f`` are whitespace to
+#: ``np.loadtxt`` but not to ``float``.
+_READER_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
 def load_csv(path, has_header: bool = False) -> Dataset:
-    """Load a comma-separated numeric matrix.
+    r"""Load a comma-separated numeric matrix.
 
     Lines starting with ``#`` are treated as comments and skipped, so files
     produced by :func:`save_csv` (which records generation metadata in a
-    comment line) round-trip.  Blank lines are ignored.
+    comment line) round-trip.  Blank lines are ignored.  A cell is what
+    ``float`` parses after the ``csv`` module's default (Excel) splitting.
+
+    A seekable file whose lines are plain (no ``"``, no ``\x1c``-``\x1f``,
+    none longer than ``csv.field_size_limit()``) is parsed by ``np.loadtxt``
+    and accepted only when every value is finite and the header is as wide
+    as the data.  Anything else, and every error, goes to the row-by-row
+    reader, which re-reads the file: the accepted grammar is unchanged, and
+    only the reader raises.
 
     Parameters
     ----------
@@ -316,14 +331,60 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         A row's field count differs from the first row's (physical 1-based
         line number reported).
     ParseError
-        A cell does not parse as a finite float (line and 1-based column).
+        A cell does not parse as a finite float (line and 1-based column),
+        or the ``csv`` module cannot split a line, such as one holding a
+        field over ``csv.field_size_limit()`` (line; ``col`` is None).
     """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        if handle.seekable():
+            data = _load_plain(handle, has_header)
+            if data is not None:
+                return data
+            handle.seek(0)
+        return _read_rows(handle, has_header, path)
+
+
+def _load_plain(handle, has_header: bool) -> Dataset | None:
+    r"""The dataset by ``np.loadtxt`` when every line is plain and every
+    value finite, else None.  The lines come from the file iterator,
+    which splits at ``\n``, ``\r`` and ``\r\n`` as the csv module does."""
+    limit = csv.field_size_limit()
+
+    def kept_lines():
+        for line in handle:
+            if len(line) > limit or any(c in line for c in _READER_ONLY):
+                raise ValueError("line needs the row-by-row reader")
+            head = line.lstrip()
+            if head and not head.startswith("#"):  # the reader's blank and comment rules
+                yield line
+
+    lines = kept_lines()
+    try:
+        header = next(lines, None) if has_header else None
+        first = next(lines, None)
+        if first is None:  # ``loadtxt`` warns on empty input
+            return None
+        values = np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2
+        )
+    # Whatever went wrong, the reader re-reads the file and raises what is real.
+    except Exception:
+        return None
+    labels = None if header is None else tuple(cell.strip() for cell in header.split(","))
+    if not np.isfinite(values).all() or (labels is not None and len(labels) != values.shape[1]):
+        return None
+    return Dataset(values, labels=labels)
+
+
+def _read_rows(handle, has_header: bool, path) -> Dataset:
+    """The dataset row by row through ``csv.reader``: the only code that
+    raises :func:`load_csv`'s errors."""
     rows: list[list[float]] = []
     labels: tuple[str, ...] | None = None
     expected = None
     header_pending = has_header
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(handle)
+    try:
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -348,6 +409,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                     raise ParseError(lineno, col, cell.strip())
                 parsed.append(value)
             rows.append(parsed)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, message=str(exc)) from None
     if not rows:
         raise EmptyFile(path)
     return Dataset(np.array(rows, dtype=float), labels=labels)
@@ -357,10 +420,10 @@ def save_csv(data: Dataset, path, comment: str | None = None) -> None:
     """Write a dataset as CSV with an optional leading ``#`` comment line and
     a header row when the dataset carries labels."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
         if comment:
             handle.write(f"# {comment}\n")
         if data.labels is not None:
-            writer.writerow(data.labels)
+            csv.writer(handle).writerow(data.labels)
+        # A float's repr needs no quoting; "\r\n" ends a ``csv.writer`` row.
         for row in data.values:
-            writer.writerow([repr(float(value)) for value in row])
+            handle.write(",".join(map(repr, row.tolist())) + "\r\n")

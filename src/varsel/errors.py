@@ -28,13 +28,15 @@ class RankDeficient(SelectionError):
 
 
 class ParseError(SelectionError):
-    """A CSV cell could not be parsed as a finite number."""
+    """A CSV cell could not be parsed as a finite number, or a line could
+    not be split into cells (``col`` is then None)."""
 
-    def __init__(self, row: int, col: int, message: str = ""):
+    def __init__(self, row: int, col: int | None = None, message: str = ""):
         self.row = row
         self.col = col
+        where = f"line {row}" if col is None else f"cell at line {row}, column {col}"
         detail = f": {message}" if message else ""
-        super().__init__(f"cannot parse cell at line {row}, column {col}{detail}")
+        super().__init__(f"cannot parse {where}{detail}")
 
 
 class RaggedRows(SelectionError):

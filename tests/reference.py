@@ -8,6 +8,8 @@ each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_select` and
 :func:`pfs_select` work in float64, by QR projections (and an SVD for
 PFS), so they are cheap enough to run on every shape the tests use.
+:func:`load_csv_rows` is the CSV grammar and its errors, one row and one
+cell at a time.
 
 A column is a candidate while its residual against the selection keeps
 more than ``DEPENDENT_TOL`` of its own norm, the package's one rank test.
@@ -15,11 +17,14 @@ more than ``DEPENDENT_TOL`` of its own norm, the package's one rank test.
 
 from __future__ import annotations
 
+import csv
+import math
+
 import mpmath
 import numpy as np
 
 from varsel.dataset import DEPENDENT_TOL, Dataset, selection_tuple
-from varsel.errors import RankDeficient
+from varsel.errors import EmptyFile, ParseError, RaggedRows, RankDeficient
 
 DIGITS = 60
 
@@ -224,3 +229,44 @@ def _top_eigenpair(gram):
     top = (w.T * gram * w)[0]
     mpmath.cholesky(top * (1 + mpmath.mpf(10) ** -30) * mpmath.eye(n) - gram)
     return top, w
+
+
+def load_csv_rows(path, has_header: bool = False) -> Dataset:
+    """``varsel.load_csv`` with every line through ``csv.reader`` and every
+    cell through ``float``: the grammar, values and errors the loader keeps."""
+    rows: list[list[float]] = []
+    labels = None
+    expected = None
+    header_pending = has_header
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    continue
+                if header_pending:
+                    labels = tuple(cell.strip() for cell in row)
+                    expected = len(row)
+                    header_pending = False
+                    continue
+                if expected is None:
+                    expected = len(row)
+                elif len(row) != expected:
+                    raise RaggedRows(lineno)
+                parsed = []
+                for col, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(lineno, col, cell.strip()) from None
+                    if not math.isfinite(value):
+                        raise ParseError(lineno, col, cell.strip())
+                    parsed.append(value)
+                rows.append(parsed)
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, message=str(exc)) from None
+    if not rows:
+        raise EmptyFile(path)
+    return Dataset(np.array(rows, dtype=float), labels=labels)

@@ -252,6 +252,16 @@ class TestSelect:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_oversize_field_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n5,6\n")
+        code, out, err = run_cli(
+            capsys, "select", "--algo", "fsca", "--k", "1", "--header", "--input", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot parse line 3: field larger than field limit")
+        assert "Traceback" not in err
+
     def test_json_output_file(self, capsys, tmp_path, small_csv):
         out_path = tmp_path / "result.json"
         code, out, _ = run_cli(

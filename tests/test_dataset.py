@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +29,7 @@ from varsel import (
 from varsel.dataset import dataset_from_gram
 
 from conftest import deflated, make_rng, random_dataset
-from reference import project_onto
+from reference import load_csv_rows, project_onto
 
 
 # =========================================================================
@@ -335,6 +341,176 @@ class TestCsv:
         back = load_csv(path, has_header=True)
         np.testing.assert_array_equal(back.values, data.values)
         assert back.labels == data.labels
+
+    def test_round_trip_bit_identical_500x200(self, tmp_path):
+        values = make_rng(19).normal(size=(500, 200)) * np.logspace(-300, 300, 200)
+        data = Dataset(values, labels=tuple(f"c{j}" for j in range(200)))
+        path = tmp_path / "wide.csv"
+        save_csv(data, path, comment="wide")
+        back = load_csv(path, has_header=True)
+        assert back.values.tobytes() == data.values.tobytes()
+        assert back.labels == data.labels
+
+    def test_save_csv_bytes_match_csv_writer(self, tmp_path):
+        labels = ("plain", "with,comma", 'with"quote', " padded ")
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+                           [2.2250738585072014e-308, -1e300, 3.0, -123456.789]])
+        path = tmp_path / "pinned.csv"
+        save_csv(Dataset(values, labels=labels), path, comment="pinned bytes")
+        expected = io.StringIO()
+        expected.write("# pinned bytes\n")
+        writer = csv.writer(expected)
+        writer.writerow(labels)
+        for row in values:
+            writer.writerow([repr(float(value)) for value in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes().startswith(
+            b'# pinned bytes\nplain,"with,comma","with""quote", padded \r\n-0.0,5e-324,'
+        )
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="need at least 2 observations, got 1"):
+            load_csv(path, has_header=True)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("# note\na,b\n\n")
+        with pytest.raises(EmptyFile):
+            load_csv(path, has_header=True)
+
+    def test_underscore_and_non_ascii_digits_load(self, tmp_path):
+        # ``float`` reads these; ``np.loadtxt`` does not.
+        path = tmp_path / "digits.csv"
+        path.write_text("1_000,\uff12\n\u0663,4.5\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_csv(path).values, [[1000.0, 2.0], [3.0, 4.5]])
+
+    def test_quoted_file_loads(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a","b,c"\n"1",2\n3,"4e0"\n')
+        data = load_csv(path, has_header=True)
+        assert data.labels == ("a", "b,c")
+        np.testing.assert_array_equal(data.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text, has_header, error, row, col", [
+        # A quote opening a field swallows the lines after it.
+        ('#,"\n1,2\n3,4\n', False, EmptyFile, None, None),
+        ('a,"b\n1,2\n3,4\n', True, EmptyFile, None, None),
+        # ``\x0c`` and ``\x1c`` end no line, and ``float`` does not strip ``\x1c``.
+        ("1\x0c2\n3\n", False, ParseError, 1, 1),
+        ("1,2\x1c\n3,4\n", False, ParseError, 1, 2),
+        ("a,b,c\n1,2\n3,4\n", True, RaggedRows, 2, None),
+    ])
+    def test_reader_decides(self, tmp_path, text, has_header, error, row, col):
+        path = tmp_path / "odd.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(error) as info:
+            load_csv(path, has_header=has_header)
+        assert getattr(info.value, "row", None) == row
+        assert getattr(info.value, "col", None) == col
+
+    def test_oversize_field_is_parse_error(self, tmp_path):
+        # The field reads as 1.0, so only the csv module's limit rejects it.
+        path = tmp_path / "huge.csv"
+        path.write_text("1,2\n\n3," + "0" * csv.field_size_limit() + "1\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert info.value.row == 3 and info.value.col is None
+        assert "field larger than field limit" in str(info.value)
+
+    def test_unseekable_input_read_once(self, tmp_path):
+        # A pipe cannot be re-read, so it goes straight to the row reader.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=('"a",b\n1,2\n3,4\n',))
+        writer.start()
+        try:
+            data = load_csv(path, has_header=True)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert data.labels == ("a", "b")
+        np.testing.assert_array_equal(data.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+# =========================================================================
+# The loader against the row-by-row reference
+# =========================================================================
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+_ODD_CELLS = st.sampled_from([
+    "1_000", "\u0663", "\uff11\uff12", "inf", "-inf", "nan", "1e400", "-1e400", "1e-400",
+    "  2.5 ", "\t3", "\x0c4", "5\x0c", "\x1c6", "7\x1c", "8\x1f", "\x0b9", "\xa01", "1\u3000",
+    "1\x0c2", "3\x1c4", "5\x0b6", "7\x858", "8\u20289",
+    '"9"', '"1,5"', '""', '"', '2"', "spam", "", " ", "2 # note", "#3", "0x10", "+.5", "5.",
+    "-0", "1E5", "\ufeff1",
+])
+_LABELS = st.sampled_from(["a", " b ", "c d", "e"])
+_ODD_LABELS = st.sampled_from(['"f,g"', '"', "", "#h", "i\x1c", 'j"', "k\x0c"])
+_ODD_LINES = st.sampled_from([
+    "", "  ", "\t", "\x0c", "\x1c", ",", " , ", "# note", "  # x", '# "q', "#", "#,", '#,"', '"', ' "',
+    '"#x"',
+])
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV text and whether to read a header: a numeric table with
+    a few odd cells, labels, lines or row widths put in, mixed line
+    endings, maybe no final line ending, and maybe a byte-order mark."""
+    width = draw(st.integers(1, 3))
+    has_header = draw(st.booleans())
+    lines = [[draw(_LABELS) for _ in range(width)]] if has_header else []
+    lines += [[draw(_NUMBERS) for _ in range(width)] for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["cell", "width", "line"]))
+        i = draw(st.integers(0, len(lines)))
+        if kind == "line" or i == len(lines):
+            lines.insert(i, [draw(_ODD_LINES)])
+        elif kind == "cell":
+            odd = _ODD_LABELS if has_header and i == 0 else _ODD_CELLS
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(odd)
+        elif draw(st.booleans()) or len(lines[i]) == 1:
+            lines[i].append(draw(_NUMBERS))
+        else:
+            lines[i].pop()
+    text = "".join(",".join(cells) + draw(_ENDINGS) for cells in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + text, has_header
+
+
+def _outcome(load, path, has_header):
+    """What ``load`` returns or raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = load(path, has_header)
+        except Exception as exc:
+            result = (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None))
+        else:
+            result = (data.values.shape, data.values.tobytes(), data.labels)
+    return result, [str(w.message) for w in caught]
+
+
+class TestCsvDifferential:
+    @given(case=csv_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_row_reader(self, tmp_path_factory, case):
+        text, has_header = case
+        path = tmp_path_factory.mktemp("differential") / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected, expected_warnings = _outcome(load_csv_rows, path, has_header)
+        got, got_warnings = _outcome(load_csv, path, has_header)
+        assert got == expected
+        if not expected_warnings:
+            assert got_warnings == []
 
 
 # =========================================================================
