@@ -36,12 +36,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, center_columns, load_csv
+from .engine import Cardinality
 from .errors import SelectionError, ThresholdNeverReached
 from .metrics import VECurve, auc, k_at_threshold, relative_performance
 from .oracle import subset_scorer
@@ -59,7 +60,7 @@ __all__ = [
     "emit_report",
 ]
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "1.1.0"
 
 #: Fixed leading CSV columns; k-at-threshold columns follow, one per
 #: configured threshold, named ``k{n}pct``.
@@ -129,20 +130,6 @@ class DatasetSource:
         sim = self.sim if seed is None else replace(self.sim, seed=seed)
         return dataset_from_spec(sim)
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.csv_path is not None:
-            out["csv_path"] = self.csv_path
-            out["has_header"] = self.has_header
-        else:
-            out["sim"] = {
-                "family": self.sim.family,
-                "m": self.sim.m,
-                "seed": self.sim.seed,
-                "params": dict(self.sim.params),
-            }
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "DatasetSource":
         s = _field(raw, "sim", "dataset", "object", None)
@@ -188,14 +175,6 @@ class AlgoConfig:
             kwargs["engine"] = self.engine
         return ALGORITHMS[self.name](data, k, **kwargs)
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
-        if self.engine is not None:
-            out["engine"] = self.engine
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "AlgoConfig":
         return cls(
@@ -221,34 +200,22 @@ class BenchConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        object.__setattr__(self, "metric_ks", tuple(int(k) for k in self.metric_ks))
+        object.__setattr__(self, "k_max", Cardinality(self.k_max).k)
+        object.__setattr__(self, "metric_ks", tuple(Cardinality(k).k for k in self.metric_ks))
         names = [d.name for d in self.datasets]
         if len(set(names)) != len(names):
             raise ValueError("dataset names must be unique")
         algos = [a.name for a in self.algorithms]
         if len(set(algos)) != len(algos):
             raise ValueError("algorithm names must be unique")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be positive, got {self.k_max}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be at least 1, got {self.repeats}")
         for t in self.thresholds:
             if not 0.0 < t < 100.0:
                 raise ValueError(f"thresholds must lie in (0, 100), got {t}")
         for k in self.metric_ks:
-            if not 1 <= k <= self.k_max:
+            if k > self.k_max:
                 raise ValueError(f"metric_ks entries must lie in 1..k_max, got {k}")
-
-    def to_dict(self) -> dict:
-        return {
-            "datasets": [d.to_dict() for d in self.datasets],
-            "algorithms": [a.to_dict() for a in self.algorithms],
-            "k_max": self.k_max,
-            "thresholds": list(self.thresholds),
-            "repeats": self.repeats,
-            "seed_base": self.seed_base,
-            "metric_ks": list(self.metric_ks),
-        }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
@@ -301,25 +268,9 @@ class BenchCell:
 
     def metric_value(self, metric: str, k: int) -> float | None:
         for name, at_k, value in self.metric_values:
-            if name == metric and at_k == int(k):
+            if name == metric and at_k == k:
                 return value
         raise KeyError(f"({metric}, {k}) not in cell")
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "seeds": list(self.seeds),
-            "orders": [list(o) for o in self.orders],
-            "ve_curves": [list(c) for c in self.ve_curves],
-            "auc": self.auc,
-            "k_at": [[t, k] for t, k in self.k_at],
-            "r": self.r,
-            "metric_values": [[m, k, val] for m, k, val in self.metric_values],
-            "elapsed_median_s": self.elapsed_median_s,
-            "speedup_vs_fsca": self.speedup_vs_fsca,
-            "error": self.error,
-        }
 
 
 @dataclass(frozen=True)
@@ -340,14 +291,6 @@ class BenchmarkReport:
             if c.dataset == dataset and c.algorithm == algorithm:
                 return c
         raise KeyError(f"no cell for ({dataset!r}, {algorithm!r})")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "generated_at": self.generated_at,
-            "config": self.config.to_dict(),
-            "cells": [c.to_dict() for c in self.cells],
-        }
 
 
 # =========================================================================
@@ -570,7 +513,7 @@ def emit_report(report: BenchmarkReport, path, format: str = "json") -> None:
     path = Path(path)
     if format == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif format == "csv":
         threshold_cols = [f"k{t:g}pct" for t in report.config.thresholds]

@@ -50,6 +50,10 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="first CSV row holds column labels",
     )
+    _add_sim_options(parser)
+
+
+def _add_sim_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, default=1000, help="rows for simulated data")
     parser.add_argument("--u", type=int, default=25, help="independent columns for sim2")
     parser.add_argument("--v", type=int, default=50, help="total columns for sim2")
@@ -132,7 +136,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.output:
         emit_report(report, args.output, args.format)
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
     for cell in report.cells:
         if cell.error is not None:
             print(f"cell failed: {cell.dataset}/{cell.algorithm}: {cell.error}", file=sys.stderr)
@@ -220,10 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a simulated dataset to CSV")
     p_gen.add_argument("family", choices=("sim1", "sim2"))
-    p_gen.add_argument("--m", type=int, default=1000)
-    p_gen.add_argument("--u", type=int, default=25)
-    p_gen.add_argument("--v", type=int, default=50)
-    p_gen.add_argument("--seed", type=int, default=0)
+    _add_sim_options(p_gen)
     p_gen.add_argument("--noise-sd", type=float, default=0.1, dest="noise_sd")
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=_cmd_gen)

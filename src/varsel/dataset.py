@@ -30,6 +30,11 @@ import numpy as np
 
 from .errors import EmptyFile, ParseError, RaggedRows, ZeroColumn
 
+__all__ = [
+    "Dataset", "IndexSets", "center_columns", "normalize_unit", "dataset_from_gram", "load_csv",
+    "save_csv",
+]
+
 #: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
 FLAG_TOL = 1e-9
 
@@ -107,17 +112,21 @@ class Dataset:
     def v(self) -> int:
         return self.values.shape[1]
 
-    def column(self, index: int) -> np.ndarray:
-        """Return the column with the given 1-based index."""
+    def _position(self, index: int) -> int:
+        """0-based position of a 1-based column index; ``ValueError``
+        outside ``1..v``."""
         if not 1 <= index <= self.v:
             raise ValueError(f"column index {index} outside 1..{self.v}")
-        return self.values[:, index - 1]
+        return index - 1
+
+    def column(self, index: int) -> np.ndarray:
+        """Return the column with the given 1-based index."""
+        return self.values[:, self._position(index)]
 
     def label_for(self, index: int) -> str:
         """Label of a 1-based column index, falling back to ``x<index>``."""
-        if self.labels is not None:
-            return self.labels[index - 1]
-        return f"x{index}"
+        position = self._position(index)
+        return f"x{index}" if self.labels is None else self.labels[position]
 
 
 @dataclass(frozen=True)

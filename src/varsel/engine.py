@@ -33,6 +33,10 @@ import numpy as np
 
 from .errors import ThresholdNeverReached
 
+__all__ = [
+    "GainFunction", "GreedyRun", "Cardinality", "Threshold", "greedy_select", "lazy_greedy_select",
+]
+
 EXCLUDED = float("-inf")
 
 

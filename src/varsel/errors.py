@@ -6,6 +6,11 @@ convention used by every public interface of the library.
 
 from __future__ import annotations
 
+__all__ = [
+    "SelectionError", "ZeroColumn", "RankDeficient", "ParseError", "RaggedRows", "EmptyFile",
+    "LengthMismatch", "ThresholdNeverReached", "SingularCovariance", "TooLarge", "NotMonotone",
+]
+
 
 class SelectionError(Exception):
     """Base class for all library-specific errors."""

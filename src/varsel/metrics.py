@@ -23,6 +23,11 @@ from ._linalg import spd_inverse, spd_logdet, spd_solve
 from .dataset import DEPENDENT_TOL, Dataset, IndexSets, selection_tuple
 from .errors import LengthMismatch, ThresholdNeverReached
 
+__all__ = [
+    "VECurve", "CovarianceModel", "variance_explained", "frame_potential", "mutual_information",
+    "delta_mi", "default_sigma", "auc", "k_at_threshold", "relative_performance",
+]
+
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
 RANK_TIE_TOL = 1e-9
 
@@ -296,8 +301,11 @@ def auc(curve, v: int) -> float:
     """Normalized area under a full VE curve.
 
     ``AUC = (0.01 / (v - 1)) * sum_{k=1}^{v-1} VE(k)``; the curve must have
-    exactly ``v - 1`` entries.  A curve pinned at 100 gives 1.0.
+    exactly ``v - 1`` entries, so ``v`` is at least 2.  A curve pinned at
+    100 gives 1.0.
     """
+    if v < 2:
+        raise ValueError(f"AUC needs at least 2 variables, got v={v}")
     values = _curve_values(curve)
     if len(values) != v - 1:
         raise LengthMismatch(

@@ -278,6 +278,8 @@ def _best_subset(v: int, k: int, score, maximize: bool, metric: str) -> OptimalS
     combinations in lexicographic order.  A subset displaces the best so
     far only by beating it by more than ``_TIE_REL_TOL``, so the first of
     subsets tied within round-off wins."""
+    if k > v:
+        raise ValueError(f"k={k} exceeds the {v} candidates")
     sign = 1.0 if maximize else -1.0
     best_value = -math.inf
     best_combo: tuple[int, ...] | None = None
@@ -320,9 +322,7 @@ def exhaustive_optimal(
         Raise :class:`TooLarge` when ``C(v, k)`` exceeds this.
     """
     v = data.v
-    k = int(k)
-    if not 1 <= k <= v:
-        raise ValueError(f"k must be in 1..{v}, got {k}")
+    k = Cardinality(k).k
     n_comb = math.comb(v, k)
     if n_comb > cap:
         raise TooLarge(n_comb, cap)
@@ -332,9 +332,7 @@ def exhaustive_optimal(
 
 def tabulated_optimal(table: TabulatedSetFunction, k: int) -> OptimalSubset:
     """Best k-subset of a tabulated set function (maximization)."""
-    k = int(k)
-    if not 1 <= k <= table.v:
-        raise ValueError(f"k must be in 1..{table.v}, got {k}")
+    k = Cardinality(k).k
     return _best_subset(
         table.v, k, lambda idx: table.values[(1 << idx).sum(axis=1)], True, "tabulated"
     )
@@ -443,9 +441,7 @@ def bound_values(alpha: float, gamma: float, k: int) -> tuple[float, float]:
     ``(1/alpha) * (1 - ((k - alpha*gamma)/k)**k)``, which approaches
     ``gamma`` as the curvature vanishes.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = Cardinality(k).k
     b_n = 1.0 - ((k - 1) / k) ** k
     if alpha < 1e-12:
         b_ag = float(gamma)
@@ -462,18 +458,19 @@ def bound_report(table: TabulatedSetFunction, k: int) -> BoundReport:
     ``greedy_ratio`` should sit at or above ``b_alpha_gamma`` (and above
     ``b_n`` whenever the function is submodular).
     """
-    optimal = tabulated_optimal(table, k)
-    run = greedy_select(table.gain_function(), table.v, Cardinality(int(k)))
+    stop = Cardinality(k)
+    optimal = tabulated_optimal(table, stop.k)
+    run = greedy_select(table.gain_function(), table.v, stop)
     greedy_value = table.value_of(tuple(i + 1 for i in run.order))
     alpha = curvature(table)
     gamma = submodularity_ratio(table)
-    b_n, b_ag = bound_values(alpha, gamma, k)
+    b_n, b_ag = bound_values(alpha, gamma, stop.k)
     if optimal.value > 0.0:
         ratio = greedy_value / optimal.value
     else:
         ratio = 1.0
     return BoundReport(
-        k=int(k),
+        k=stop.k,
         alpha=alpha,
         gamma=gamma,
         b_n=b_n,

@@ -231,15 +231,10 @@ class NipalsResult:
 # =========================================================================
 
 
-def _make_stop(k, tau, v: int, min_k: int) -> StoppingRule:
+def _make_stop(k, tau) -> StoppingRule:
     if (k is None) == (tau is None):
         raise ValueError("provide exactly one of k and tau")
-    if k is not None:
-        k = int(k)
-        if not min_k <= k <= v:
-            raise ValueError(f"k must be in {min_k}..{v}, got {k}")
-        return Cardinality(k)
-    return Threshold(float(tau))
+    return Threshold(tau) if k is None else Cardinality(k)
 
 
 class _Residual:
@@ -657,7 +652,7 @@ def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy")
     if engine not in engines:
         raise ValueError(f"engine must be one of {sorted(engines)}, got {engine!r}")
     gain = make_gain()
-    stop = _make_stop(k, tau, data.v, min_k=max(1, len(gain.initial)))
+    stop = _make_stop(k, tau)
     run = engines[engine](gain, data.v, stop, initial=gain.initial)
     elapsed = perf_counter() - started
     warnings = list(gain.warnings)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset
 
-__all__ = ["SimSpec", "gen_sim1", "gen_sim2", "dataset_from_spec", "standard_normals"]
+__all__ = ["SimSpec", "gen_sim1", "gen_sim2", "dataset_from_spec"]
 
 
 # =========================================================================

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ def sim2_source(name="sim2", m=200, u=5, v=12, seed=0):
         name=name,
         sim=SimSpec(family="sim2", m=m, seed=seed, params={"u": u, "v": v}),
     )
+
+
+def as_json(obj):
+    """``obj`` as the report's JSON reads it back: ``asdict`` through ``json``."""
+    return json.loads(json.dumps(asdict(obj)))
 
 
 def small_config(**overrides):
@@ -76,9 +82,9 @@ class TestDatasetSource:
 
     def test_round_trip(self):
         source = sim2_source()
-        assert DatasetSource.from_dict(source.to_dict()) == source
+        assert DatasetSource.from_dict(as_json(source)) == source
         file_source = DatasetSource(name="f", csv_path="a.csv", has_header=True)
-        assert DatasetSource.from_dict(file_source.to_dict()) == file_source
+        assert DatasetSource.from_dict(as_json(file_source)) == file_source
 
 
 class TestAlgoConfig:
@@ -101,7 +107,7 @@ class TestAlgoConfig:
 
     def test_round_trip(self):
         config = AlgoConfig("itfs", sigma=0.05)
-        assert AlgoConfig.from_dict(config.to_dict()) == config
+        assert AlgoConfig.from_dict(as_json(config)) == config
 
 
 class TestBenchConfig:
@@ -131,7 +137,7 @@ class TestBenchConfig:
             metric_ks=(2, 4),
             repeats=3,
         )
-        assert BenchConfig.from_dict(config.to_dict()) == config
+        assert BenchConfig.from_dict(as_json(config)) == config
 
 
 # =========================================================================
@@ -216,6 +222,9 @@ class TestRunBenchmark:
             for metric in ("ve", "fp", "mi"):
                 value = cell.metric_value(metric, 2)
                 assert value is not None and np.isfinite(value)
+            assert cell.metric_value("ve", 2.0) == cell.metric_value("ve", np.int64(2))
+            with pytest.raises(KeyError):
+                cell.metric_value("ve", 2.5)
         assert report.cell("sim2", "fsca").metric_value("ve", 5) >= report.cell(
             "sim2", "fsca"
         ).metric_value("ve", 2)
@@ -312,8 +321,8 @@ class TestRunBenchmark:
             repeats=2,
             metric_ks=(3,),
         )
-        first = run_benchmark(config).to_dict()
-        second = run_benchmark(config).to_dict()
+        first = as_json(run_benchmark(config))
+        second = as_json(run_benchmark(config))
         for payload in (first, second):
             payload.pop("generated_at")
             for cell in payload["cells"]:
@@ -366,7 +375,7 @@ class TestReports:
         path = tmp_path / "report.json"
         emit_report(report, path)
         loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(report.to_dict()))
+        assert loaded == as_json(report)
         assert loaded["schema_version"] == report.schema_version
 
     def test_csv_layout(self, tmp_path):

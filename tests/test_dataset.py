@@ -24,6 +24,7 @@ from varsel import (
     center_columns,
     load_csv,
     normalize_unit,
+    gen_sim2,
     save_csv,
 )
 from varsel.dataset import dataset_from_gram
@@ -77,6 +78,18 @@ class TestDataset:
     def test_labels(self):
         data = Dataset([[1.0, 2.0], [3.0, 4.0]], labels=("a", "b"))
         assert data.label_for(2) == "b"
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_label_index_checked_like_column(self, labelled):
+        data = gen_sim2(100, 3, 8, seed=0)
+        if not labelled:
+            data = Dataset(data.values)
+        assert data.label_for(8) == ("D5" if labelled else "x8")
+        for index in (0, -1, 9):
+            with pytest.raises(ValueError, match=f"column index {index} outside 1..8"):
+                data.column(index)
+            with pytest.raises(ValueError, match=f"column index {index} outside 1..8"):
+                data.label_for(index)
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):

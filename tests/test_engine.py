@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from varsel import (
+    BenchConfig,
     Cardinality,
     GainFunction,
     GreedyRun,
+    TabulatedSetFunction,
     Threshold,
     ThresholdNeverReached,
+    bound_report,
+    bound_values,
+    center_columns,
+    exhaustive_optimal,
+    fsca_select,
+    gen_sim2,
     greedy_select,
     lazy_greedy_select,
+    tabulated_optimal,
+    ufs_select,
+    variance_explained,
 )
 from varsel.engine import EXCLUDED
 
@@ -152,6 +165,59 @@ class TestStoppingRules:
         assert Threshold(99.0).tau == 99.0
         with pytest.raises(ValueError):
             Threshold(math.nan)
+
+
+_SIZE_DATA = center_columns(gen_sim2(100, 3, 8, seed=0))
+_SIZE_TABLE = TabulatedSetFunction.from_callable(
+    5, lambda subset: variance_explained(_SIZE_DATA, subset)
+)
+
+#: Every public entry point that takes a selection size, as ``k -> result``.
+SIZED_ENTRY_POINTS = {
+    "fsca_select": lambda k: fsca_select(_SIZE_DATA, k).order,
+    "ufs_select": lambda k: ufs_select(_SIZE_DATA, k).order,
+    "exhaustive_optimal": lambda k: exhaustive_optimal(_SIZE_DATA, k).indices,
+    "tabulated_optimal": lambda k: tabulated_optimal(_SIZE_TABLE, k).indices,
+    "bound_values": lambda k: bound_values(0.5, 0.9, k),
+    "bound_report": lambda k: bound_report(_SIZE_TABLE, k),
+    # The JSON echo, so a size stored as a float or a NumPy integer shows.
+    "BenchConfig.k_max": lambda k: json.dumps(asdict(BenchConfig((), (), k_max=k))),
+    "BenchConfig.metric_ks": lambda k: json.dumps(
+        asdict(BenchConfig((), (), k_max=3, metric_ks=(k,)))
+    ),
+}
+
+
+class TestSelectionSize:
+    """One rule for a selection size: ``Cardinality`` accepts exactly the
+    positive integers, whatever their type, and nothing truncates."""
+
+    @pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
+    @pytest.mark.parametrize("k", [2.5, 2.9, 0, -1])
+    def test_rejects_what_is_no_positive_integer(self, entry, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            SIZED_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
+    def test_integral_values_agree(self, entry):
+        call = SIZED_ENTRY_POINTS[entry]
+        expected = call(2)
+        assert call(2.0) == expected
+        assert call(np.int64(2)) == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fsca_select(_SIZE_DATA, 9),
+            lambda: exhaustive_optimal(_SIZE_DATA, 9),
+            lambda: tabulated_optimal(_SIZE_TABLE, 6),
+            lambda: bound_report(_SIZE_TABLE, 6),
+        ],
+        ids=["fsca_select", "exhaustive_optimal", "tabulated_optimal", "bound_report"],
+    )
+    def test_k_above_column_count(self, call):
+        with pytest.raises(ValueError, match="exceeds the"):
+            call()
 
 
 # =========================================================================

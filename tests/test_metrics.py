@@ -415,6 +415,11 @@ class TestAuc:
         with pytest.raises(LengthMismatch):
             auc(VECurve((50.0, 60.0)), 4)
 
+    @pytest.mark.parametrize("v", [1, 0, -1])
+    def test_needs_two_variables(self, v):
+        with pytest.raises(ValueError, match=f"v={v}"):
+            auc(VECurve(()), v)
+
     def test_pointwise_max_dominates(self):
         rng = make_rng(19)
         for _ in range(5):
