@@ -24,14 +24,13 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyFile, ParseError, RaggedRows, ZeroColumn
 
 __all__ = [
-    "Dataset", "IndexSets", "center_columns", "normalize_unit", "dataset_from_gram", "load_csv",
+    "Dataset", "center_columns", "normalize_unit", "dataset_from_gram", "load_csv",
     "save_csv",
 ]
 
@@ -65,9 +64,9 @@ class Dataset:
     labels : tuple of str, optional
         One label per column.
     centered : bool
-        Declares that every column has (numerically) zero mean; validated.
+        Declares that every column has (numerically) zero mean; checked on construction.
     unit_norm : bool
-        Declares that every column has unit Euclidean norm; validated.
+        Declares that every column has unit Euclidean norm; checked on construction.
     """
 
     values: np.ndarray
@@ -129,43 +128,6 @@ class Dataset:
         return f"x{index}" if self.labels is None else self.labels[position]
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """An ordered selection and its unselected complement over ``{1..v}``.
-
-    ``selected`` preserves selection order; ``unselected`` is the set
-    complement.  Together they partition ``{1..v}``.
-    """
-
-    selected: tuple[int, ...]
-    unselected: frozenset[int]
-
-    def __post_init__(self):
-        selected = tuple(int(i) for i in self.selected)
-        unselected = frozenset(int(i) for i in self.unselected)
-        object.__setattr__(self, "selected", selected)
-        object.__setattr__(self, "unselected", unselected)
-        if len(set(selected)) != len(selected):
-            raise ValueError(f"duplicate indices in selection {selected}")
-        v = len(selected) + len(unselected)
-        universe = set(range(1, v + 1))
-        if set(selected) | unselected != universe or set(selected) & unselected:
-            raise ValueError("selected and unselected must partition 1..v")
-
-    @classmethod
-    def from_selected(cls, selected: Sequence[int], v: int) -> "IndexSets":
-        sel = selection_tuple(selected, v)
-        return cls(sel, frozenset(range(1, v + 1)) - set(sel))
-
-    @property
-    def v(self) -> int:
-        return len(self.selected) + len(self.unselected)
-
-    @property
-    def k(self) -> int:
-        return len(self.selected)
-
-
 # =========================================================================
 # Preprocessing
 # =========================================================================
@@ -212,10 +174,8 @@ def normalize_unit(data: Dataset) -> Dataset:
 
 
 def selection_tuple(selected, v: int) -> tuple[int, ...]:
-    """Coerce an :class:`IndexSets` or a plain index sequence to a tuple;
-    ``ValueError`` if an index repeats or lies outside ``1..v``."""
-    if isinstance(selected, IndexSets):
-        selected = selected.selected
+    """The 1-based index sequence ``selected`` as a tuple; ``ValueError``
+    if an index repeats or lies outside ``1..v``."""
     sel = tuple(int(i) for i in selected)
     if len(set(sel)) != len(sel) or not all(1 <= i <= v for i in sel):
         raise ValueError(f"selection {sel} must hold distinct indices in 1..{v}")

@@ -52,7 +52,7 @@ class Cardinality:
     k: int
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        if isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
@@ -130,7 +130,7 @@ class GreedyRun:
 # =========================================================================
 
 
-def _validate(v: int, stop: StoppingRule, initial: Sequence[int]) -> list[int]:
+def _warm_start(v: int, stop: StoppingRule, initial: Sequence[int]) -> list[int]:
     if v < 1:
         raise ValueError("need at least one candidate")
     init = [int(i) for i in initial]
@@ -180,7 +180,7 @@ def greedy_select(
 ) -> GreedyRun:
     """Forward greedy selection: per step, evaluate all remaining candidates
     and commit the best (lowest id on exact ties)."""
-    selected = _validate(v, stop, initial)
+    selected = _warm_start(v, stop, initial)
     remaining = [i for i in range(v) if i not in set(selected)]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
@@ -223,7 +223,7 @@ def lazy_greedy_select(
     for non-submodular gains this is the usual lazy heuristic, applied
     exactly as stated with no safeguard re-scan.
     """
-    selected = _validate(v, stop, initial)
+    selected = _warm_start(v, stop, initial)
     remaining = [i for i in range(v) if i not in set(selected)]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0

@@ -3,11 +3,9 @@
 Covers the compression view (percentage variance explained and its curve
 summaries), the frame-theoretic view (frame potential), and the
 information-theoretic view (Gaussian mutual information between a selection
-and its complement, plus the per-candidate gain ratio used for greedy
-information-driven selection).
+and its complement, and the conditional variances ITFS scores by).
 
-All selections are given as 1-based indices (an :class:`IndexSets` or any
-integer sequence).
+All selections are given as 1-based indices in any integer sequence.
 """
 
 from __future__ import annotations
@@ -20,12 +18,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import spd_inverse, spd_logdet, spd_solve
-from .dataset import DEPENDENT_TOL, Dataset, IndexSets, selection_tuple
+from .dataset import DEPENDENT_TOL, Dataset, selection_tuple
 from .errors import LengthMismatch, ThresholdNeverReached
 
 __all__ = [
     "VECurve", "CovarianceModel", "variance_explained", "frame_potential", "mutual_information",
-    "delta_mi", "default_sigma", "auc", "k_at_threshold", "relative_performance",
+    "default_sigma", "auc", "k_at_threshold", "relative_performance",
 ]
 
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
@@ -260,30 +258,6 @@ def mutual_information(model: CovarianceModel, selected) -> float:
         raise ValueError("mutual information requires a non-empty selection and complement")
     precision_block = model.precision[sel0[:, None], sel0]
     return 0.5 * (spd_logdet(model.block(sel0)) + spd_logdet(precision_block))
-
-
-def delta_mi(model: CovarianceModel, sets: IndexSets, candidate: int) -> float:
-    """Greedy information gain of adding ``candidate`` to the selection.
-
-    Returns the ratio of the candidate's posterior variance given the
-    current selection to its posterior variance given the rest of the
-    unselected variables:
-
-    ``delta(x_i) = var(x_i | S) / var(x_i | U \\ {x_i})``
-
-    Both conditional variances carry the noise regularization, so with an
-    empty selection the numerator is ``var(x_i) + s^2``.  Larger is better:
-    the numerator favours candidates not yet explained by the selection, the
-    denominator penalizes candidates the remaining variables explain well.
-    Raises :class:`SingularCovariance` as :func:`conditional_variances` does.
-    """
-    if candidate not in sets.unselected:
-        raise ValueError(f"candidate {candidate} is not unselected")
-    target = [candidate - 1]
-    rest = sorted(sets.unselected - {candidate})
-    numerator = conditional_variances(model, np.subtract(sets.selected, 1), target)
-    denominator = conditional_variances(model, np.subtract(rest, 1), target)
-    return float(numerator[0] / denominator[0])
 
 
 # =========================================================================

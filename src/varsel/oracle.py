@@ -166,12 +166,13 @@ class TabulatedSetFunction:
     """A set function on up to 12 variables stored as a 2^v value array.
 
     Index ``mask`` holds the value of the subset whose bits are set
-    (bit ``i`` is variable ``i + 1``).  Construction validates monotone
-    nondecrease by default and raises :class:`NotMonotone` with a witness
-    ``(subset, added_index)`` when adding a variable decreases the value.
+    (bit ``i`` is variable ``i + 1``).  Construction checks monotone
+    nondecrease, which curvature and the submodularity ratio assume, and
+    raises :class:`NotMonotone` with a witness ``(subset, added_index)``
+    when adding a variable decreases the value.
     """
 
-    def __init__(self, v: int, values, validate: bool = True):
+    def __init__(self, v: int, values):
         v = int(v)
         if not 1 <= v <= TABULATION_LIMIT:
             raise TooLarge(2**v if v >= 1 else 0, 2**TABULATION_LIMIT)
@@ -183,11 +184,10 @@ class TabulatedSetFunction:
         table.flags.writeable = False
         self.v = v
         self.values = table
-        if validate:
-            self._check_monotone()
+        self._check_monotone()
 
     @classmethod
-    def from_callable(cls, v: int, fn, validate: bool = True) -> "TabulatedSetFunction":
+    def from_callable(cls, v: int, fn) -> "TabulatedSetFunction":
         """Tabulate ``fn(subset_tuple)`` over all subsets.
 
         ``fn`` receives a sorted tuple of 1-based indices (empty for the
@@ -199,7 +199,7 @@ class TabulatedSetFunction:
         for mask in range(2**v):
             subset = tuple(i + 1 for i in range(v) if mask & (1 << i))
             table[mask] = fn(subset)
-        return cls(v, table, validate=validate)
+        return cls(v, table)
 
     def _check_monotone(self) -> None:
         scale = max(1.0, float(np.max(np.abs(self.values))))

@@ -150,10 +150,6 @@ class SelectionResult:
             raise ValueError("order, ve_curve and native_trace lengths differ")
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
-    @property
-    def k(self) -> int:
-        return len(self.order)
-
     def to_dict(self) -> dict:
         return {
             "algorithm": self.algorithm,

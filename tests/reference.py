@@ -7,7 +7,8 @@ at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_select` and
 :func:`pfs_select` work in float64, by QR projections (and an SVD for
-PFS), so they are cheap enough to run on every shape the tests use.
+PFS), and :func:`itfs_select` by dense solves and inverses of covariance
+blocks, so they are cheap enough to run on every shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
 cell at a time.
 
@@ -101,6 +102,44 @@ def mutual_information(cov: np.ndarray, sigma: float, selected) -> float:
             for index in (chosen, rest, range(v))
         ]
         return float((logdets[0] + logdets[1] - logdets[2]) / 2)
+
+
+def itfs_select(data: Dataset, k: int, sigma: float | None = None):
+    """ITFS's 1-based order and a ``(steps, v)`` array of every column's
+    score before each pick.
+
+    With ``A = X^T X / m + sigma^2 I`` (``sigma`` by default 1% of the
+    root-mean-square column scale), each step scores every unselected column
+    ``i`` by ``var(x_i | S) / var(x_i | U \\ x_i)``.  The numerator
+    ``A_ii - A_iS A_SS^{-1} A_Si`` comes from ``np.linalg.solve`` on ``A_SS``
+    and the denominator ``1 / ((A_UU)^{-1})_ii`` from one ``np.linalg.inv``
+    of ``A_UU``, with ``U`` every unselected column.  Selected and zero
+    columns score ``-inf``; the step picks the first best, and the order
+    ends early when no candidate is left.
+    """
+    x = data.values
+    cov = x.T @ x / data.m
+    if sigma is None:
+        sigma = 0.01 * math.sqrt(float(np.mean(np.diag(cov))))
+    a = cov + sigma**2 * np.eye(data.v)
+    zero = ~np.any(x != 0.0, axis=0)
+    order, steps = [], []
+    for _ in range(k):
+        unsel = [i for i in range(data.v) if i not in order]
+        numerators = np.diag(a)[unsel]
+        if order:
+            cross = a[np.ix_(order, unsel)]
+            solved = np.linalg.solve(a[np.ix_(order, order)], cross)
+            numerators = numerators - np.sum(cross * solved, axis=0)
+        denominators = 1.0 / np.diag(np.linalg.inv(a[np.ix_(unsel, unsel)]))
+        scores = np.full(data.v, -np.inf)
+        scores[unsel] = numerators / denominators
+        scores[zero] = -np.inf
+        if np.all(scores == -np.inf):
+            break
+        order.append(int(np.argmax(scores)))
+        steps.append(scores)
+    return tuple(i + 1 for i in order), np.array(steps).reshape(len(steps), data.v)
 
 
 def _residual(x: np.ndarray, order) -> np.ndarray:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from varsel import (
     Dataset,
     EmptyFile,
-    IndexSets,
     ParseError,
     RaggedRows,
     RankDeficient,
@@ -94,22 +93,6 @@ class TestDataset:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset([[1.0, 2.0], [3.0, 4.0]], labels=("a",))
-
-
-class TestIndexSets:
-    def test_partition(self):
-        sets = IndexSets.from_selected((3, 1), 4)
-        assert sets.selected == (3, 1)
-        assert sets.unselected == frozenset({2, 4})
-        assert sets.k == 2 and sets.v == 4
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            IndexSets.from_selected((1, 1), 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            IndexSets.from_selected((5,), 3)
 
 
 # =========================================================================

@@ -190,10 +190,11 @@ SIZED_ENTRY_POINTS = {
 
 class TestSelectionSize:
     """One rule for a selection size: ``Cardinality`` accepts exactly the
-    positive integers, whatever their type, and nothing truncates."""
+    positive integers, whatever their numeric type, rejects a boolean, and
+    nothing truncates."""
 
     @pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
-    @pytest.mark.parametrize("k", [2.5, 2.9, 0, -1])
+    @pytest.mark.parametrize("k", [2.5, 2.9, 0, -1, True])
     def test_rejects_what_is_no_positive_integer(self, entry, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             SIZED_ENTRY_POINTS[entry](k)

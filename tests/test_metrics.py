@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from varsel import (
     CovarianceModel,
     Dataset,
-    IndexSets,
     LengthMismatch,
     SingularCovariance,
     ThresholdNeverReached,
     VECurve,
     auc,
     center_columns,
-    delta_mi,
     frame_potential,
     gen_sim2,
     k_at_threshold,
@@ -31,8 +29,9 @@ from varsel import (
 )
 from varsel.metrics import conditional_variances
 from varsel.oracle import TabulatedSetFunction, subset_scorer
+from varsel.selectors import _ItfsGain
 
-from conftest import make_rng, random_dataset
+from conftest import make_rng, orthogonal_dataset, random_dataset
 from reference import mutual_information as reference_mi
 from reference import project_onto, subset_ve
 
@@ -325,10 +324,15 @@ class TestMutualInformation:
 
 
 class TestDeltaMi:
+    """ITFS's greedy information gain, the posterior-variance ratio
+    ``var(x_i | S) / var(x_i | U \\ x_i)``, as ``_ItfsGain`` scores it."""
+
     def test_uncorrelated_candidate_ratio_one(self):
-        model = CovarianceModel(np.diag([2.0, 3.0, 4.0]), 0.1)
-        sets = IndexSets.from_selected((), 3)
-        assert delta_mi(model, sets, 1) == pytest.approx(1.0, abs=1e-12)
+        # Exactly orthogonal columns: every conditional variance is the
+        # column's own variance plus s^2.
+        data = orthogonal_dataset(4, scales=(1.0, 1.5, 2.0))
+        scores = _ItfsGain(data, 0.1).step_scores([])
+        np.testing.assert_allclose(scores, 1.0, rtol=0.0, atol=1e-12)
 
     def test_central_variable_preferred(self):
         # [DERIVED] x3 ~ (x1 + x2) + tiny noise: explaining x3 explains more.
@@ -338,9 +342,8 @@ class TestDeltaMi:
         x3 = x3 / np.linalg.norm(x3) * np.linalg.norm(x[:, 0])
         x3 = x3 + 0.001 * rng.normal(size=500)
         data = center_columns(Dataset(np.column_stack([x, x3])))
-        model = CovarianceModel.from_dataset(data, sigma=0.01)
-        sets = IndexSets.from_selected((), 3)
-        assert delta_mi(model, sets, 3) > delta_mi(model, sets, 1)
+        scores = _ItfsGain(data, 0.01).step_scores([])
+        assert scores[2] > scores[0]
 
     def test_matches_entropy_difference_oracle(self):
         # [DERIVED] ratio = exp(2 * (H(x_i|S) - H(x_i|U \ i))) for Gaussians.
@@ -356,30 +359,22 @@ class TestDeltaMi:
             cross = cov[given0, i0]
             return cov[i0, i0] + s2 - float(cross @ np.linalg.solve(block, cross))
 
+        gain = _ItfsGain(data, 0.05)
         for selected in [(), (2,), (1, 5)]:
-            sets = IndexSets.from_selected(selected, 6)
-            for candidate in sorted(sets.unselected):
-                i0 = candidate - 1
-                sel0 = [s - 1 for s in selected]
-                rest0 = [u - 1 for u in sorted(sets.unselected - {candidate})]
+            sel0 = [s - 1 for s in selected]
+            scores = gain.step_scores(sel0)
+            for i0 in sorted(set(range(6)) - set(sel0)):
+                rest0 = sorted(set(range(6)) - set(sel0) - {i0})
                 h_given_s = 0.5 * math.log(2 * math.pi * math.e * cond_var(i0, sel0))
                 h_given_rest = 0.5 * math.log(2 * math.pi * math.e * cond_var(i0, rest0))
                 expected = math.exp(2.0 * (h_given_s - h_given_rest))
-                assert delta_mi(model, sets, candidate) == pytest.approx(expected, abs=1e-8)
-
-    def test_rejects_selected_candidate(self):
-        model = CovarianceModel(np.eye(3), 0.1)
-        sets = IndexSets.from_selected((1,), 3)
-        with pytest.raises(ValueError):
-            delta_mi(model, sets, 1)
+                assert scores[i0] == pytest.approx(expected, abs=1e-8)
 
     def test_singular_covariance_raises(self):
         # Noise-free sim2 with u = 3 has rank 3 over 8 variables; at
         # sigma = 0 conditioning on four or more of them is singular.
         data = center_columns(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0))
         model = CovarianceModel(data.values.T @ data.values / data.m, 0.0)
-        with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
-            delta_mi(model, IndexSets.from_selected((), 8), 1)
         with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
             conditional_variances(model, np.arange(1, 8), [0])
 

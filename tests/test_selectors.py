@@ -16,7 +16,6 @@ from varsel import (
     ThresholdNeverReached,
     ZeroColumn,
     center_columns,
-    delta_mi,
     frame_potential,
     fosmod_select,
     fsca_select,
@@ -33,11 +32,12 @@ from varsel import (
 from varsel._linalg import spd_inverse
 from varsel.dataset import dataset_from_gram, deflate_in_place
 from varsel.engine import EXCLUDED
-from varsel.metrics import CovarianceModel, IndexSets, conditional_variances
+from varsel.metrics import conditional_variances
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
 from reference import fsca_select as fsca_reference
+from reference import itfs_select as itfs_reference
 from reference import pfs_select as pfs_reference
 
 
@@ -692,32 +692,61 @@ class TestItfs:
         assert result.native_trace[0] == pytest.approx(result.native_trace[1], rel=1e-9)
 
     def test_matches_naive_per_step_argmax(self):
-        # [DERIVED] independent greedy over the public gain metric.
+        # [DERIVED] the greedy loop over the ratio restated from its definition.
         data = random_dataset(50, 6, seed=27)
-        sigma = 0.05
-        result = itfs_select(data, 3, sigma=sigma)
-        model = CovarianceModel.from_dataset(data, sigma=sigma)
-        selected: list[int] = []
-        for _ in range(3):
-            sets = IndexSets.from_selected(tuple(selected), 6)
-            best, best_score = None, -math.inf
-            for cand in range(1, 7):
-                if cand in selected:
-                    continue
-                score = delta_mi(model, sets, cand)
-                if score > best_score:
-                    best, best_score = cand, score
-            selected.append(best)
-        assert result.order == tuple(selected)
+        assert itfs_select(data, 3, sigma=0.05).order == itfs_reference(data, 3, 0.05)[0]
 
     def test_native_trace_matches_public_metric(self):
         data = random_dataset(60, 7, seed=28)
         result = itfs_select(data, 5, sigma=0.1)
-        model = CovarianceModel.from_dataset(data, sigma=0.1)
-        for j, chosen in enumerate(result.order):
-            sets = IndexSets.from_selected(result.order[:j], 7)
-            expected = delta_mi(model, sets, chosen)
-            assert result.native_trace[j] == pytest.approx(expected, abs=1e-8)
+        order, scores = itfs_reference(data, 5, 0.1)
+        assert result.order == order
+        picked = scores[np.arange(len(order)), np.subtract(order, 1)]
+        np.testing.assert_allclose(result.native_trace, picked, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("sigma", [None, 0.05], ids=["default-sigma", "sigma-0.05"])
+    @pytest.mark.parametrize(
+        "data, k",
+        [
+            *(
+                pytest.param(random_dataset(60, 6, seed=seed), 5, id=f"random-60x6-seed{seed}")
+                for seed in range(4)
+            ),
+            *(
+                pytest.param(center_columns(gen_sim1(m=200, seed=seed)), 12, id=f"sim1-200-seed{seed}")
+                for seed in range(2)
+            ),
+            *(
+                pytest.param(
+                    center_columns(gen_sim2(m=300, u=10, v=40, seed=seed)), 12,
+                    id=f"sim2-300x40-seed{seed}",
+                )
+                for seed in range(2)
+            ),
+            # Rank 4: picks past the rank add no variance, and sigma alone
+            # keeps every block positive definite.
+            *(
+                pytest.param(
+                    center_columns(gen_sim2(m=300, u=4, v=16, seed=seed, noise_sd=0.0)), 10,
+                    id=f"noise-free-sim2-u4-v16-seed{seed}",
+                )
+                for seed in range(2)
+            ),
+            *(
+                pytest.param(
+                    center_columns(gen_sim2(m=80, u=10, v=120, seed=seed)), 12,
+                    id=f"sim2-80x120-seed{seed}",
+                )
+                for seed in range(2)
+            ),
+        ],
+    )
+    def test_order_matches_reference(self, data, k, sigma):
+        result = itfs_select(data, k, sigma=sigma)
+        order, scores = itfs_reference(data, k, sigma)
+        assert result.order == order
+        picked = scores[np.arange(len(order)), np.subtract(order, 1)]
+        np.testing.assert_allclose(result.native_trace, picked, rtol=1e-10, atol=0.0)
 
     def test_row_permutation_invariance(self):
         data = random_dataset(40, 6, seed=29)
