@@ -36,7 +36,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ __all__ = [
     "emit_report",
 ]
 
-SCHEMA_VERSION = "1.1.0"
+SCHEMA_VERSION = "1.2.0"
 
 #: Fixed leading CSV columns; k-at-threshold columns follow, one per
 #: configured threshold, named ``k{n}pct``.
@@ -86,13 +86,24 @@ _REQUIRED = object()
 _SIM_PARAMS = {"u": "integer", "v": "integer", "noise_sd": "number"}
 
 
+def _object(raw, where: str, cls) -> dict:
+    """``raw`` checked to be a JSON object whose keys are all fields of the
+    dataclass ``cls``; a ``ValueError`` names ``where`` and the first
+    unknown key."""
+    if type(raw) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"{where} has the unknown key {unknown[0]!r}; known keys: {', '.join(known)}")
+    return raw
+
+
 def _field(raw: dict, key: str, where: str, kind: str, default=_REQUIRED, items: str | None = None):
     """``raw[key]`` checked to be a JSON ``kind`` (a list of ``items`` when
     given; exact types, so a boolean is no number), or ``default`` when the
-    key is absent or null.  A ``ValueError`` names a ``raw`` that is no
-    object, a required key that is absent, and a key of the wrong type."""
-    if type(raw) is not dict:
-        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    key is absent or null.  A ``ValueError`` names a required key that is
+    absent and a key of the wrong type."""
     value = raw.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -132,8 +143,9 @@ class DatasetSource:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DatasetSource":
+        _object(raw, "dataset", cls)
         s = _field(raw, "sim", "dataset", "object", None)
-        params = {} if s is None else _field(s, "params", "sim", "object", {})
+        params = {} if s is None else _field(_object(s, "sim", SimSpec), "params", "sim", "object", {})
         return cls(
             name=_field(raw, "name", "dataset", "string"),
             csv_path=_field(raw, "csv_path", "dataset", "string", None),
@@ -154,33 +166,23 @@ class AlgoConfig:
 
     name: str
     sigma: float | None = None
-    engine: str | None = None
 
     def __post_init__(self):
         if self.name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.name!r}; known: {sorted(ALGORITHMS)}")
         if self.sigma is not None and self.name != "itfs":
             raise ValueError(f"sigma applies only to itfs, not {self.name!r}")
-        if self.engine is not None:
-            if self.name not in ("fsfp-fsca", "ufs"):
-                raise ValueError(f"engine applies only to fsfp-fsca/ufs, not {self.name!r}")
-            if self.engine not in ("greedy", "lazy"):
-                raise ValueError(f"engine must be greedy or lazy, got {self.engine!r}")
 
     def run(self, data: Dataset, k: int) -> SelectionResult:
-        kwargs = {}
-        if self.sigma is not None:
-            kwargs["sigma"] = self.sigma
-        if self.engine is not None:
-            kwargs["engine"] = self.engine
+        kwargs = {} if self.sigma is None else {"sigma": self.sigma}
         return ALGORITHMS[self.name](data, k, **kwargs)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AlgoConfig":
+        _object(raw, "algorithm", cls)
         return cls(
             name=_field(raw, "name", "algorithm", "string"),
             sigma=_field(raw, "sigma", "algorithm", "number", None),
-            engine=_field(raw, "engine", "algorithm", "string", None),
         )
 
 
@@ -219,6 +221,7 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
+        _object(raw, "config", cls)
         return cls(
             datasets=tuple(DatasetSource.from_dict(d) for d in _field(raw, "datasets", "config", "list")),
             algorithms=tuple(AlgoConfig.from_dict(a) for a in _field(raw, "algorithms", "config", "list")),

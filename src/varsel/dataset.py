@@ -210,36 +210,27 @@ def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:
 # =========================================================================
 
 
-def _ones_orthogonal_basis(m: int, v: int) -> np.ndarray:
-    """An m x v matrix with orthonormal columns, each orthogonal to the
+def _ones_orthogonal_basis(v: int) -> np.ndarray:
+    """A (v + 1) x v matrix with orthonormal columns, each orthogonal to the
     all-ones vector (so any linear image of it is exactly centered)."""
-    if m < v + 1:
-        raise ValueError(f"need at least {v + 1} rows for {v} centered basis columns")
-    basis = np.zeros((m, v))
+    basis = np.zeros((v + 1, v))
     # Helmert-style columns: column j has j ones, then -j, then zeros.
     for j in range(1, v + 1):
-        col = np.zeros(m)
+        col = np.zeros(v + 1)
         col[:j] = 1.0
         col[j] = -float(j)
         basis[:, j - 1] = col / math.sqrt(j * (j + 1))
     return basis
 
 
-def dataset_from_gram(gram: np.ndarray, labels=None, m: int | None = None) -> Dataset:
+def dataset_from_gram(gram: np.ndarray) -> Dataset:
     """Construct a centered dataset whose Gram matrix ``X^T X`` equals ``gram``.
 
     Useful for driving Gram-only analyses (variance explained, exhaustive
     search, information criteria) from a published correlation or covariance
     matrix.  Eigenvalues below zero are clipped, so a slightly indefinite
-    input is repaired to its nearest factorizable neighbour.
-
-    Parameters
-    ----------
-    gram : ndarray, shape (v, v)
-        Symmetric positive semi-definite target Gram matrix.
-    m : int, optional
-        Number of rows of the constructed matrix (default ``v + 1``, the
-        minimum that allows exactly centered columns).
+    input is repaired to its nearest factorizable neighbour.  The result has
+    ``v + 1`` rows, the fewest that allow exactly centered columns.
     """
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -247,16 +238,15 @@ def dataset_from_gram(gram: np.ndarray, labels=None, m: int | None = None) -> Da
     if not np.allclose(g, g.T, atol=1e-8):
         raise ValueError("gram matrix must be symmetric")
     v = g.shape[0]
-    rows = m if m is not None else v + 1
     try:
         factor = np.linalg.cholesky(g).T  # v x v, factor.T @ factor == g
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh((g + g.T) / 2.0)
         factor = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
-    values = _ones_orthogonal_basis(rows, v) @ factor
+    values = _ones_orthogonal_basis(v) @ factor
     diag = np.diag(values.T @ values)
     unit = bool(np.all(np.abs(diag - 1.0) <= FLAG_TOL))
-    return Dataset(values, labels=labels, centered=True, unit_norm=unit)
+    return Dataset(values, centered=True, unit_norm=unit)
 
 
 # =========================================================================

@@ -301,9 +301,9 @@ def exhaustive_optimal(
     metric: str = "ve",
     *,
     sigma: float | None = None,
-    cap: int = COMBINATION_CAP,
 ) -> OptimalSubset:
-    """Best k-subset of columns by brute-force enumeration.
+    """Best k-subset of columns by brute-force enumeration, refused with
+    :class:`TooLarge` when ``C(v, k)`` exceeds ``COMBINATION_CAP``.
 
     Parameters
     ----------
@@ -318,14 +318,12 @@ def exhaustive_optimal(
     sigma : float, optional
         Noise scale for the mutual-information metric (an error for the
         others); defaults to 1% of the root-mean-square variable scale.
-    cap : int
-        Raise :class:`TooLarge` when ``C(v, k)`` exceeds this.
     """
     v = data.v
     k = Cardinality(k).k
     n_comb = math.comb(v, k)
-    if n_comb > cap:
-        raise TooLarge(n_comb, cap)
+    if n_comb > COMBINATION_CAP:
+        raise TooLarge(n_comb, COMBINATION_CAP)
     score, maximize = subset_scorer(data, metric, sigma)
     return _best_subset(v, k, score, maximize, metric)
 

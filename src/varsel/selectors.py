@@ -31,11 +31,12 @@ The frame-potential and UFS selectors additionally scale columns to unit
 norm themselves when the input is not already unit-norm, since that
 normalization is part of those algorithms.
 
-Scoring: FSCA evaluates one candidate at a time (one matrix-vector product
-against the residual per evaluation, in both engines).  The other five
-gains score every column at once through ``step_scores``, which runs at
-most once per step; per-candidate and batch queries read that step's
-vector.
+Engines: L-FSCA alone runs the lazy engine.  The FSCA gain scores one
+candidate at a time (one matrix-vector product against the residual per
+evaluation), so the evaluations that lazy selection skips are real work.
+The other five gains score every column at once through ``step_scores``,
+once per step, so they run the plain engine: skipping candidates would
+save nothing.
 
 Every gain owns one residual of the centered data, and committing a column
 deflates it; the energy each deflation captures gives the VE curve, and
@@ -121,7 +122,9 @@ class SelectionResult:
         the committed column for UFS (its first two entries hold the
         absolute inner product of the starting pair).
     eval_count : int
-        Number of candidate-gain evaluations performed.
+        Number of candidate scores computed: every remaining candidate at
+        every step of the plain engine, and the first step's full scan plus
+        each re-evaluation in the lazy engine.
     elapsed : float
         Wall-clock seconds for the selection (preprocessing done inside the
         selector, such as unit-normalization, included).
@@ -302,18 +305,16 @@ class _Residual:
 class _SelectorGain(GainFunction):
     """A selector's gain as :func:`_select` drives it.
 
-    ``step_scores`` scores every column for the current step; ``gain`` and
-    ``gain_all`` read one cached vector per selection size, so scoring runs
-    at most once per step.  Every gain owns one :class:`_Residual` ``res``;
-    committing a column deflates it, and its VE is the criterion for
-    threshold stopping.  ``initial`` is the warm start the gain has already
-    committed.
+    ``step_scores`` scores every column for the current step, and ``gain``
+    and ``gain_all`` read it; the plain engine asks for it once per step.
+    Every gain owns one :class:`_Residual` ``res``; committing a column
+    deflates it, and its VE is the criterion for threshold stopping.
+    ``initial`` is the warm start the gain has already committed.
     """
 
     res: _Residual
     initial: tuple[int, ...] = ()
     warnings: tuple[str, ...] = ()
-    _step: tuple[int, np.ndarray] | None = None
 
     def step_scores(self, selected) -> np.ndarray:
         """Gains of all ``v`` columns given ``selected``: ``EXCLUDED`` where
@@ -321,16 +322,11 @@ class _SelectorGain(GainFunction):
         never read."""
         raise NotImplementedError
 
-    def _scores(self, selected) -> np.ndarray:
-        if self._step is None or self._step[0] != len(selected):
-            self._step = (len(selected), self.step_scores(selected))
-        return self._step[1]
-
     def gain(self, selected, candidate: int) -> float:
-        return float(self._scores(selected)[candidate])
+        return float(self.step_scores(selected)[candidate])
 
     def gain_all(self, selected, candidates):
-        return self._scores(selected)[list(candidates)]
+        return self.step_scores(selected)[list(candidates)]
 
     def commit(self, candidate: int) -> None:
         self.res.commit(candidate)
@@ -633,23 +629,21 @@ def _least_correlated_pair(gram: np.ndarray) -> tuple[int, int]:
 # =========================================================================
 
 
-def _select(name: str, data: Dataset, k, tau, make_gain, engine: str = "greedy") -> SelectionResult:
+def _select(name: str, data: Dataset, k, tau, make_gain, lazy: bool = False) -> SelectionResult:
     """Run one selector: the front end every public ``*_select`` shares.
 
     ``make_gain()`` builds the gain, preprocessing and warm start included,
     inside the timed region.  ``k`` may not be below the warm start's size;
     when it equals it, the engine returns the warm start with no
-    evaluation.
+    evaluation.  ``lazy`` picks the lazy engine over the plain one.
     """
     if not data.centered:
         raise ValueError(f"{name} requires centered data (apply center_columns first)")
     started = perf_counter()
-    engines = {"greedy": greedy_select, "lazy": lazy_greedy_select}
-    if engine not in engines:
-        raise ValueError(f"engine must be one of {sorted(engines)}, got {engine!r}")
     gain = make_gain()
     stop = _make_stop(k, tau)
-    run = engines[engine](gain, data.v, stop, initial=gain.initial)
+    engine = lazy_greedy_select if lazy else greedy_select
+    run = engine(gain, data.v, stop, initial=gain.initial)
     elapsed = perf_counter() - started
     warnings = list(gain.warnings)
     if gain.res.first_idle_pick is not None:
@@ -689,7 +683,7 @@ def lfsca_select(data: Dataset, k: int | None = None, *, tau: float | None = Non
     from plain FSCA, with VE differences that stay within a small fraction
     of a percentage point in practice.
     """
-    return _select("lfsca", data, k, tau, lambda: _FscaGain(data), engine="lazy")
+    return _select("lfsca", data, k, tau, lambda: _FscaGain(data), lazy=True)
 
 
 def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
@@ -740,45 +734,30 @@ def itfs_select(
     return _select("itfs", data, k, tau, lambda: _ItfsGain(data, sigma))
 
 
-def fsfp_fsca_select(
-    data: Dataset,
-    k: int | None = None,
-    *,
-    tau: float | None = None,
-    engine: str = "greedy",
-) -> SelectionResult:
+def fsfp_fsca_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
     """Frame-potential minimization from the first FSCA pick.
 
     Columns are scaled to unit norm (part of the algorithm; applied here
     when the input is not already unit-norm).  The first step scores
     FSCA's first-step criterion on the normalized data; each later step
     adds the candidate whose inclusion increases the frame potential of the
-    selection least.  The frame-potential gain is submodular, so
-    ``engine="lazy"`` reproduces the plain sequence exactly.
+    selection least.
     """
-    return _select("fsfp-fsca", data, k, tau, lambda: _FsfpGain(data), engine)
+    return _select("fsfp-fsca", data, k, tau, lambda: _FsfpGain(data))
 
 
-def ufs_select(
-    data: Dataset,
-    k: int | None = None,
-    *,
-    tau: float | None = None,
-    engine: str = "greedy",
-) -> SelectionResult:
+def ufs_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
     """Unsupervised forward selection.
 
     Columns are scaled to unit norm (applied here when needed).  The first
     two variables are the least-correlated column pair; each later step
     adds the candidate with the smallest squared multiple correlation
     with the selected columns; a column in their span is never added, so
-    the selection stops at the numerical rank.  The underlying set
-    function is submodular, so ``engine="lazy"`` reproduces the plain
-    sequence exactly.
+    the selection stops at the numerical rank.
 
     Requires ``k >= 2`` in cardinality mode.
     """
-    return _select("ufs", data, k, tau, lambda: _UfsGain(data), engine)
+    return _select("ufs", data, k, tau, lambda: _UfsGain(data))
 
 
 #: Registry of selector callables by their public names.

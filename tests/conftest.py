@@ -10,6 +10,7 @@ import pytest
 
 from varsel import Dataset, center_columns, load_csv
 from varsel.dataset import deflate_in_place
+from varsel.selectors import _FsfpGain, _select, _UfsGain
 
 # =========================================================================
 # Random data helpers
@@ -24,6 +25,13 @@ def random_dataset(m: int, v: int, seed: int = 0, centered: bool = True) -> Data
     """Random standard-normal dataset, centered by default."""
     data = Dataset(make_rng(seed).normal(size=(m, v)))
     return center_columns(data) if centered else data
+
+
+def lazy_select(name: str, data: Dataset, k: int):
+    """FSFP-FSCA's or UFS's gain (``name``) driven through the lazy engine,
+    which reproduces the plain selection because both gains are submodular."""
+    gain = {"fsfp-fsca": _FsfpGain, "ufs": _UfsGain}[name]
+    return _select(name, data, k, None, lambda: gain(data), lazy=True)
 
 
 def deflated(data: Dataset, pivots) -> np.ndarray:

@@ -47,7 +47,7 @@ from varsel import (
 )
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
-from conftest import data_dir, deflated, make_rng, random_dataset
+from conftest import data_dir, deflated, lazy_select, make_rng, random_dataset
 from reference import project_onto
 
 N_SEEDS = 10
@@ -154,12 +154,12 @@ def test_criterion_3_lazy_equivalence():
     mismatches = 0
     for seed in range(100):
         data = normalize_unit(random_dataset(100, 20, seed=seed))
-        fp_plain = fsfp_fsca_select(data, 10, engine="greedy")
-        fp_lazy = fsfp_fsca_select(data, 10, engine="lazy")
+        fp_plain = fsfp_fsca_select(data, 10)
+        fp_lazy = lazy_select("fsfp-fsca", data, 10)
         if fp_plain.order != fp_lazy.order:
             mismatches += 1
-        ufs_plain = ufs_select(data, 10, engine="greedy")
-        ufs_lazy = ufs_select(data, 10, engine="lazy")
+        ufs_plain = ufs_select(data, 10)
+        ufs_lazy = lazy_select("ufs", data, 10)
         if ufs_plain.order != ufs_lazy.order:
             mismatches += 1
     _report(

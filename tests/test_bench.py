@@ -97,14 +97,6 @@ class TestAlgoConfig:
         with pytest.raises(ValueError):
             AlgoConfig("fsca", sigma=0.1)
 
-    def test_engine_only_for_fp_family(self):
-        AlgoConfig("ufs", engine="lazy")
-        AlgoConfig("fsfp-fsca", engine="greedy")
-        with pytest.raises(ValueError):
-            AlgoConfig("fsca", engine="lazy")
-        with pytest.raises(ValueError):
-            AlgoConfig("ufs", engine="turbo")
-
     def test_round_trip(self):
         config = AlgoConfig("itfs", sigma=0.05)
         assert AlgoConfig.from_dict(as_json(config)) == config

@@ -393,12 +393,6 @@ class TestBench:
             ("sim2", "lfsca"),
         }
 
-    def test_config_with_parallelism_key_runs(self, capsys, tmp_path):
-        config = write_bench_config(tmp_path, parallelism=1)
-        code, out, err = run_cli(capsys, "bench", "--config", config)
-        assert code == 0 and err == ""
-        assert len(json.loads(out)["cells"]) == 2
-
     def test_stdout_report(self, capsys, tmp_path):
         config = write_bench_config(tmp_path)
         code, out, _ = run_cli(capsys, "bench", "--config", config)
@@ -550,6 +544,32 @@ class TestBench:
         if overrides is None:
             path.write_text("[1, 2]")
         code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"repeat": 7}, "config has the unknown key 'repeat'"),
+            ({"metrics_ks": [2]}, "config has the unknown key 'metrics_ks'"),
+            ({"parallelism": 1}, "config has the unknown key 'parallelism'"),
+            (
+                {"datasets": [{"name": "s", "csv_path": "x.csv", "csv_pth": "y.csv"}]},
+                "dataset has the unknown key 'csv_pth'",
+            ),
+            (
+                {"datasets": [{"name": "s", "sim": {"family": "sim2", "seeds": 3, "params": {"u": 3, "v": 8}}}]},
+                "sim has the unknown key 'seeds'",
+            ),
+            ({"algorithms": [{"name": "itfs", "sigmaa": 0.1}]}, "algorithm has the unknown key 'sigmaa'"),
+            ({"algorithms": [{"name": "ufs", "engine": "lazy"}]}, "algorithm has the unknown key 'engine'"),
+        ],
+        ids=["repeat", "metrics_ks", "parallelism", "csv_pth", "sim-seeds", "sigmaa", "engine"],
+    )
+    def test_config_unknown_key(self, capsys, tmp_path, overrides, message):
+        # A misspelt or retired key is an error, not a default run.
+        path = write_bench_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "bench", "--config", path)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 

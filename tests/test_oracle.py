@@ -25,6 +25,7 @@ from varsel import (
 )
 from varsel.dataset import dataset_from_gram
 from varsel.oracle import (
+    COMBINATION_CAP,
     BoundReport,
     OptimalSubset,
     TABULATION_LIMIT,
@@ -262,13 +263,6 @@ class TestExhaustiveOptimal:
         best = exhaustive_optimal(data, 1, "ve")
         assert best.indices == {1}
 
-    def test_cap_enforced(self):
-        data = random_dataset(20, 10, seed=9)
-        with pytest.raises(TooLarge) as info:
-            exhaustive_optimal(data, 3, "ve", cap=10)
-        assert info.value.n_combinations == math.comb(10, 3)
-        assert info.value.cap == 10
-
     @pytest.mark.parametrize("metric", ["ve", "fp"])
     def test_sigma_rejected_without_mi(self, metric):
         data = random_dataset(30, 5, seed=18)
@@ -277,8 +271,10 @@ class TestExhaustiveOptimal:
 
     def test_default_cap_large_instance(self):
         data = random_dataset(10, 50, seed=10)
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge) as info:
             exhaustive_optimal(data, 10, "ve")
+        assert info.value.n_combinations == math.comb(50, 10)
+        assert info.value.cap == COMBINATION_CAP
 
     def test_column_reordering_equivariance(self):
         data = random_dataset(30, 7, seed=11)

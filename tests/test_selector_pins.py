@@ -22,6 +22,7 @@ from varsel import center_columns, fsfp_fsca_select, gen_sim2, ufs_select
 from varsel.metrics import _schur_diagonal
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
+from conftest import lazy_select
 from reference import itfs_denominators, pfs_scores_exact
 
 EXHAUSTED = "selection stopped early: every remaining column lies in the selected span"
@@ -290,10 +291,9 @@ RANK_TEN = {
 }
 
 
-# Lazy runs of the two submodular selectors: the plain runs' orders, traces
-# and curves, with these evaluation counts.
+# The two submodular gains driven through the lazy engine: the plain runs'
+# orders, traces and curves, with these evaluation counts.
 LAZY_EVAL_COUNT = {"fsfp-fsca": 140, "ufs": 139}
-LAZY = {"fsfp-fsca": fsfp_fsca_select, "ufs": ufs_select}
 
 
 def sim2(noise_sd=0.1):
@@ -314,11 +314,11 @@ def test_sim2_k12(name):
     assert_pinned(ALGORITHMS[name](sim2(), 12), SIM2[name])
 
 
-@pytest.mark.parametrize("name", sorted(LAZY))
+@pytest.mark.parametrize("name", sorted(LAZY_EVAL_COUNT))
 def test_sim2_k12_lazy(name):
     order, _, warnings, native, ve = SIM2[name]
     expected = (order, LAZY_EVAL_COUNT[name], warnings, native, ve)
-    assert_pinned(LAZY[name](sim2(), 12, engine="lazy"), expected)
+    assert_pinned(lazy_select(name, sim2(), 12), expected)
 
 
 @pytest.mark.parametrize("name, k, select", [("fsfp-fsca", 1, fsfp_fsca_select), ("ufs", 2, ufs_select)])
@@ -337,15 +337,16 @@ def test_rank_ten_k12(name):
 def test_rank_ten_fsfp_lazy():
     order, _, warnings, native, ve = RANK_TEN["fsfp-fsca"]
     expected = (order, LAZY_EVAL_COUNT["fsfp-fsca"], warnings, native, ve)
-    assert_pinned(fsfp_fsca_select(sim2(noise_sd=0.0), 12, engine="lazy"), expected)
+    assert_pinned(lazy_select("fsfp-fsca", sim2(noise_sd=0.0), 12), expected)
 
 
-@pytest.mark.parametrize("engine", ["greedy", "lazy"])
-def test_rank_ten_ufs_stops(engine):
+@pytest.mark.parametrize("lazy", [False, True], ids=["greedy", "lazy"])
+def test_rank_ten_ufs_stops(lazy):
     # UFS excludes the columns in the selected span, so it stops at the
     # rank like the deflating selectors; column 13, its next pick by R^2
     # before the rank test, is one of them.
-    result = ufs_select(sim2(noise_sd=0.0), 12, engine=engine)
+    data = sim2(noise_sd=0.0)
+    result = lazy_select("ufs", data, 12) if lazy else ufs_select(data, 12)
     assert result.order == (7, 26, 9, 5, 2, 1, 6, 8, 3, 4)
     assert result.warnings == (EXHAUSTED,)
     assert result.ve_curve[-1] == pytest.approx(100.0, abs=1e-9)

@@ -35,7 +35,7 @@ from varsel.engine import EXCLUDED
 from varsel.metrics import conditional_variances
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
-from conftest import make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
+from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
 from reference import fsca_select as fsca_reference
 from reference import itfs_select as itfs_reference
 from reference import pfs_select as pfs_reference
@@ -850,8 +850,8 @@ class TestFsfpFsca:
     def test_lazy_engine_identical(self):
         for seed in range(10):
             data = random_dataset(60, 10, seed=seed)
-            greedy = fsfp_fsca_select(data, 6, engine="greedy")
-            lazy = fsfp_fsca_select(data, 6, engine="lazy")
+            greedy = fsfp_fsca_select(data, 6)
+            lazy = lazy_select("fsfp-fsca", data, 6)
             assert greedy.order == lazy.order
 
     def test_column_scaling_invariance(self):
@@ -953,8 +953,8 @@ class TestUfs:
     def test_lazy_engine_identical(self):
         for seed in range(10):
             data = random_dataset(60, 10, seed=seed)
-            greedy = ufs_select(data, 6, engine="greedy")
-            lazy = ufs_select(data, 6, engine="lazy")
+            greedy = ufs_select(data, 6)
+            lazy = lazy_select("ufs", data, 6)
             assert greedy.order == lazy.order
 
     def test_dependent_column_stops_at_rank(self):
@@ -963,8 +963,7 @@ class TestUfs:
         x[:, 2] = x[:, 0] + x[:, 1]
         x -= x.mean(axis=0)
         data = Dataset(x, centered=True)
-        for engine in ("greedy", "lazy"):
-            result = ufs_select(data, 4, engine=engine)
+        for result in (ufs_select(data, 4), lazy_select("ufs", data, 4)):
             assert len(result.order) == 3
             assert result.warnings == (EXHAUSTED,)
             assert result.ve_curve[-1] == pytest.approx(100.0, abs=1e-9)
