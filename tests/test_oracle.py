@@ -23,6 +23,7 @@ from varsel import (
     normalize_unit,
     variance_explained,
 )
+from varsel import oracle
 from varsel.dataset import dataset_from_gram
 from varsel.oracle import (
     COMBINATION_CAP,
@@ -268,6 +269,14 @@ class TestExhaustiveOptimal:
         data = random_dataset(30, 5, seed=18)
         with pytest.raises(ValueError, match="sigma applies only to the mi metric"):
             exhaustive_optimal(data, 2, metric, sigma=0.1)
+
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "COMBINATION_CAP", 10)
+        data = random_dataset(20, 10, seed=9)
+        with pytest.raises(TooLarge) as info:
+            exhaustive_optimal(data, 3, "ve")
+        assert info.value.n_combinations == math.comb(10, 3)
+        assert info.value.cap == 10
 
     def test_default_cap_large_instance(self):
         data = random_dataset(10, 50, seed=10)
