@@ -96,8 +96,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_select_csv(result, data, args.output)
     else:
-        payload = result.to_dict()
-        payload["labels"] = [data.label_for(i) for i in result.order]
+        payload = asdict(result) | {
+            "ve_curve": result.ve_curve.values,
+            "labels": [data.label_for(i) for i in result.order],
+        }
         _emit_json(payload, args.output)
     return 0
 

@@ -41,15 +41,16 @@ save nothing.
 Every gain owns one residual of the centered data, and committing a column
 deflates it; the energy each deflation captures gives the VE curve, and
 the residual's one rank test decides which columns stay candidates and
-which commits capture nothing.  When ``m > v``, FOS-MOD, PFS, ITFS and
-FSFP-FSCA keep their residual and deflation on the v x v triangular
-factor ``T`` of ``X = QT``: every quantity they read (column norms,
-``R^T R``, ``R^T X``, and ``R^T p`` for PFS's first component ``p``) is
-unchanged by the orthonormal ``Q``, so they select as on ``X`` (up to
-round-off, which can decide an exact tie) at v x v cost.  FSCA and L-FSCA
-stay on the m x v residual, because their per-candidate products there are
-the evaluations the lazy engine saves; UFS does too, because the round-off
-of ``T`` would break its exact ties between orthogonal columns.
+which commits capture nothing.  When ``m > v``, every gain but UFS's keeps
+its residual and deflation on the v x v triangular factor ``T`` of
+``X = QT``: every quantity they read (column norms, ``R^T R``, ``R^T X``,
+and ``R^T p`` for PFS's first component ``p``) is unchanged by the
+orthonormal ``Q``, so they select as on ``X`` (up to round-off, which can
+decide an exact tie) at v x v cost.  An FSCA evaluation stays one product
+per candidate, of length v instead of m, so the evaluations that the lazy
+engine skips are still work saved.  UFS stays on the m x v residual,
+because the round-off of ``T`` would break its exact ties between
+orthogonal columns.
 
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
@@ -153,17 +154,6 @@ class SelectionResult:
             raise ValueError("order, ve_curve and native_trace lengths differ")
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "order": list(self.order),
-            "ve_curve": list(self.ve_curve.values),
-            "native_trace": list(self.native_trace),
-            "eval_count": self.eval_count,
-            "elapsed": self.elapsed,
-            "warnings": list(self.warnings),
-        }
-
 
 class OrthonormalBasis:
     """An orthonormal basis grown one column at a time.
@@ -240,7 +230,8 @@ class _Residual:
     """The residual ``r`` of ``x`` against the selection, and the VE trace.
 
     ``x`` is the centered data ``X``, or, with ``thin`` and ``m > v``, the
-    v x v triangular factor ``T`` of ``X = QT`` (see the module docstring).
+    v x v triangular factor ``T`` of ``X = QT`` (see the module docstring;
+    UFS alone is not thin).
     Each commit deflates ``r``; the energy captured, in percent of
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
     the energy captured from it, ``||x_j||^2 - ||r_j||^2``.
@@ -349,14 +340,14 @@ class _FscaGain(_SelectorGain):
 
     Every evaluation — full sweeps in the plain engine and head
     re-evaluations in the lazy engine — costs one matrix-vector product
-    against the m x v residual, which is why FSCA's residual is never the
-    triangular factor.  Keeping the two engines on the same evaluation
-    primitive is what makes their wall-clock ratio measure the evaluation
-    savings of lazy selection rather than a batching artifact.
+    against the residual: O(v^2) on the triangular factor when ``m > v``,
+    O(mv) on the data otherwise.  Keeping the two engines on the same
+    evaluation primitive is what makes their wall-clock ratio measure the
+    evaluation savings of lazy selection rather than a batching artifact.
     """
 
     def __init__(self, data: Dataset):
-        self.res = _Residual(data, thin=False)
+        self.res = _Residual(data, thin=True)
 
     def gain(self, selected, candidate: int) -> float:
         live = self.res.live_column(candidate)

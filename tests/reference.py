@@ -5,10 +5,11 @@ definition and with none of the package's shortcuts (no precision matrix,
 no factor reuse, no deflation, no triangular factor).  Most work in mpmath
 at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
-the package's round-off against it.  :func:`fsca_select` and
-:func:`pfs_select` work in float64, by QR projections (and an SVD for
-PFS), and :func:`itfs_select` by dense solves and inverses of covariance
-blocks, so they are cheap enough to run on every shape the tests use.
+the package's round-off against it.  :func:`fsca_scores`,
+:func:`fsca_select` and :func:`pfs_select` work in float64, by QR
+projections (and an SVD for PFS), and :func:`itfs_select` by dense solves
+and inverses of covariance blocks, so they are cheap enough to run on
+every shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
 cell at a time.
 
@@ -159,27 +160,35 @@ def _live(x: np.ndarray, residual: np.ndarray, order) -> np.ndarray:
     return live
 
 
+def fsca_scores(data: Dataset, selected) -> np.ndarray:
+    """FSCA's score of every column ``j`` after the 1-based ``selected``
+    picks: the VE, in percent, of the projection of ``X`` onto
+    ``[X_S, x_j]``, by a QR factorization of those columns; ``-inf`` where
+    ``j`` is no candidate."""
+    x = data.values
+    order = [i - 1 for i in selected]
+    energy = float(np.sum(x * x))
+    scores = np.full(data.v, -np.inf)
+    for j in np.flatnonzero(_live(x, _residual(x, order), order)):
+        q = np.linalg.qr(x[:, order + [j]])[0]
+        scores[j] = 100.0 * float(np.sum((q.T @ x) ** 2)) / energy
+    return scores
+
+
 def fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
     """FSCA's 1-based order and its VE curve, in percent.
 
-    Each step scores every candidate ``j`` by the VE of the projection of
-    ``X`` onto ``[X_S, x_j]``, by a QR factorization of those columns, and
-    picks the first best; the order ends early when no candidate is left.
+    Each step scores every candidate by :func:`fsca_scores` and picks the
+    first best; the order ends early when no candidate is left.
     """
-    x = data.values
-    energy = float(np.sum(x * x))
     order, curve = [], []
     for _ in range(k):
-        live = _live(x, _residual(x, order), order)
-        if not live.any():
+        scores = fsca_scores(data, order)
+        if np.isneginf(scores).all():
             break
-        scores = np.full(data.v, -np.inf)
-        for j in np.flatnonzero(live):
-            q = np.linalg.qr(x[:, order + [j]])[0]
-            scores[j] = 100.0 * float(np.sum((q.T @ x) ** 2)) / energy
-        order.append(int(np.argmax(scores)))
-        curve.append(float(scores[order[-1]]))
-    return tuple(i + 1 for i in order), np.array(curve)
+        order.append(int(np.argmax(scores)) + 1)
+        curve.append(float(scores[order[-1] - 1]))
+    return tuple(order), np.array(curve)
 
 
 def pfs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:

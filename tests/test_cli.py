@@ -16,6 +16,7 @@ from varsel import (
     fsca_select,
     gen_sim1,
     gen_sim2,
+    lfsca_select,
     load_csv,
     save_csv,
 )
@@ -66,6 +67,26 @@ class TestSelect:
         result = fsca_select(data, 4)
         assert tuple(payload["order"]) == result.order
         np.testing.assert_allclose(payload["ve_curve"], result.ve_curve.values)
+
+    def test_json_payload(self, capsys, small_csv):
+        # Every field of the result, the VE curve as a flat list, and the
+        # labels of the picks.
+        code, out, _ = run_cli(
+            capsys, "select", "--algo", "lfsca", "--k", "4", "--input", small_csv
+        )
+        assert code == 0
+        payload = json.loads(out)
+        result = lfsca_select(center_columns(load_csv(small_csv)), 4)
+        assert isinstance(payload.pop("elapsed"), float)
+        assert payload == {
+            "algorithm": "lfsca",
+            "order": list(result.order),
+            "ve_curve": list(result.ve_curve),
+            "native_trace": list(result.native_trace),
+            "eval_count": result.eval_count,
+            "warnings": list(result.warnings),
+            "labels": [f"x{i}" for i in result.order],
+        }
 
     def test_csv_format(self, capsys, tmp_path, small_csv):
         out_path = tmp_path / "sel.csv"

@@ -23,7 +23,7 @@ from varsel.metrics import _schur_diagonal
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
 from conftest import lazy_select
-from reference import itfs_denominators, pfs_scores_exact
+from reference import fsca_scores, itfs_denominators, pfs_scores_exact
 
 EXHAUSTED = "selection stopped early: every remaining column lies in the selected span"
 IDLE_PICK_11 = "pick 11 adds no variance: it lies in the span of the earlier picks"
@@ -176,13 +176,16 @@ WARM_START_ONLY = {
     ),
 }
 
-# The last pfs and fosmod picks are exact ties: at step 10 the residual has
-# rank one, so every live column scores the same (PFS correlation 1, the
-# same FOS-MOD average), and round-off alone picks among the 31 of them
-# (PFS picked 21 by NIPALS and picks 30 by the exact eigenvector).
+# The last pick of every deflating selector is an exact tie: at step 10 the
+# residual has rank one, so every live column scores the same (PFS
+# correlation 1, the same FOS-MOD average, an FSCA VE of 100), and
+# round-off alone picks among the 31 of them.  PFS picked 21 by NIPALS and
+# picks 30 by the exact eigenvector; FSCA and L-FSCA picked column 1 on
+# the m x v residual and pick column 9 on the triangular factor
+# (test_rank_ten_last_fsca_pick_is_a_tie).
 RANK_TEN = {
     "fsca": (
-        (26, 28, 16, 19, 31, 13, 22, 18, 21, 1),
+        (26, 28, 16, 19, 31, 13, 22, 18, 21, 9),
         385,
         (EXHAUSTED,),
         (
@@ -199,7 +202,7 @@ RANK_TEN = {
         ),
     ),
     "lfsca": (
-        (26, 28, 16, 19, 31, 13, 22, 18, 21, 1),
+        (26, 28, 16, 19, 31, 13, 22, 18, 21, 9),
         220,
         (EXHAUSTED,),
         (
@@ -332,6 +335,20 @@ def test_rank_ten_k12(name):
     # warning, ITFS and FSFP-FSCA keep going with a flat VE curve and warn
     # that pick 11 adds nothing.
     assert_pinned(ALGORITHMS[name](sim2(noise_sd=0.0), 12), RANK_TEN[name])
+
+
+def test_rank_ten_last_fsca_pick_is_a_tie():
+    # After the first nine pinned picks the residual has rank one, so every
+    # live column completes the span: the reference scores all 31 of them
+    # at the same VE, and the pinned 10th pick (9) and the one it replaced
+    # (1) are both among them.
+    order = RANK_TEN["fsca"][0]
+    assert RANK_TEN["lfsca"][0] == order
+    scores = fsca_scores(sim2(noise_sd=0.0), order[:9])
+    live = np.flatnonzero(np.isfinite(scores)) + 1
+    assert len(live) == 31
+    assert {1, 9} <= set(live)
+    assert np.ptp(scores[live - 1]) <= 1e-12
 
 
 def test_rank_ten_fsfp_lazy():

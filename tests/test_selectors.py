@@ -128,8 +128,8 @@ class TestSelectionResult:
     @pytest.mark.parametrize("shape", ["tall", "wide"])
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_ve_curve_matches_independent_projection(self, name, shape):
-        # Tall (m > v) runs FOS-MOD, PFS, ITFS and FSFP-FSCA on the
-        # triangular factor; wide (m < v) runs every selector on the data.
+        # Tall (m > v) runs every selector but UFS on the triangular
+        # factor; wide (m < v) runs every selector on the data.
         if shape == "tall":
             data, k = random_dataset(30, 8, seed=9), 8
         else:
@@ -139,13 +139,6 @@ class TestSelectionResult:
         for j in range(1, k + 1):
             expected = variance_explained(data, result.order[:j])
             assert result.ve_curve[j - 1] == pytest.approx(expected, abs=1e-9)
-
-    def test_to_dict(self):
-        result = fsca_select(random_dataset(20, 4, seed=1), 2)
-        payload = result.to_dict()
-        assert payload["algorithm"] == "fsca"
-        assert payload["order"] == list(result.order)
-        assert payload["ve_curve"] == [float(x) for x in result.ve_curve]
 
 
 # =========================================================================
@@ -342,6 +335,28 @@ class TestFsca:
             scaled = rescaled(data, column, scale)
             assert fsca_select(scaled, 8).order == fsca_reference(scaled, 8)[0], scale
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
+            pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
+            pytest.param(center_columns(gen_sim2(m=300, u=10, v=40, seed=2)), id="sim2-300x40-seed2"),
+        ],
+    )
+    def test_near_duplicate_matches_reference(self, data):
+        # Column 6 becomes column 3 plus eps times standard-normal noise,
+        # about eps of column 3's norm away from it.  At eps = 1e-13 the two
+        # are duplicates within round-off, and on sim2 200x30 FSCA picks
+        # column 6 where the reference picks column 3, on the data as on
+        # the triangular factor (README "Numerical envelope").
+        noise = make_rng(0).normal(size=data.m)
+        for exponent in range(1, 12):
+            eps = 10.0**-exponent
+            values = data.values.copy()
+            values[:, 5] = values[:, 2] + eps * noise
+            near = center_columns(Dataset(values))
+            assert fsca_select(near, 12).order == fsca_reference(near, 12)[0], eps
+
 
 class TestLfsca:
     def test_full_selection_matches_fsca(self):
@@ -490,7 +505,7 @@ class TestPfs:
 
 
 # =========================================================================
-# PFS and FOS-MOD on the triangular factor
+# FSCA, PFS and FOS-MOD on the triangular factor
 # =========================================================================
 
 
@@ -525,6 +540,19 @@ def fosmod_scores(x, r, warnings):
     return (cross * cross) @ inv_sqnorms / (x.shape[1] * sqnorms)
 
 
+def fsca_scores(x, r, warnings):
+    # One product against the residual per column, as the FSCA gain
+    # evaluates a candidate; the selected columns are zero and score NaN.
+    energy = float(np.linalg.norm(x)) ** 2
+    scores = np.full(r.shape[1], np.nan)
+    for j in range(r.shape[1]):
+        rr = float(r[:, j] @ r[:, j])
+        if rr > 0.0:
+            t = r[:, j] @ r
+            scores[j] = 100.0 * float(t @ t) / (rr * energy)
+    return scores
+
+
 def data_space_run(data, k, scores):
     """A plain greedy loop over the m x v residual: ``scores`` of every
     column, the first best unselected one, a deflation by it.  Returns the
@@ -549,14 +577,15 @@ def data_space_run(data, k, scores):
 
 
 DATA_SPACE = [
+    pytest.param(fsca_select, fsca_scores, id="fsca"),
     pytest.param(pfs_select, pfs_scores, id="pfs"),
     pytest.param(fosmod_select, fosmod_scores, id="fosmod"),
 ]
 
 
 class TestTriangularFactor:
-    """With m > v, PFS and FOS-MOD run on the v x v triangular factor of the
-    data; their results equal the data-space computation's."""
+    """With m > v, FSCA, PFS and FOS-MOD run on the v x v triangular factor
+    of the data; their results equal the data-space computation's."""
 
     @pytest.mark.parametrize("select, scores", DATA_SPACE)
     @pytest.mark.parametrize(
