@@ -56,7 +56,6 @@ __all__ = [
     "BenchCell",
     "BenchmarkReport",
     "run_benchmark",
-    "measure_speedup",
     "emit_report",
 ]
 
@@ -212,12 +211,17 @@ class BenchConfig:
             raise ValueError("algorithm names must be unique")
         if self.repeats < 1:
             raise ValueError(f"repeats must be at least 1, got {self.repeats}")
-        for t in self.thresholds:
+        columns = [_k_column(t) for t in self.thresholds]
+        for i, t in enumerate(self.thresholds):
             if not 0.0 < t < 100.0:
                 raise ValueError(f"thresholds must lie in (0, 100), got {t}")
-        for k in self.metric_ks:
+            if columns[i] in columns[:i]:
+                raise ValueError(f"threshold {t} repeats the CSV column {columns[i]}")
+        for i, k in enumerate(self.metric_ks):
             if k > self.k_max:
                 raise ValueError(f"metric_ks entries must lie in 1..k_max, got {k}")
+            if k in self.metric_ks[:i]:
+                raise ValueError(f"metric_ks repeats {k}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
@@ -321,14 +325,6 @@ def _extend_curve(values, length: int) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def _speedup_vs_fsca(name: str, elapsed: float, fsca_elapsed: float | None) -> float | None:
-    """Exactly 1 for FSCA, FSCA's median time over ``elapsed`` otherwise,
-    None when there is no FSCA time to compare against."""
-    if fsca_elapsed is None:
-        return None
-    return 1.0 if name == "fsca" else fsca_elapsed / elapsed
-
-
 def _run_error(exc: Exception, seed: int) -> str:
     return f"{type(exc).__name__} (seed {seed}): {exc}"
 
@@ -402,6 +398,7 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             name: _median([result.elapsed for result in results])
             for name, results in healthy.items()
         }
+        fsca_elapsed = elapsed.get("fsca")  # None when FSCA failed or is not in the grid
 
         # Joint relative performance per seed, over the healthy cells.
         r_values: dict[str, list[float | None]] = {name: [] for name in healthy}
@@ -453,8 +450,11 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                         for k in config.metric_ks
                     ),
                     elapsed_median_s=elapsed[algo.name],
-                    speedup_vs_fsca=_speedup_vs_fsca(
-                        algo.name, elapsed[algo.name], elapsed.get("fsca")
+                    # FSCA's median time over the cell's, exactly 1 for FSCA.
+                    speedup_vs_fsca=(
+                        None if fsca_elapsed is None
+                        else 1.0 if algo.name == "fsca"
+                        else fsca_elapsed / elapsed[algo.name]
                     ),
                 )
             )
@@ -464,40 +464,6 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
         cells=tuple(cells),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-
-
-# =========================================================================
-# Speed-up measurement
-# =========================================================================
-
-
-def measure_speedup(
-    data: Dataset,
-    k: int,
-    repeats: int = 5,
-    algorithms: list[str] | None = None,
-) -> dict[str, float]:
-    """Median-of-repeats speed-up of each algorithm relative to FSCA.
-
-    FSCA is always included.  Each algorithm runs ``repeats`` times in
-    sequence on the same centered data, and each ratio is taken between
-    median elapsed times.  Values below 1 mean slower than FSCA.
-    ``repeats`` must be at least 3.
-    """
-    if repeats < 3:
-        raise ValueError(f"repeats must be at least 3, got {repeats}")
-    algos = [AlgoConfig(name) for name in (ALGORITHMS if algorithms is None else algorithms)]
-    if "fsca" not in [algo.name for algo in algos]:
-        algos.insert(0, AlgoConfig("fsca"))
-    data = center_columns(data)
-    medians = {
-        algo.name: _median([algo.run(data, k).elapsed for _ in range(repeats)])
-        for algo in algos
-    }
-    return {
-        name: _speedup_vs_fsca(name, elapsed, medians["fsca"])
-        for name, elapsed in medians.items()
-    }
 
 
 # =========================================================================
@@ -519,7 +485,7 @@ def emit_report(report: BenchmarkReport, path, format: str = "json") -> None:
             json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif format == "csv":
-        threshold_cols = [f"k{t:g}pct" for t in report.config.thresholds]
+        threshold_cols = [_k_column(t) for t in report.config.thresholds]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(CSV_FIXED_COLUMNS) + threshold_cols)
@@ -532,6 +498,10 @@ def emit_report(report: BenchmarkReport, path, format: str = "json") -> None:
                 writer.writerow(row)
     else:
         raise ValueError(f"format must be json or csv, got {format!r}")
+
+
+def _k_column(threshold: float) -> str:
+    return f"k{threshold:g}pct"
 
 
 def _csv_value(value) -> str:

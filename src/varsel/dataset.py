@@ -34,12 +34,16 @@ __all__ = [
     "save_csv",
 ]
 
-#: Relative tolerance for validating the ``centered`` / ``unit_norm`` flags.
+#: Relative tolerance of the ``centered`` check and of ``unit_norm``.
 FLAG_TOL = 1e-9
 
 #: A column whose residual against the columns before it keeps at most this
 #: fraction of its own norm is dependent on them: a scale-free test.
 DEPENDENT_TOL = 1e-10
+
+
+def _unit(norms: np.ndarray) -> bool:
+    return bool(np.all(np.abs(norms - 1.0) <= FLAG_TOL))
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -55,7 +59,9 @@ def _as_readonly(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable m x v data matrix with preprocessing flags.
+    """An immutable m x v data matrix with a centering flag.
+
+    ``unit_norm`` is read from the column norms, not declared.
 
     Parameters
     ----------
@@ -64,15 +70,14 @@ class Dataset:
     labels : tuple of str, optional
         One label per column.
     centered : bool
-        Declares that every column has (numerically) zero mean; checked on construction.
-    unit_norm : bool
-        Declares that every column has unit Euclidean norm; checked on construction.
+        Declares that every column has (numerically) zero mean; checked on
+        construction.  Declared, not derived: at a small scale, centered
+        and uncentered data can pass the same mean test.
     """
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
     centered: bool = False
-    unit_norm: bool = False
 
     def __post_init__(self):
         arr = _as_readonly(self.values)
@@ -98,10 +103,6 @@ class Dataset:
             means = arr.mean(axis=0)
             if np.any(np.abs(means) > FLAG_TOL * col_scale):
                 raise ValueError("centered=True but column means are not zero")
-        if self.unit_norm:
-            norms = np.linalg.norm(arr, axis=0)
-            if np.any(np.abs(norms - 1.0) > FLAG_TOL):
-                raise ValueError("unit_norm=True but column norms are not 1")
 
     @property
     def m(self) -> int:
@@ -110,6 +111,11 @@ class Dataset:
     @property
     def v(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def unit_norm(self) -> bool:
+        """Every column norm lies within ``FLAG_TOL`` of 1."""
+        return _unit(np.linalg.norm(self.values, axis=0))
 
     def _position(self, index: int) -> int:
         """0-based position of a 1-based column index; ``ValueError``
@@ -145,11 +151,12 @@ def center_columns(data: Dataset) -> Dataset:
     # full pass over ``raw`` would cost more than the mean on small inputs.
     maybe = np.flatnonzero(raw[0] == raw[-1])
     values[:, maybe[np.all(raw[:, maybe] == raw[0, maybe], axis=0)]] = 0.0
-    return Dataset(values, labels=data.labels, centered=True, unit_norm=False)
+    return Dataset(values, labels=data.labels, centered=True)
 
 
 def normalize_unit(data: Dataset) -> Dataset:
-    """Scale each column to unit Euclidean norm.
+    """Scale each column to unit Euclidean norm; ``data`` itself when it is
+    already :attr:`Dataset.unit_norm`.
 
     Raises
     ------
@@ -158,14 +165,13 @@ def normalize_unit(data: Dataset) -> Dataset:
         as is every constant column after centering: the only columns the
         per-column ``DEPENDENT_TOL`` test rejects before any selection.
     """
-    if data.unit_norm:
-        return data
     norms = np.linalg.norm(data.values, axis=0)
+    if _unit(norms):
+        return data
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise ZeroColumn(int(bad[0]) + 1)
-    values = data.values / norms
-    return Dataset(values, labels=data.labels, centered=data.centered, unit_norm=True)
+    return Dataset(data.values / norms, labels=data.labels, centered=data.centered)
 
 
 # =========================================================================
@@ -243,10 +249,7 @@ def dataset_from_gram(gram: np.ndarray) -> Dataset:
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh((g + g.T) / 2.0)
         factor = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
-    values = _ones_orthogonal_basis(v) @ factor
-    diag = np.diag(values.T @ values)
-    unit = bool(np.all(np.abs(diag - 1.0) <= FLAG_TOL))
-    return Dataset(values, centered=True, unit_norm=unit)
+    return Dataset(_ones_orthogonal_basis(v) @ factor, centered=True)
 
 
 # =========================================================================

@@ -13,12 +13,11 @@ selector layer converts to the 1-based indices used everywhere else.
 
 Tie-breaking: comparisons are exact float comparisons, and equal gains go to
 the lowest candidate id, in both engines (the plain engine takes the first
-maximum over ascending ids, NaN scores counting as excluded; the heap
-orders equal bounds by ascending id).
+maximum over ascending ids; the heap orders equal bounds by ascending id).
 
 A gain of ``-inf`` marks a candidate as permanently excluded (for example, a
-column that has fallen inside the span of the selection); neither engine
-will commit such a candidate.
+column that has fallen inside the span of the selection), and both engines
+score a NaN gain as ``-inf``; neither engine will commit such a candidate.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def lazy_greedy_select(
     ``(-bound, id, step)`` for each remaining candidate, where ``step`` is
     the selection size at which the bound was evaluated.  Each step pops
     the top: a bound from the current step is exact and is committed (an
-    excluded or NaN one means every candidate is exhausted); a stale one is
+    excluded one means every candidate is exhausted); a stale one is
     re-evaluated and pushed back.  For submodular gains the stale bounds
     are valid upper bounds, so the committed candidate is the true argmax;
     for non-submodular gains this is the usual lazy heuristic, applied
@@ -233,17 +232,19 @@ def lazy_greedy_select(
     if not _stop_met(stop, selected, gain_fn, committed) and remaining:
         bounds = _scan(gain_fn, selected, remaining)
         evals += len(remaining)
+        bounds = np.where(np.isnan(bounds), EXCLUDED, bounds)
         heap = [(-float(b), i, len(selected)) for i, b in zip(remaining, bounds)]
         heapq.heapify(heap)
     while heap and not _stop_met(stop, selected, gain_fn, committed):
         while heap[0][2] != len(selected):
             index = heap[0][1]
             fresh = float(gain_fn.gain(selected, index))
+            fresh = EXCLUDED if math.isnan(fresh) else fresh
             evals += 1
             heapq.heapreplace(heap, (-fresh, index, len(selected)))
         neg_bound, index, _ = heapq.heappop(heap)
         bound = -neg_bound
-        if bound == EXCLUDED or math.isnan(bound):
+        if bound == EXCLUDED:
             exhausted = True
             break
         gain_fn.commit(index)

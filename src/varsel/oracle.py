@@ -109,9 +109,9 @@ class OptimalComparison:
     """A greedy selection head measured against an exhaustive optimum.
 
     ``n_common`` counts shared variables.  ``achieved`` is the greedy
-    head's metric value (None when no data was supplied or the optimum
-    is tabulated) and ``ratio`` expresses it as a fraction of optimal,
-    oriented so 1.0 means parity for both maximized and minimized metrics.
+    head's metric value (None when the optimum is tabulated) and ``ratio``
+    expresses it as a fraction of optimal, oriented so 1.0 means parity
+    for both maximized and minimized metrics.
     """
 
     n_common: int
@@ -483,16 +483,16 @@ def compare_to_optimal(
     order,
     optimal: OptimalSubset,
     *,
-    data: Dataset | None = None,
+    data: Dataset,
     sigma: float | None = None,
 ) -> OptimalComparison:
     """Measure the head of a greedy order against an exhaustive optimum.
 
-    The first ``optimal.k`` entries of ``order`` are compared.  When
-    ``data`` is provided for a ``"ve"``, ``"fp"`` or ``"mi"`` optimum, the
-    head is scored by the same :func:`subset_scorer` as the search (``sigma``
-    as passed to :func:`exhaustive_optimal`), and the ratio is oriented so
-    1.0 is parity for minimized metrics too.
+    The first ``optimal.k`` entries of ``order`` are compared.  For a
+    ``"ve"``, ``"fp"`` or ``"mi"`` optimum the head is scored on ``data``
+    by the same :func:`subset_scorer` as the search (``sigma`` as passed to
+    :func:`exhaustive_optimal`), and the ratio is oriented so 1.0 is parity
+    for minimized metrics too; a tabulated optimum gets neither.
 
     A head shorter than ``optimal.k`` is scored as it is.  A selector
     returns one when it stopped at the numerical rank, so the head spans
@@ -503,7 +503,7 @@ def compare_to_optimal(
     n_common = len(set(head) & optimal.indices)
     achieved: float | None = None
     ratio: float | None = None
-    if data is not None and optimal.metric in METRIC_MAXIMIZE:
+    if optimal.metric in METRIC_MAXIMIZE:
         score, maximize = subset_scorer(data, optimal.metric, sigma)
         achieved = float(score(np.array([selection_tuple(head, data.v)]) - 1)[0])
         num, den = (achieved, optimal.value) if maximize else (optimal.value, achieved)

@@ -81,7 +81,7 @@ def orthonormal_dataset(v: int) -> Dataset:
     if not 1 <= v <= 15:
         raise ValueError("v must be in 1..15")
     cols = hadamard_columns(16)[:, 1 : v + 1] * 0.25
-    return Dataset(cols, centered=True, unit_norm=True)
+    return Dataset(cols, centered=True)
 
 
 # =========================================================================

@@ -7,7 +7,8 @@ at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_scores`,
 :func:`fsca_select` and :func:`pfs_select` work in float64, by QR
-projections (and an SVD for PFS), and :func:`itfs_select` by dense solves
+projections (and an SVD for PFS), :func:`fosmod_select` by least-squares
+residuals, and :func:`itfs_select` by dense solves
 and inverses of covariance blocks, so they are cheap enough to run on
 every shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
@@ -189,6 +190,37 @@ def fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
         order.append(int(np.argmax(scores)) + 1)
         curve.append(float(scores[order[-1] - 1]))
     return tuple(order), np.array(curve)
+
+
+def fosmod_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """FOS-MOD's 1-based order and the score of each pick.
+
+    Each step forms the residual ``R = X - X_S B`` with ``B`` the
+    ``np.linalg.lstsq`` solution of ``X_S B = X``, the selected columns
+    first scaled to unit norm (the span, and so ``R``, is unchanged, but a
+    tiny column is not cut off as rank deficient).  Every candidate ``j``
+    scores ``(1/v) sum_i (x_i^T r_j)^2 / (||x_i||^2 ||r_j||^2)`` over the
+    nonzero columns ``x_i``; the step picks the first best, and the order
+    ends early when no candidate is left.
+    """
+    x = data.values
+    sqnorms = np.sum(x * x, axis=0)
+    weights = np.divide(1.0, sqnorms, out=np.zeros(data.v), where=sqnorms > 0.0)
+    order, trace = [], []
+    for _ in range(k):
+        residual = x.copy()
+        if order:
+            basis = x[:, order] / np.linalg.norm(x[:, order], axis=0)
+            residual -= basis @ np.linalg.lstsq(basis, x, rcond=None)[0]
+        live = _live(x, residual, order)
+        if not live.any():
+            break
+        cross = x.T @ residual[:, live]
+        scores = np.full(data.v, -np.inf)
+        scores[live] = (cross * cross).T @ weights / (data.v * np.sum(residual[:, live] ** 2, axis=0))
+        order.append(int(np.argmax(scores)))
+        trace.append(float(scores[order[-1]]))
+    return tuple(i + 1 for i in order), np.array(trace)
 
 
 def pfs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:

@@ -20,7 +20,6 @@ from varsel import (
     center_columns,
     emit_report,
     frame_potential,
-    measure_speedup,
     mutual_information,
     normalize_unit,
     run_benchmark,
@@ -116,6 +115,11 @@ class TestBenchConfig:
             small_config(metric_ks=(9,))
         with pytest.raises(ValueError):
             small_config(datasets=(sim2_source(), sim2_source()))
+        # A repeat would write one CSV column, or one metric value, twice.
+        with pytest.raises(ValueError, match="threshold 95.0000001 repeats the CSV column k95pct"):
+            small_config(thresholds=(95.0, 95.0000001))
+        with pytest.raises(ValueError, match="metric_ks repeats 2"):
+            small_config(metric_ks=(2, 2))
 
     def test_empty_grid_is_valid(self):
         config = BenchConfig(datasets=(), algorithms=(), k_max=3)
@@ -321,34 +325,6 @@ class TestRunBenchmark:
                 cell.pop("elapsed_median_s")
                 cell.pop("speedup_vs_fsca")
         assert first == second
-
-
-# =========================================================================
-# Speed measurement
-# =========================================================================
-
-
-class TestMeasureSpeedup:
-    def test_baseline_exactly_one(self):
-        data = random_dataset(100, 20, seed=2)
-        result = measure_speedup(data, 5, repeats=3)
-        assert result["fsca"] == 1.0
-
-    def test_algorithms_parameter(self):
-        data = random_dataset(100, 20, seed=3)
-        result = measure_speedup(data, 5, repeats=3, algorithms=["lfsca"])
-        assert set(result) == {"fsca", "lfsca"}
-        assert result["lfsca"] > 0.0
-
-    def test_repeats_floor(self):
-        data = random_dataset(50, 10, seed=4)
-        with pytest.raises(ValueError):
-            measure_speedup(data, 3, repeats=2)
-
-    def test_unknown_algorithm(self):
-        data = random_dataset(50, 10, seed=5)
-        with pytest.raises(ValueError):
-            measure_speedup(data, 3, repeats=3, algorithms=["pca"])
 
 
 # =========================================================================

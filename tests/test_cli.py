@@ -594,6 +594,13 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    def test_config_repeats_rejected(self, capsys, tmp_path):
+        # Repeats would write a CSV column and the metric values twice.
+        path = write_bench_config(tmp_path, thresholds=[95, 95.0], metric_ks=[2, 2])
+        code, out, err = run_cli(capsys, "bench", "--config", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "threshold 95.0 repeats the CSV column k95pct" in err
+
 
 # =========================================================================
 # oracle

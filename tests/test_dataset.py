@@ -26,7 +26,7 @@ from varsel import (
     gen_sim2,
     save_csv,
 )
-from varsel.dataset import dataset_from_gram
+from varsel.dataset import FLAG_TOL, dataset_from_gram
 
 from conftest import deflated, make_rng, random_dataset
 from reference import load_csv_rows, project_onto
@@ -59,9 +59,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[1.0], [2.0]], centered=True)
 
-    def test_rejects_false_unit_norm_flag(self):
-        with pytest.raises(ValueError):
-            Dataset([[1.0], [2.0]], unit_norm=True)
+    def test_unit_norm_read_from_column_norms(self):
+        # Every column norm within FLAG_TOL of 1, and nothing to declare.
+        assert Dataset([[0.6, 1.0], [0.8, 0.0]]).unit_norm
+        assert Dataset([[1.0 + 0.5 * FLAG_TOL], [0.0]]).unit_norm
+        assert not Dataset([[1.0 + 2.0 * FLAG_TOL], [0.0]]).unit_norm
+        assert not Dataset([[0.6, 1.0], [0.8, 0.5]]).unit_norm
+        with pytest.raises(TypeError):
+            Dataset([[1.0], [0.0]], unit_norm=True)
 
     def test_values_read_only(self):
         data = Dataset([[1.0], [2.0]])

@@ -355,6 +355,22 @@ class TestLazyGreedySelect:
             assert lazy.gains == plain.gains
             assert lazy.eval_count == 20 + 9
 
+    def test_matches_plain_with_nan_and_excluded_gains(self):
+        # Both engines score NaN as excluded, so a NaN bound in the heap
+        # neither ends the run early nor blocks a live candidate.
+        rng = make_rng(31)
+        tables = [[0.0, -math.inf, math.nan]] + [
+            rng.choice([0.0, 1.0, 2.0, -math.inf, math.nan], size=rng.integers(1, 10))
+            for _ in range(500)
+        ]
+        for weights in tables:
+            k = Cardinality(int(rng.integers(1, len(weights) + 1)))
+            plain = greedy_select(ModularGain(weights), len(weights), k)
+            lazy = lazy_greedy_select(ModularGain(weights), len(weights), k)
+            assert (lazy.order, lazy.gains, lazy.exhausted) == (
+                plain.order, plain.gains, plain.exhausted
+            ), list(weights)
+
     def test_modular_needs_one_refresh_per_step(self):
         # After the first full scan every bound is already exact in value;
         # each later step re-evaluates just the head.

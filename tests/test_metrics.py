@@ -195,13 +195,13 @@ class TestVarianceExplained:
 class TestFramePotential:
     def test_orthonormal_equals_k(self):
         q, _ = np.linalg.qr(make_rng(8).normal(size=(20, 5)))
-        data = Dataset(q, unit_norm=True)
+        data = Dataset(q)
         assert frame_potential(data, (1, 2, 3, 4, 5)) == pytest.approx(5.0, abs=1e-12)
 
     def test_duplicate_columns_equal_four(self):
         col = make_rng(9).normal(size=10)
         col /= np.linalg.norm(col)
-        data = Dataset(np.column_stack([col, col]), unit_norm=True)
+        data = Dataset(np.column_stack([col, col]))
         assert frame_potential(data, (1, 2)) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_double_loop(self):

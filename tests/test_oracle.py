@@ -28,7 +28,6 @@ from varsel.dataset import dataset_from_gram
 from varsel.oracle import (
     COMBINATION_CAP,
     BoundReport,
-    OptimalSubset,
     TABULATION_LIMIT,
     TabulatedSetFunction,
     bound_report,
@@ -593,10 +592,13 @@ class TestCompareToOptimal:
         with pytest.raises(ValueError):
             compare_to_optimal((1, 7), best, data=data)
 
-    def test_without_data_no_ratio(self):
+    def test_tabulated_optimum_no_ratio(self):
         data = random_dataset(30, 6, seed=17)
-        best = exhaustive_optimal(data, 2, "ve")
-        comparison = compare_to_optimal((1, 2), best)
+        table = TabulatedSetFunction.from_callable(6, lambda s: variance_explained(data, s))
+        best = tabulated_optimal(table, 2)
+        comparison = compare_to_optimal((1, 2), best, data=data)
+        assert comparison.n_common == len({1, 2} & best.indices)
         assert comparison.achieved is None
         assert comparison.ratio is None
-        assert isinstance(best, OptimalSubset)
+        with pytest.raises(TypeError):
+            compare_to_optimal((1, 2), best)

@@ -36,6 +36,7 @@ from varsel.metrics import conditional_variances
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
+from reference import fosmod_select as fosmod_reference
 from reference import fsca_select as fsca_reference
 from reference import itfs_select as itfs_reference
 from reference import pfs_select as pfs_reference
@@ -64,6 +65,16 @@ RESCALED_COLUMNS = [
     pytest.param(center_columns(gen_sim1(m=500, seed=0)), 1, id="sim1-500-col1"),
     pytest.param(center_columns(gen_sim2(m=300, u=10, v=30, seed=1)), 15, id="sim2-300x30-col15"),
     pytest.param(center_columns(gen_sim2(m=300, u=10, v=30, seed=1)), 2, id="sim2-300x30-col2"),
+]
+
+#: The sim1 and sim2 inputs on which orders are checked against the
+#: references, at k = 12.
+REFERENCE_SHAPES = [
+    pytest.param(center_columns(gen_sim1(m=200, seed=0)), id="sim1-200-seed0"),
+    pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
+    pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
+    pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=2)), id="sim2-200x30-seed2"),
+    pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
 ]
 
 #: Selectors whose candidacy is the residual's rank test.
@@ -313,16 +324,7 @@ class TestFsca:
             hits += set(result.order) == {25, 26}
         assert hits >= 9
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            pytest.param(center_columns(gen_sim1(m=200, seed=0)), id="sim1-200-seed0"),
-            pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
-            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
-            pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=2)), id="sim2-200x30-seed2"),
-            pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
-        ],
-    )
+    @pytest.mark.parametrize("data", REFERENCE_SHAPES)
     def test_order_matches_reference(self, data):
         result = fsca_select(data, 12)
         order, curve = fsca_reference(data, 12)
@@ -425,6 +427,19 @@ class TestFosMod:
             x_j = data.column(j)
             total += float(x_j @ r) ** 2 / (float(x_j @ x_j) * float(r @ r))
         assert result.native_trace[0] == pytest.approx(total / 6.0, abs=1e-10)
+
+    @pytest.mark.parametrize("data", REFERENCE_SHAPES)
+    def test_order_matches_reference(self, data):
+        result = fosmod_select(data, 12)
+        order, trace = fosmod_reference(data, 12)
+        assert result.order == order
+        np.testing.assert_allclose(result.native_trace, trace, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("data, column", RESCALED_COLUMNS)
+    def test_rescaled_column_matches_reference(self, data, column):
+        for scale in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            scaled = rescaled(data, column, scale)
+            assert fosmod_select(scaled, 8).order == fosmod_reference(scaled, 8)[0], scale
 
 
 # =========================================================================
