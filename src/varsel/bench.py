@@ -46,7 +46,7 @@ from .engine import Cardinality
 from .errors import SelectionError, ThresholdNeverReached
 from .metrics import VECurve, auc, k_at_threshold, relative_performance
 from .oracle import subset_scorer
-from .selectors import ALGORITHMS, SelectionResult
+from .selectors import ALGORITHMS, SelectionResult, _check_itfs_sigma
 from .simgen import SimSpec, dataset_from_spec
 
 __all__ = [
@@ -128,6 +128,8 @@ class DatasetSource:
             raise ValueError("dataset name must be nonempty")
         if (self.csv_path is None) == (self.sim is None):
             raise ValueError(f"dataset {self.name!r}: provide exactly one of csv_path and sim")
+        if self.has_header and self.sim is not None:
+            raise ValueError(f"dataset {self.name!r}: has_header applies only to csv_path")
 
     @property
     def seeded(self) -> bool:
@@ -171,6 +173,7 @@ class AlgoConfig:
             raise ValueError(f"unknown algorithm {self.name!r}; known: {sorted(ALGORITHMS)}")
         if self.sigma is not None and self.name != "itfs":
             raise ValueError(f"sigma applies only to itfs, not {self.name!r}")
+        _check_itfs_sigma(self.sigma)
 
     def run(self, data: Dataset, k: int) -> SelectionResult:
         kwargs = {} if self.sigma is None else {"sigma": self.sigma}

@@ -89,18 +89,17 @@ class GainFunction(ABC):
     def gain(self, selected: Sequence[int], candidate: int) -> float:
         """Gain of adding ``candidate`` (0-based) to ``selected``."""
 
-    def gain_all(self, selected: Sequence[int], candidates: Sequence[int]):
-        """Optional batch evaluation for full scans; return an array aligned
-        with ``candidates`` or ``None`` to fall back to per-candidate calls."""
-        return None
+    def gain_all(self, selected: Sequence[int], candidates: Sequence[int]) -> np.ndarray:
+        """Gains of ``candidates`` as an aligned array; a gain may override
+        this per-candidate loop to score them at once."""
+        return np.array([self.gain(selected, i) for i in candidates], dtype=float)
 
     def commit(self, candidate: int) -> None:
         """Accept ``candidate`` into the selection."""
 
-    def value(self) -> float | None:
-        """Current value of the criterion tracked for threshold stopping, or
-        ``None`` to use the running sum of committed gains."""
-        return None
+    def value(self) -> float:
+        """Current value of the criterion that :class:`Threshold` stops on."""
+        raise NotImplementedError(f"{type(self).__name__} tracks no value to stop at a threshold")
 
 
 # =========================================================================
@@ -146,29 +145,16 @@ def _warm_start(v: int, stop: StoppingRule, initial: Sequence[int]) -> list[int]
     return init
 
 
-def _current_value(gain_fn: GainFunction, committed_sum: float) -> float:
-    value = gain_fn.value()
-    return committed_sum if value is None else value
-
-
-def _stop_met(stop: StoppingRule, selected: list[int], gain_fn: GainFunction, committed: float) -> bool:
+def _stop_met(stop: StoppingRule, selected: list[int], gain_fn: GainFunction) -> bool:
     if isinstance(stop, Cardinality):
         return len(selected) >= stop.k
-    return _current_value(gain_fn, committed) >= stop.tau
+    return gain_fn.value() >= stop.tau
 
 
-def _finalize(stop, selected, gains, evals, exhausted, gain_fn, committed) -> GreedyRun:
-    if isinstance(stop, Threshold) and _current_value(gain_fn, committed) < stop.tau:
-        raise ThresholdNeverReached(stop.tau, _current_value(gain_fn, committed))
+def _finalize(stop, selected, gains, evals, exhausted, gain_fn) -> GreedyRun:
+    if isinstance(stop, Threshold) and (value := gain_fn.value()) < stop.tau:
+        raise ThresholdNeverReached(stop.tau, value)
     return GreedyRun(tuple(selected), tuple(gains), evals, exhausted)
-
-
-def _scan(gain_fn: GainFunction, selected: list[int], remaining: list[int]) -> np.ndarray:
-    """Evaluate every remaining candidate, batched when supported."""
-    batch = gain_fn.gain_all(selected, remaining)
-    if batch is not None:
-        return np.asarray(batch, dtype=float)
-    return np.array([gain_fn.gain(selected, i) for i in remaining], dtype=float)
 
 
 def greedy_select(
@@ -183,10 +169,9 @@ def greedy_select(
     remaining = [i for i in range(v) if i not in set(selected)]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
-    committed = 0.0
     exhausted = False
-    while not _stop_met(stop, selected, gain_fn, committed) and remaining:
-        scores = _scan(gain_fn, selected, remaining)
+    while not _stop_met(stop, selected, gain_fn) and remaining:
+        scores = gain_fn.gain_all(selected, remaining)
         evals += len(remaining)
         # A new array, so an array the gain keeps is never written; the
         # first maximum is the lowest id.
@@ -200,8 +185,7 @@ def greedy_select(
         gain_fn.commit(chosen)
         selected.append(chosen)
         gains.append(best_gain)
-        committed += best_gain
-    return _finalize(stop, selected, gains, evals, exhausted, gain_fn, committed)
+    return _finalize(stop, selected, gains, evals, exhausted, gain_fn)
 
 
 def lazy_greedy_select(
@@ -226,16 +210,15 @@ def lazy_greedy_select(
     remaining = [i for i in range(v) if i not in set(selected)]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
-    committed = 0.0
     exhausted = False
     heap: list[tuple[float, int, int]] = []
-    if not _stop_met(stop, selected, gain_fn, committed) and remaining:
-        bounds = _scan(gain_fn, selected, remaining)
+    if not _stop_met(stop, selected, gain_fn) and remaining:
+        bounds = gain_fn.gain_all(selected, remaining)
         evals += len(remaining)
         bounds = np.where(np.isnan(bounds), EXCLUDED, bounds)
         heap = [(-float(b), i, len(selected)) for i, b in zip(remaining, bounds)]
         heapq.heapify(heap)
-    while heap and not _stop_met(stop, selected, gain_fn, committed):
+    while heap and not _stop_met(stop, selected, gain_fn):
         while heap[0][2] != len(selected):
             index = heap[0][1]
             fresh = float(gain_fn.gain(selected, index))
@@ -250,5 +233,4 @@ def lazy_greedy_select(
         gain_fn.commit(index)
         selected.append(index)
         gains.append(bound)
-        committed += bound
-    return _finalize(stop, selected, gains, evals, exhausted, gain_fn, committed)
+    return _finalize(stop, selected, gains, evals, exhausted, gain_fn)

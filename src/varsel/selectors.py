@@ -39,18 +39,18 @@ once per step, so they run the plain engine: skipping candidates would
 save nothing.
 
 Every gain owns one residual of the centered data, and committing a column
-deflates it; the energy each deflation captures gives the VE curve, and
-the residual's one rank test decides which columns stay candidates and
-which commits capture nothing.  When ``m > v``, every gain but UFS's keeps
-its residual and deflation on the v x v triangular factor ``T`` of
-``X = QT``: every quantity they read (column norms, ``R^T R``, ``R^T X``,
-and ``R^T p`` for PFS's first component ``p``) is unchanged by the
-orthonormal ``Q``, so they select as on ``X`` (up to round-off, which can
-decide an exact tie) at v x v cost.  An FSCA evaluation stays one product
-per candidate, of length v instead of m, so the evaluations that the lazy
-engine skips are still work saved.  UFS stays on the m x v residual,
-because the round-off of ``T`` would break its exact ties between
-orthogonal columns.
+deflates it; the energy each deflation captures gives the VE curve, and the
+residual's one rank test, rerun after each deflation, decides which columns
+stay candidates and which commits capture nothing.  When ``m > v``, every
+gain but UFS's keeps its residual and deflation on the v x v triangular
+factor ``T`` of ``X = QT``: every quantity they read (column norms,
+``R^T R``, ``R^T X``, and ``R^T p`` for PFS's first component ``p``) is
+unchanged by the orthonormal ``Q``, so they select as on ``X`` (up to
+round-off, which can decide an exact tie) at v x v cost.  An FSCA evaluation
+stays one product per candidate, of length v instead of m, so the
+evaluations that the lazy engine skips are still work saved.  UFS stays on
+the m x v residual, because the round-off of ``T`` would break its exact
+ties between orthogonal columns.
 
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
@@ -236,11 +236,13 @@ class _Residual:
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
     the energy captured from it, ``||x_j||^2 - ||r_j||^2``.
 
-    The rank test lives here: column ``j`` lies in the selected span when
-    ``||r_j||^2 <= floor_sq[j] = DEPENDENT_TOL^2 ||x_j||^2``, the scale-free
-    test of :func:`~varsel.metrics.variance_explained`.  :meth:`live_column`
-    and :meth:`mark_degenerate` exclude such a candidate (a zero column from
-    the start), and :meth:`commit` does not deflate by it.
+    The one rank test runs at init and after each deflation: column ``j``
+    lies in the selected span when ``sqnorms[j] = ||r_j||^2 <= floor_sq[j]
+    = DEPENDENT_TOL^2 ||x_j||^2`` (the test of
+    :func:`~varsel.metrics.variance_explained`), and is then ``excluded``
+    for good, as is each selected column.  Gains read ``sqnorms`` and
+    ``excluded``; a commit of an excluded column does not deflate.  Once
+    every column is excluded the selection spans the data: VE is 100.
     """
 
     def __init__(self, data: Dataset, thin: bool):
@@ -249,31 +251,12 @@ class _Residual:
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
         self.floor_sq = DEPENDENT_TOL**2 * self.x_sqnorms
-        self.excluded = np.zeros(data.v, dtype=bool)
+        self.sqnorms = self.x_sqnorms
+        self.excluded = self.sqnorms <= self.floor_sq
         self.captured = 0.0
         self.spanned_sq = np.zeros(data.v)
         self.trace: list[float] = []
         self.first_idle_pick: int | None = None
-
-    def sqnorms(self) -> np.ndarray:
-        return np.einsum("ij,ij->j", self.r, self.r)
-
-    def mark_degenerate(self, sqnorms: np.ndarray) -> np.ndarray:
-        """Permanently exclude columns that lie in the selected span."""
-        self.excluded |= sqnorms <= self.floor_sq
-        return self.excluded
-
-    def live_column(self, candidate: int) -> tuple[np.ndarray, float] | None:
-        """Residual column ``candidate`` and its squared norm, or ``None``
-        once the column is excluded (lying in the selected span excludes it)."""
-        if self.excluded[candidate]:
-            return None
-        r = self.r[:, candidate]
-        rr = float(r @ r)
-        if rr <= self.floor_sq[candidate]:
-            self.excluded[candidate] = True
-            return None
-        return r, rr
 
     def commit(self, candidate: int) -> None:
         """Deflate by column ``candidate`` and record the energy captured.
@@ -282,15 +265,17 @@ class _Residual:
         the residual as it is; the first such pick (1-based) is kept in
         ``first_idle_pick``.
         """
-        self.excluded[candidate] = True
-        r = self.r[:, candidate]
-        if float(r @ r) > self.floor_sq[candidate]:
+        if not self.excluded[candidate]:
             rr, coeffs = deflate_in_place(self.r, candidate)
             self.captured += rr * float(coeffs @ coeffs)
             self.spanned_sq += rr * (coeffs * coeffs)
+            self.sqnorms = np.einsum("ij,ij->j", self.r, self.r)
+            self.excluded |= self.sqnorms <= self.floor_sq
+            self.excluded[candidate] = True
         elif self.first_idle_pick is None:
             self.first_idle_pick = len(self.trace) + 1
-        self.trace.append(min(max(100.0 * self.captured / self.energy, 0.0), 100.0))
+        ve = 100.0 * self.captured / self.energy
+        self.trace.append(100.0 if self.excluded.all() else min(max(ve, 0.0), 100.0))
 
 
 class _SelectorGain(GainFunction):
@@ -350,15 +335,14 @@ class _FscaGain(_SelectorGain):
         self.res = _Residual(data, thin=True)
 
     def gain(self, selected, candidate: int) -> float:
-        live = self.res.live_column(candidate)
-        if live is None:
+        res = self.res
+        if res.excluded[candidate]:
             return EXCLUDED
-        r, rr = live
-        t = r @ self.res.r
-        return 100.0 * float(t @ t) / (rr * self.res.energy)
+        r = res.r[:, candidate]
+        t = r @ res.r
+        return 100.0 * float(t @ t) / (float(r @ r) * res.energy)
 
-    def gain_all(self, selected, candidates):
-        return None
+    gain_all = GainFunction.gain_all
 
 
 # =========================================================================
@@ -385,12 +369,10 @@ class _FosModGain(_SelectorGain):
 
     def step_scores(self, selected):
         res = self.res
-        sqnorms = res.sqnorms()
-        excluded = res.mark_degenerate(sqnorms)
         cross = res.r.T @ res.x
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = (cross * cross) @ self.inv_sqnorms / (self.v * sqnorms)
-        scores[excluded] = EXCLUDED
+            scores = (cross * cross) @ self.inv_sqnorms / (self.v * res.sqnorms)
+        scores[res.excluded] = EXCLUDED
         return scores
 
 
@@ -466,10 +448,8 @@ class _PfsGain(_SelectorGain):
 
     def step_scores(self, selected):
         res = self.res
-        sqnorms = res.sqnorms()
-        excluded = res.mark_degenerate(sqnorms)
         scores = np.full(res.r.shape[1], EXCLUDED)
-        if not excluded.all():
+        if not res.excluded.all():
             p1, gap = _first_component(res.r)
             if gap <= _ILL_DEFINED_GAP:
                 self.warnings.append(
@@ -479,14 +459,20 @@ class _PfsGain(_SelectorGain):
             pp = float(p1 @ p1)
             u = p1 @ res.r
             with np.errstate(divide="ignore", invalid="ignore"):
-                corr = np.abs(u) / np.sqrt(sqnorms * pp)
-            scores[~excluded] = corr[~excluded]
+                corr = np.abs(u) / np.sqrt(res.sqnorms * pp)
+            scores[~res.excluded] = corr[~res.excluded]
         return scores
 
 
 # =========================================================================
 # ITFS
 # =========================================================================
+
+
+def _check_itfs_sigma(sigma: float | None) -> None:
+    """Reject an ITFS noise scale that is given and not positive."""
+    if sigma is not None and not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
 
 
 class _ItfsGain(_SelectorGain):
@@ -505,16 +491,15 @@ class _ItfsGain(_SelectorGain):
     O(v^3) of inverting ``A_UU``.
 
     A zero column (a constant one, after centering) scores ``s^2 / s^2 = 1``
-    but adds no variance, so the residual's rank test excludes it from the
-    start; ITFS applies no other rank test.
+    but adds no variance, so ITFS keeps the columns that the residual's rank
+    test excludes at init, the zero columns, out; it applies no other.
     """
 
     def __init__(self, data: Dataset, sigma: float | None):
-        if sigma is not None and not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        _check_itfs_sigma(sigma)
         self.model = CovarianceModel.from_dataset(data, sigma)
         self.res = _Residual(data, thin=True)
-        self.res.mark_degenerate(self.res.x_sqnorms)
+        self.zero = self.res.excluded.copy()
 
     def step_scores(self, selected):
         model = self.model
@@ -522,7 +507,7 @@ class _ItfsGain(_SelectorGain):
         scores = np.full(model.v, EXCLUDED)
         numerators = conditional_variances(model, selected, unsel)
         scores[unsel] = numerators * _schur_diagonal(model.precision, selected, unsel)
-        scores[self.res.excluded] = EXCLUDED
+        scores[self.zero] = EXCLUDED
         return scores
 
 
@@ -597,9 +582,8 @@ class _UfsGain(_SelectorGain):
 
     def step_scores(self, selected):
         res = self.res
-        excluded = res.mark_degenerate(res.sqnorms())
         scores = -res.spanned_sq / res.x_sqnorms
-        scores[excluded] = EXCLUDED
+        scores[res.excluded] = EXCLUDED
         return scores
 
     def native_trace(self, gains):

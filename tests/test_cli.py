@@ -594,6 +594,27 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"algorithms": [{"name": "itfs", "sigma": -1.0}]}, "sigma must be positive, got -1.0"),
+            ({"algorithms": [{"name": "itfs", "sigma": 0}]}, "sigma must be positive, got 0"),
+            (
+                {"datasets": [{"name": "s", "sim": {"family": "sim2", "params": {"u": 3, "v": 8}},
+                               "has_header": True}]},
+                "dataset 's': has_header applies only to csv_path",
+            ),
+        ],
+        ids=["sigma-negative", "sigma-zero", "has_header-on-sim"],
+    )
+    def test_config_value_rejected_at_load(self, capsys, tmp_path, overrides, message):
+        # A value no cell could use is a config error (exit 1), not a grid
+        # whose every cell fails (exit 2) or a key that is silently ignored.
+        path = write_bench_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "bench", "--config", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_config_repeats_rejected(self, capsys, tmp_path):
         # Repeats would write a CSV column and the metric values twice.
         path = write_bench_config(tmp_path, thresholds=[95, 95.0], metric_ks=[2, 2])

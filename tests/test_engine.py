@@ -35,30 +35,43 @@ from conftest import make_rng
 
 
 class ModularGain(GainFunction):
-    """Fixed per-candidate weights; gains independent of the selection."""
+    """Fixed per-candidate weights; gains independent of the selection, and
+    the value the sum of the committed weights."""
 
     def __init__(self, weights):
         self.weights = [float(w) for w in weights]
         self.calls = 0
+        self.total = 0.0
 
     def gain(self, selected, candidate):
         self.calls += 1
         return self.weights[candidate]
 
+    def commit(self, candidate):
+        self.total += self.weights[candidate]
+
+    def value(self):
+        return self.total
+
 
 class CoverageGain(GainFunction):
-    """Weighted set coverage: monotone submodular by construction."""
+    """Weighted set coverage: monotone submodular by construction.  The
+    value is the weight the committed candidates cover."""
 
     def __init__(self, covers, weights):
         self.covers = [frozenset(c) for c in covers]
         self.weights = dict(weights)
+        self.covered = set()
 
     def gain(self, selected, candidate):
         already = set().union(*(self.covers[s] for s in selected)) if selected else set()
         return sum(self.weights[e] for e in self.covers[candidate] - already)
 
     def commit(self, candidate):
-        pass
+        self.covered |= self.covers[candidate]
+
+    def value(self):
+        return sum(self.weights[e] for e in self.covered)
 
 
 class ScheduledGain(GainFunction):
@@ -165,6 +178,14 @@ class TestStoppingRules:
         assert Threshold(99.0).tau == 99.0
         with pytest.raises(ValueError):
             Threshold(math.nan)
+
+    @pytest.mark.parametrize("select", [greedy_select, lazy_greedy_select])
+    def test_threshold_needs_a_tracked_value(self, select):
+        # A gain without ``value`` has nothing to stop on: the engines read
+        # no running sum of gains in its place.
+        with pytest.raises(NotImplementedError, match="ScheduledGain tracks no value"):
+            select(ScheduledGain([[5.0, 4.0], [0.0, 4.0]]), 2, Threshold(8.0))
+        assert select(ScheduledGain([[5.0, 4.0], [0.0, 4.0]]), 2, Cardinality(2)).order == (0, 1)
 
 
 _SIZE_DATA = center_columns(gen_sim2(100, 3, 8, seed=0))

@@ -683,6 +683,21 @@ class TestRankTest:
             result = ALGORITHMS[name](data, 26)
             assert 6 not in result.order and len(result.order) == 25
 
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize(
+        "data, rank",
+        [
+            pytest.param(center_columns(gen_sim2(60, 3, 8, 1)), 8, id="full-rank"),
+            pytest.param(center_columns(gen_sim2(300, 10, 40, 3, noise_sd=0.0)), 10, id="rank-10"),
+        ],
+    )
+    def test_tau_100_reached_once_the_selection_spans(self, name, data, rank):
+        # Once every column lies in the selected span, VE is exactly 100,
+        # not 100 less the round-off of summing the captured energy.
+        result = ALGORITHMS[name](data, tau=100.0)
+        assert len(result.order) == rank
+        assert result.ve_curve.values[-1] == 100.0
+
     def test_idle_pick_reported_with_early_stop(self):
         # Noise-free sim2 has rank 3, and the constant ninth column is never
         # a candidate: ITFS makes the same 8 picks at k=9 as at k=8, picks
