@@ -3,15 +3,41 @@
 All three go through one Cholesky factorization, :func:`_factor`, the one
 place that decides what a failure means: :class:`SingularCovariance`, with
 no jitter, so every value returned belongs to the matrix the caller passed.
+
+scipy is imported on the first factorization, not with the package: only
+ITFS, the MI metric and the oracle's ``mi`` metric come here, and importing
+``scipy.linalg`` costs more than a whole L-FSCA run of ``varsel select``.
+Each of the three scipy routines is a module global that starts as a
+stand-in; the stand-in's first call imports the routine and binds it over
+itself, so every later call reaches scipy with no wrapper in between.
+``cho_factor`` is looked up at call time, so a test or a tracer can bind a
+counting wrapper over it, before or after the import.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
 from .errors import SingularCovariance
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module.name`` bound to this module's global ``name``."""
+
+    def stand_in(*args, **kwargs):
+        routine = getattr(import_module(module), name)
+        if globals()[name] is stand_in:  # not while a wrapper is bound over it
+            globals()[name] = routine
+        return routine(*args, **kwargs)
+
+    return stand_in
+
+
+cho_factor = _deferred("scipy.linalg", "cho_factor")
+cho_solve = _deferred("scipy.linalg", "cho_solve")
+dpotri = _deferred("scipy.linalg.lapack", "dpotri")
 
 
 def _factor(matrix: np.ndarray):

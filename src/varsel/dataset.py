@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -338,6 +339,12 @@ def _load_plain(handle, has_header: bool) -> Dataset | None:
     return Dataset(values, labels=labels)
 
 
+def _skipped(row: list[str]) -> bool:
+    """The reader's rule for a row that holds no data: blank, or a ``#``
+    comment."""
+    return not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#")
+
+
 def _read_rows(handle, has_header: bool, path) -> Dataset:
     """The dataset row by row through ``csv.reader``: the only code that
     raises :func:`load_csv`'s errors."""
@@ -348,9 +355,7 @@ def _read_rows(handle, has_header: bool, path) -> Dataset:
     reader = csv.reader(handle)
     try:
         for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
+            if _skipped(row):
                 continue
             if header_pending:
                 labels = tuple(cell.strip() for cell in row)
@@ -380,12 +385,30 @@ def _read_rows(handle, has_header: bool, path) -> Dataset:
 
 def save_csv(data: Dataset, path, comment: str | None = None) -> None:
     """Write a dataset as CSV with an optional leading ``#`` comment line and
-    a header row when the dataset carries labels."""
+    a header row when the dataset carries labels.
+
+    Raises ``ValueError``, before writing, for a header that
+    :func:`load_csv` would skip as a comment or a blank row: a first label
+    that starts with ``#`` after leading whitespace, or one blank label.
+    Quoting would not help, since the reader's rule reads the parsed cells.
+    """
+    header = ""
+    if data.labels is not None:
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerow(data.labels)
+        header = buffer.getvalue()
+        first = data.labels[0]
+        if not comment and header.startswith("\ufeff"):  # load_csv drops it as a byte-order mark
+            first = first[1:]
+        if _skipped([first, *data.labels[1:]]):
+            raise ValueError(
+                f"label {data.labels[0]!r} would make the header read back as a "
+                "comment or blank line"
+            )
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
-        if data.labels is not None:
-            csv.writer(handle).writerow(data.labels)
+        handle.write(header)
         # A float's repr needs no quoting; "\r\n" ends a ``csv.writer`` row.
         for row in data.values:
             handle.write(",".join(map(repr, row.tolist())) + "\r\n")

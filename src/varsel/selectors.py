@@ -52,6 +52,12 @@ evaluations that the lazy engine skips are still work saved.  UFS stays on
 the m x v residual, because the round-off of ``T`` would break its exact
 ties between orthogonal columns.
 
+PFS imports ``scipy.linalg.eigh`` in ``_first_component``, its one
+caller, so that the other six selectors never pay for importing
+``scipy.linalg``, which takes longer than an L-FSCA run of ``varsel
+select`` (ITFS reaches scipy through ``_linalg``, which defers it too).
+Once scipy is loaded, the statement costs about a microsecond per step.
+
 All results report 1-based variable indices.  The VE curve attached to each
 result is always computed against the centered (not normalized) data, so
 curves are comparable across algorithms.
@@ -64,7 +70,6 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .dataset import DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
 from .dataset import normalize_unit
@@ -370,8 +375,9 @@ class _FosModGain(_SelectorGain):
     def step_scores(self, selected):
         res = self.res
         cross = res.r.T @ res.x
+        cross *= cross  # in place: a second v x v temporary could be faulted in anew each step
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = (cross * cross) @ self.inv_sqnorms / (self.v * res.sqnorms)
+            scores = cross @ self.inv_sqnorms / (self.v * res.sqnorms)
         scores[res.excluded] = EXCLUDED
         return scores
 
@@ -430,6 +436,8 @@ def _first_component(r: np.ndarray) -> tuple[np.ndarray, float]:
     smaller Gram since PFS's residual is never taller than it is wide (the
     data when ``m <= v``, the v x v factor ``T`` otherwise).  With one row
     (``T`` of a single column), ``l2`` is 0."""
+    from scipy.linalg import eigh  # deferred: see the module docstring
+
     gram = r @ r.T
     n = gram.shape[0]
     values, vectors = eigh(gram, subset_by_index=[max(n - 2, 0), n - 1], check_finite=False)

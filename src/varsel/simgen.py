@@ -46,12 +46,21 @@ def standard_normals(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     """
     count = int(np.prod(shape)) if shape else 1
     pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = (2.0 * math.pi) * u2
-    flat = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
-    return flat[:count].reshape(shape)
+    # In place, in 1.5x the output's memory.  IEEE products commute, so this
+    # is ``concatenate([radius * cos(theta), radius * sin(theta)])`` bit for
+    # bit.
+    flat = np.empty((2, pairs))
+    radius = rng.random(pairs)
+    theta = rng.random(out=flat[1])
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta *= 2.0 * math.pi
+    np.cos(theta, out=flat[0])
+    np.sin(theta, out=flat[1])
+    flat *= radius
+    return flat.reshape(-1)[:count].reshape(shape)
 
 
 # =========================================================================
@@ -120,14 +129,19 @@ def gen_sim2(
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
     rng = _uniform_rng(seed)
+    # One block for the result, filled in place: ``noise_sd * noise +
+    # independent @ mixing`` is the same sum bit for bit in either order.
+    values = np.empty((m, v))
     independent = standard_normals(rng, (m, u))
+    values[:, :u] = independent
     mixing = standard_normals(rng, (u, v - u))
-    noise = noise_sd * standard_normals(rng, (m, v - u))
-    dependent = independent @ mixing + noise
+    dependent = values[:, u:]
+    np.multiply(standard_normals(rng, (m, v - u)), noise_sd, out=dependent)
+    dependent += independent @ mixing
     labels = tuple(f"I{i}" for i in range(1, u + 1)) + tuple(
         f"D{i}" for i in range(1, v - u + 1)
     )
-    return Dataset(np.hstack([independent, dependent]), labels=labels)
+    return Dataset(values, labels=labels)
 
 
 # =========================================================================

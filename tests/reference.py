@@ -12,7 +12,9 @@ residuals, and :func:`itfs_select` by dense solves
 and inverses of covariance blocks, so they are cheap enough to run on
 every shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
-cell at a time.
+cell at a time.  :func:`standard_normals` and :func:`gen_sim2_values` are
+the generators' Box-Muller stream and sim2 matrix as plain expressions,
+one temporary per operation.
 
 A column is a candidate while its residual against the selection keeps
 more than ``DEPENDENT_TOL`` of its own norm, the package's one rank test.
@@ -350,3 +352,25 @@ def load_csv_rows(path, has_header: bool = False) -> Dataset:
     if not rows:
         raise EmptyFile(path)
     return Dataset(np.array(rows, dtype=float), labels=labels)
+
+
+def standard_normals(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Box-Muller over pairs of uniforms: the cosine branch, then the sine
+    branch, reshaped in C order."""
+    count = int(np.prod(shape)) if shape else 1
+    pairs = (count + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = (2.0 * math.pi) * u2
+    flat = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+    return flat[:count].reshape(shape)
+
+
+def gen_sim2_values(m: int, u: int, v: int, seed: int, noise_sd: float = 0.1) -> np.ndarray:
+    """The sim2 matrix: ``[I, I @ M + noise_sd * E]`` from one seeded stream."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    independent = standard_normals(rng, (m, u))
+    mixing = standard_normals(rng, (u, v - u))
+    noise = noise_sd * standard_normals(rng, (m, v - u))
+    return np.hstack([independent, independent @ mixing + noise])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import threading
 import warnings
 
@@ -368,6 +369,53 @@ class TestCsv:
         assert path.read_bytes().startswith(
             b'# pinned bytes\nplain,"with,comma","with""quote", padded \r\n-0.0,5e-324,'
         )
+
+    @pytest.mark.parametrize(
+        "labels, comment",
+        [
+            (("#x", "y"), None),
+            (("  #x", "y"), "note"),
+            (("\t# x",), None),
+            (("",), "note"),
+            (("   ",), None),
+            (("\x1c",), None),
+            (("\ufeff#x", "y"), None),  # the file's first character: read as a byte-order mark
+            (("\ufeff",), None),
+        ],
+        ids=["hash", "indented-hash", "tab-hash", "empty", "spaces", "separator-char",
+             "bom-hash", "bom"],
+    )
+    def test_header_read_as_comment_or_blank_rejected(self, tmp_path, labels, comment):
+        # The loader would skip such a header and take the first data row
+        # for the labels, losing it without an error.
+        path = tmp_path / "lost.csv"
+        data = Dataset(np.arange(2.0 * len(labels)).reshape(2, -1), labels=labels)
+        with pytest.raises(ValueError, match=re.escape(f"label {labels[0]!r} would make the header")):
+            save_csv(data, path, comment=comment)
+        assert not path.exists()
+
+    def test_byte_order_mark_after_comment_kept(self, tmp_path):
+        path = tmp_path / "bom_label.csv"
+        data = Dataset(np.eye(2), labels=("\ufeff#x", "y"))
+        save_csv(data, path, comment="note")
+        back = load_csv(path, has_header=True)
+        assert back.labels == data.labels
+        np.testing.assert_array_equal(back.values, data.values)
+
+    @given(labels=st.lists(st.text(max_size=4), min_size=1, max_size=3), comment=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_written_header_reads_back(self, tmp_path_factory, labels, comment):
+        values = np.arange(3.0 * len(labels)).reshape(3, -1)
+        path = tmp_path_factory.mktemp("header") / "labels.csv"
+        try:
+            save_csv(Dataset(values, labels=tuple(labels)), path, comment="c" if comment else None)
+        except ValueError:
+            assert not path.exists()
+            return
+        for load in (load_csv, load_csv_rows):
+            back = load(path, has_header=True)
+            assert back.labels is not None and len(back.labels) == len(labels)
+            np.testing.assert_array_equal(back.values, values)
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -1,7 +1,9 @@
-"""The package surface: each public name is declared once, in its module."""
+"""The package surface: each public name is declared once, in its module; and
+what importing the package and running the CLI load."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +68,73 @@ def test_import_loads_the_library_modules_only():
     assert out.stdout.strip() == str(sorted(
         ["varsel", "varsel._linalg"] + [m.__name__ for m in MODULES]
     ))
+
+
+# =========================================================================
+# scipy loads only in the solvers that call it
+# =========================================================================
+
+#: Runs ``varsel.cli.main`` on the arguments, then writes the loaded scipy
+#: modules as the last line of stderr and exits with the CLI's code.
+_CLI_REPORTING_SCIPY = (
+    "import json, sys, varsel.cli\n"
+    "code = varsel.cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')),"
+    " file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_cli(*argv):
+    """Exit code, JSON output and loaded scipy modules of one CLI run in a
+    new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(varsel.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _CLI_REPORTING_SCIPY, *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return out.returncode, json.loads(out.stdout), json.loads(out.stderr.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def sim_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scipy") / "sim2.csv"
+    dataset.save_csv(simgen.gen_sim2(m=60, u=4, v=10, seed=5), path)
+    return path, dataset.center_columns(dataset.load_csv(path, has_header=True))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, varsel; print([n for n in sys.modules if n.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": str(Path(varsel.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "algo, needs_scipy",
+    [("fsca", False), ("lfsca", False), ("fosmod", False), ("fsfp-fsca", False),
+     ("ufs", False), ("pfs", True), ("itfs", True)],
+)
+def test_select_loads_scipy_only_for_pfs_and_itfs(sim_csv, algo, needs_scipy):
+    path, data = sim_csv
+    code, payload, scipy_modules = _fresh_cli(
+        "select", "--algo", algo, "--k", "4", "--header", "--input", str(path)
+    )
+    assert code == 0
+    assert bool(scipy_modules) == needs_scipy, scipy_modules
+    expected = selectors.ALGORITHMS[algo](data, 4)
+    assert tuple(payload["order"]) == expected.order
+    assert payload["ve_curve"] == list(expected.ve_curve.values)
+
+
+def test_oracle_mi_loads_scipy_and_matches_library(sim_csv):
+    path, data = sim_csv
+    code, payload, scipy_modules = _fresh_cli(
+        "oracle", "--metric", "mi", "--k", "3", "--header", "--input", str(path)
+    )
+    assert code == 0 and scipy_modules
+    expected = oracle.exhaustive_optimal(data, 3, "mi")
+    assert tuple(payload["optimal_indices"]) == expected.ordered
+    assert payload["optimal_value"] == expected.value

@@ -15,6 +15,8 @@ from varsel import (
 )
 from varsel.simgen import _uniform_rng, standard_normals
 
+import reference
+
 
 # =========================================================================
 # Normal sampling
@@ -46,6 +48,14 @@ class TestStandardNormals:
     def test_finite(self):
         draws = standard_normals(_uniform_rng(3), (100_000,))
         assert np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (9,), (10, 4), (5, 3, 2), (5000, 7)])
+    def test_stream_matches_reference(self, shape):
+        # Bit for bit, and the generator is left at the same point.
+        rng, ref_rng = _uniform_rng(11), _uniform_rng(11)
+        expected = reference.standard_normals(ref_rng, shape)
+        assert np.array_equal(standard_normals(rng, shape), expected)
+        assert rng.random() == ref_rng.random()
 
 
 # =========================================================================
@@ -99,6 +109,12 @@ class TestSim1:
         with pytest.raises(ValueError):
             gen_sim1(m=1)
 
+    @pytest.mark.parametrize("m, seed", [(2, 0), (3, 1), (1000, 2), (5000, 3)])
+    def test_values_match_reference_stream(self, monkeypatch, m, seed):
+        expected = gen_sim1(m=m, seed=seed).values
+        monkeypatch.setattr("varsel.simgen.standard_normals", reference.standard_normals)
+        assert np.array_equal(gen_sim1(m=m, seed=seed).values, expected)
+
 
 # =========================================================================
 # Simulated dataset 2: independent block mixed into dependent block
@@ -129,6 +145,22 @@ class TestSim2:
         data = center_columns(gen_sim2(m=400, u=6, v=15, seed=2, noise_sd=0.0))
         ve = variance_explained(data, tuple(range(1, 7)))
         assert ve == pytest.approx(100.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "m, u, v, seed, noise_sd",
+        [
+            (2000, 25, 150, 0, 0.1),   # the tall, wide, csv and oracle benchmark shapes
+            (250, 50, 600, 1, 0.1),
+            (5000, 25, 200, 2, 0.1),
+            (500, 6, 16, 3, 0.1),
+            (500, 4, 12, 35, 0.1),
+            (7, 2, 5, 4, 0.3),         # odd element counts
+            (9, 3, 4, 5, 0.0),
+        ],
+    )
+    def test_values_match_reference(self, m, u, v, seed, noise_sd):
+        data = gen_sim2(m=m, u=u, v=v, seed=seed, noise_sd=noise_sd)
+        assert np.array_equal(data.values, reference.gen_sim2_values(m, u, v, seed, noise_sd))
 
     def test_u_v_validation(self):
         with pytest.raises(ValueError):
