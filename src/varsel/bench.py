@@ -44,7 +44,7 @@ import numpy as np
 from .dataset import Dataset, center_columns, load_csv
 from .engine import Cardinality
 from .errors import SelectionError, ThresholdNeverReached
-from .metrics import VECurve, auc, k_at_threshold, relative_performance
+from .metrics import auc, k_at_threshold, relative_performance
 from .oracle import subset_scorer
 from .selectors import ALGORITHMS, SelectionResult, _check_itfs_sigma
 from .simgen import SimSpec, dataset_from_spec
@@ -175,9 +175,10 @@ class AlgoConfig:
             raise ValueError(f"sigma applies only to itfs, not {self.name!r}")
         _check_itfs_sigma(self.sigma)
 
-    def run(self, data: Dataset, k: int) -> SelectionResult:
+    def run(self, data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
+        """The algorithm's selection: ``k`` picks, or up to ``tau`` percent VE."""
         kwargs = {} if self.sigma is None else {"sigma": self.sigma}
-        return ALGORITHMS[self.name](data, k, **kwargs)
+        return ALGORITHMS[self.name](data, k, tau=tau, **kwargs)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AlgoConfig":
@@ -407,7 +408,7 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
         r_values: dict[str, list[float | None]] = {name: [] for name in healthy}
         for run in zip(*healthy.values()):
             curves = {
-                name: VECurve(_extend_curve(result.ve_curve.values, config.k_max))
+                name: _extend_curve(result.ve_curve, config.k_max)
                 for name, result in zip(healthy, run)
             }
             try:
@@ -425,15 +426,13 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             curves = [result.ve_curve.values for result in results]
             auc_value = None
             if config.k_max >= v - 1 and v >= 2:
-                auc_value = _median(
-                    [auc(VECurve(_extend_curve(c, v - 1)), v) for c in curves]
-                )
+                auc_value = _median([auc(_extend_curve(c, v - 1), v) for c in curves])
             k_at = []
             for threshold in config.thresholds:
                 per_seed = []
                 for c in curves:
                     try:
-                        per_seed.append(k_at_threshold(VECurve(c), threshold))
+                        per_seed.append(k_at_threshold(c, threshold))
                     except ThresholdNeverReached:
                         per_seed.append(None)
                 k_at.append((threshold, _lower_median(per_seed)))

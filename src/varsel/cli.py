@@ -23,11 +23,12 @@ import json
 import sys
 from dataclasses import asdict, replace
 
-from .bench import BenchConfig, emit_report, run_benchmark
+import numpy as np
+
+from .bench import AlgoConfig, BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
 from .errors import SelectionError
-from .metrics import variance_explained
-from .oracle import TabulatedSetFunction, bound_report, compare_to_optimal, exhaustive_optimal
+from .oracle import TabulatedSetFunction, bound_report, compare_to_optimal, exhaustive_optimal, subset_scorer
 from .selectors import ALGORITHMS
 from .simgen import gen_sim1, gen_sim2
 
@@ -85,14 +86,9 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_select(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.tau is None):
         raise ValueError("provide exactly one of --k and --tau")
-    raw = _load_input(args)
-    data = center_columns(raw)
-    kwargs = {}
-    if args.sigma is not None:
-        if args.algo != "itfs":
-            raise ValueError("--sigma applies only to itfs")
-        kwargs["sigma"] = args.sigma
-    result = ALGORITHMS[args.algo](data, args.k, tau=args.tau, **kwargs)
+    algo = AlgoConfig(args.algo, args.sigma)
+    data = center_columns(_load_input(args))
+    result = algo.run(data, args.k, tau=args.tau)
     if args.format == "csv":
         _write_select_csv(result, data, args.output)
     else:
@@ -161,8 +157,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--sigma applies only to the mi metric or itfs")
     if args.bounds and args.metric != "ve":
         raise ValueError("--bounds is available only for the ve metric")
-    raw = _load_input(args)
-    data = center_columns(raw)
+    algo = AlgoConfig(args.algo, args.sigma if args.algo == "itfs" else None) if args.algo else None
+    data = center_columns(_load_input(args))
     sigma = args.sigma if args.metric == "mi" else None
     optimal = exhaustive_optimal(data, args.k, args.metric, sigma=sigma)
     payload: dict = {
@@ -173,15 +169,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "optimal_value": optimal.value,
     }
     if args.bounds:
+        # The search's own scorer, so the two optima agree bit for bit.
+        score = subset_scorer(data, "ve")[0]
         table = TabulatedSetFunction.from_callable(
-            data.v, lambda subset: variance_explained(data, subset)
+            data.v, lambda subset: float(score(np.array([subset]) - 1)[0]) if subset else 0.0
         )
         bounds = asdict(bound_report(table, args.k))
         del bounds["k"]
         payload["bounds"] = bounds
-    if args.algo:
-        kwargs = {"sigma": args.sigma} if args.algo == "itfs" and args.sigma is not None else {}
-        result = ALGORITHMS[args.algo](data, args.k, **kwargs)
+    if algo is not None:
+        result = algo.run(data, args.k)
         comparison = compare_to_optimal(result.order, optimal, data=data, sigma=sigma)
         payload["comparison"] = {
             "algorithm": args.algo,

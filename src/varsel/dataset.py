@@ -387,11 +387,14 @@ def save_csv(data: Dataset, path, comment: str | None = None) -> None:
     """Write a dataset as CSV with an optional leading ``#`` comment line and
     a header row when the dataset carries labels.
 
-    Raises ``ValueError``, before writing, for a header that
+    Raises ``ValueError``, before writing, for a comment holding a line
+    break (its later lines would read back as rows) and for a header that
     :func:`load_csv` would skip as a comment or a blank row: a first label
     that starts with ``#`` after leading whitespace, or one blank label.
     Quoting would not help, since the reader's rule reads the parsed cells.
     """
+    if comment and ("\n" in comment or "\r" in comment):
+        raise ValueError(f"comment {comment!r} holds a line break")
     header = ""
     if data.labels is not None:
         buffer = io.StringIO(newline="")

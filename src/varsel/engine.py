@@ -2,11 +2,11 @@
 
 Both engines maximize a user-supplied gain function one candidate at a time.
 The plain engine re-evaluates every remaining candidate each step.  The lazy
-engine keeps every candidate's most recent gain as an upper bound in a heap,
-re-evaluates only the top of the heap until its bound is from the current
-step, and commits it; for submodular gains this reproduces the plain
-sequence exactly with far fewer evaluations, since gains can only shrink as
-the selection grows (Minoux's accelerated greedy).
+engine keeps every candidate's most recent gain (``+inf`` before its first)
+as a bound in a heap, re-evaluates only the top of the heap until its bound
+is from the current step, and commits it; for submodular gains this
+reproduces the plain sequence exactly with far fewer evaluations, since
+gains can only shrink as the selection grows (Minoux's accelerated greedy).
 
 Candidates are identified by 0-based ids ``0 .. v-1`` at this layer; the
 selector layer converts to the 1-based indices used everywhere else.
@@ -194,30 +194,25 @@ def lazy_greedy_select(
     stop: StoppingRule,
     initial: Sequence[int] = (),
 ) -> GreedyRun:
-    """Lazy greedy selection over a heap of upper bounds.
+    """Lazy greedy selection over a heap of upper bounds, one rule for
+    every step.
 
-    The first step scores every candidate.  The heap holds
-    ``(-bound, id, step)`` for each remaining candidate, where ``step`` is
-    the selection size at which the bound was evaluated.  Each step pops
-    the top: a bound from the current step is exact and is committed (an
-    excluded one means every candidate is exhausted); a stale one is
-    re-evaluated and pushed back.  For submodular gains the stale bounds
-    are valid upper bounds, so the committed candidate is the true argmax;
-    for non-submodular gains this is the usual lazy heuristic, applied
-    exactly as stated with no safeguard re-scan.
+    The heap holds ``(-bound, id, step)`` for each remaining candidate, where
+    ``step`` is the selection size at which the bound was evaluated; each
+    starts at ``(-inf, id, -1)``, built in id order and so already a heap.
+    Each step re-evaluates the top until its bound is from the current step,
+    and commits it (an excluded one means every candidate is exhausted).  So
+    the first step scores every candidate once, in ascending id order, as
+    long as no gain is ``+inf`` (no selector's is).  For submodular gains
+    the stale bounds are valid upper bounds, so the committed candidate is
+    the true argmax; for non-submodular gains this is the usual lazy
+    heuristic, applied exactly as stated with no safeguard re-scan.
     """
     selected = _warm_start(v, stop, initial)
-    remaining = [i for i in range(v) if i not in set(selected)]
+    heap = [(-math.inf, i, -1) for i in range(v) if i not in set(selected)]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
     exhausted = False
-    heap: list[tuple[float, int, int]] = []
-    if not _stop_met(stop, selected, gain_fn) and remaining:
-        bounds = gain_fn.gain_all(selected, remaining)
-        evals += len(remaining)
-        bounds = np.where(np.isnan(bounds), EXCLUDED, bounds)
-        heap = [(-float(b), i, len(selected)) for i, b in zip(remaining, bounds)]
-        heapq.heapify(heap)
     while heap and not _stop_met(stop, selected, gain_fn):
         while heap[0][2] != len(selected):
             index = heap[0][1]

@@ -266,8 +266,6 @@ def mutual_information(model: CovarianceModel, selected) -> float:
 
 
 def _curve_values(curve) -> tuple[float, ...]:
-    if isinstance(curve, VECurve):
-        return curve.values
     return tuple(float(x) for x in curve)
 
 

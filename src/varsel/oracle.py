@@ -162,6 +162,16 @@ class _TabulatedGain(GainFunction):
         return float(self.table.values[self.mask])
 
 
+def _ground_set_size(v) -> int:
+    """``v`` as an int in ``1..TABULATION_LIMIT``; :class:`TooLarge` above."""
+    v = int(v)
+    if v < 1:
+        raise ValueError(f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v}")
+    if v > TABULATION_LIMIT:
+        raise TooLarge(2**v, 2**TABULATION_LIMIT)
+    return v
+
+
 class TabulatedSetFunction:
     """A set function on up to 12 variables stored as a 2^v value array.
 
@@ -173,9 +183,7 @@ class TabulatedSetFunction:
     """
 
     def __init__(self, v: int, values):
-        v = int(v)
-        if not 1 <= v <= TABULATION_LIMIT:
-            raise TooLarge(2**v if v >= 1 else 0, 2**TABULATION_LIMIT)
+        v = _ground_set_size(v)
         table = np.asarray(values, dtype=float).copy()
         if table.shape != (2**v,):
             raise ValueError(f"expected {2**v} values for v={v}, got shape {table.shape}")
@@ -193,8 +201,7 @@ class TabulatedSetFunction:
         ``fn`` receives a sorted tuple of 1-based indices (empty for the
         empty set).
         """
-        if not 1 <= v <= TABULATION_LIMIT:
-            raise TooLarge(2**v if v >= 1 else 0, 2**TABULATION_LIMIT)
+        v = _ground_set_size(v)
         table = np.empty(2**v)
         for mask in range(2**v):
             subset = tuple(i + 1 for i in range(v) if mask & (1 << i))

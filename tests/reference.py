@@ -6,11 +6,11 @@ no factor reuse, no deflation, no triangular factor).  Most work in mpmath
 at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_scores`,
-:func:`fsca_select` and :func:`pfs_select` work in float64, by QR
-projections (and an SVD for PFS), :func:`fosmod_select` by least-squares
-residuals, and :func:`itfs_select` by dense solves
-and inverses of covariance blocks, so they are cheap enough to run on
-every shape the tests use.
+:func:`fsca_select`, :func:`lfsca_select` and :func:`pfs_select` work in
+float64, by QR projections (and an SVD for PFS), :func:`fosmod_select` by
+least-squares residuals, and :func:`itfs_select` by dense solves and
+inverses of covariance blocks, so they are cheap enough to run on every
+shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
 cell at a time.  :func:`standard_normals` and :func:`gen_sim2_values` are
 the generators' Box-Muller stream and sim2 matrix as plain expressions,
@@ -192,6 +192,43 @@ def fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
         order.append(int(np.argmax(scores)) + 1)
         curve.append(float(scores[order[-1] - 1]))
     return tuple(order), np.array(curve)
+
+
+def lfsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], int]:
+    """L-FSCA's 1-based order and its evaluation count, by Minoux's rule.
+
+    Every candidate starts with a stale bound of ``+inf``.  Each step looks
+    at the candidate with the largest bound, the lowest id on ties: a stale
+    bound is replaced by the candidate's gain against the current selection
+    and counted as one evaluation; a bound from this step is committed.  The
+    gain of column ``j`` is the VE, in percent, that ``x_j`` adds to
+    ``X_S``: the energy of ``X`` along the last column of ``Q`` in a QR
+    factorization of ``[X_S, x_j]``, or ``-inf`` where ``j`` is no
+    candidate.  The order ends early when the committed bound is ``-inf``.
+    """
+    x = data.values
+    energy = float(np.sum(x * x))
+
+    def gain(j: int) -> float:
+        q = np.linalg.qr(x[:, order + [j]])[0][:, -1]
+        return 100.0 * float(np.sum((q @ x) ** 2)) / energy
+
+    order: list[int] = []
+    bounds = {j: (math.inf, -1) for j in range(data.v)}  # column -> (bound, step)
+    evals = 0
+    while len(order) < k:
+        step = len(order)
+        live = _live(x, _residual(x, order), order)
+        while True:
+            j = max(bounds, key=lambda i: (bounds[i][0], -i))
+            if bounds[j][1] == step:
+                break
+            bounds[j] = (gain(j) if live[j] else -math.inf, step)
+            evals += 1
+        if bounds.pop(j)[0] == -math.inf:
+            break
+        order.append(j)
+    return tuple(i + 1 for i in order), evals
 
 
 def fosmod_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:

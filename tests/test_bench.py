@@ -26,6 +26,7 @@ from varsel import (
     save_csv,
     variance_explained,
 )
+from varsel.selectors import ALGORITHMS
 
 from conftest import make_rng, random_dataset
 
@@ -99,6 +100,14 @@ class TestAlgoConfig:
     def test_round_trip(self):
         config = AlgoConfig("itfs", sigma=0.05)
         assert AlgoConfig.from_dict(as_json(config)) == config
+
+    @pytest.mark.parametrize("name, options", [("fsca", {}), ("itfs", {"sigma": 0.2})])
+    def test_run_takes_k_or_tau(self, name, options):
+        data = random_dataset(60, 8, seed=4)
+        config = AlgoConfig(name, **options)
+        select = ALGORITHMS[name]
+        assert config.run(data, 3).order == select(data, 3, **options).order
+        assert config.run(data, tau=90.0).order == select(data, tau=90.0, **options).order
 
 
 class TestBenchConfig:

@@ -242,7 +242,7 @@ class TestSelect:
             small_csv,
         )
         assert code == 1
-        assert "--sigma applies only to itfs" in err
+        assert "sigma applies only to itfs, not 'fsca'" in err
 
         code, out, _ = run_cli(
             capsys,
@@ -258,6 +258,19 @@ class TestSelect:
         )
         assert code == 0
         assert json.loads(out)["algorithm"] == "itfs"
+
+    @pytest.mark.parametrize(
+        "algo, sigma, message",
+        [("fsca", "0.1", "sigma applies only to itfs, not 'fsca'"),
+         ("itfs", "0", "sigma must be positive, got 0.0")],
+    )
+    def test_sigma_checked_before_input_is_read(self, capsys, tmp_path, algo, sigma, message):
+        missing = str(tmp_path / "nope.csv")
+        code, out, err = run_cli(
+            capsys, "select", "--algo", algo, "--k", "2", "--sigma", sigma, "--input", missing
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -667,6 +680,18 @@ class TestOracle:
         assert 0.0 <= bounds["alpha"] <= 1.0
         assert bounds["greedy_ratio"] <= 1.0 + 1e-9
         assert bounds["greedy_ratio"] >= bounds["b_alpha_gamma"] - 1e-9
+
+    def test_bounds_optimum_is_the_search_optimum(self, capsys):
+        # The bound table scores subsets as the search does, so both report
+        # the same optimal value, bit for bit.
+        for seed in range(33, 41):
+            code, out, err = run_cli(
+                capsys, "oracle", "--k", "4", "--bounds", "--input", "sim2",
+                "--m", "500", "--u", "4", "--v", "12", "--seed", str(seed),
+            )
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["bounds"]["optimal_value"] == payload["optimal_value"], seed
 
     def test_bounds_ve_only(self, capsys, small_csv):
         code, _, err = run_cli(

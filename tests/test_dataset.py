@@ -394,6 +394,15 @@ class TestCsv:
             save_csv(data, path, comment=comment)
         assert not path.exists()
 
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_comment_with_line_break_rejected(self, tmp_path, newline):
+        # The comment's later lines would read back as data rows.
+        path = tmp_path / "broken.csv"
+        comment = f"run 1{newline}7.0,8.0"
+        with pytest.raises(ValueError, match=re.escape(f"comment {comment!r} holds a line break")):
+            save_csv(Dataset(np.arange(6.0).reshape(3, 2)), path, comment=comment)
+        assert not path.exists()
+
     def test_byte_order_mark_after_comment_kept(self, tmp_path):
         path = tmp_path / "bom_label.csv"
         data = Dataset(np.eye(2), labels=("\ufeff#x", "y"))

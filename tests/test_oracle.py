@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestTabulatedSetFunction:
             TabulatedSetFunction.from_callable(
                 TABULATION_LIMIT + 1, lambda s: float(len(s))
             )
+
+    def test_empty_ground_set_rejected(self):
+        message = f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabulatedSetFunction(0, [0.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabulatedSetFunction.from_callable(0, lambda s: 0.0)
 
     def test_gain_function_drives_engine(self):
         fn = coverage_function(1)

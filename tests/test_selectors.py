@@ -39,6 +39,7 @@ from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_data
 from reference import fosmod_select as fosmod_reference
 from reference import fsca_select as fsca_reference
 from reference import itfs_select as itfs_reference
+from reference import lfsca_select as lfsca_reference
 from reference import pfs_select as pfs_reference
 
 
@@ -386,6 +387,15 @@ class TestLfsca:
         scales = (0.9, 0.4, 1.3, 0.2, 0.7, 1.1, 0.3)
         data = orthogonal_dataset(8, scales=scales)
         assert lfsca_select(data, 7).order == fsca_select(data, 7).order
+
+    def test_matches_minoux_reference_on_criterion_1_inputs(self):
+        # Criterion 1's datasets: same order and the same evaluation count
+        # as Minoux's rule applied literally, every bound starting at +inf.
+        for seed in range(10):
+            for data in (center_columns(gen_sim1(500, seed)), centered_sim2(seed)):
+                k = min(50, data.v)
+                result = lfsca_select(data, k)
+                assert (result.order, result.eval_count) == lfsca_reference(data, k), seed
 
 
 # =========================================================================
