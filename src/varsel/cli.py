@@ -28,7 +28,8 @@ import numpy as np
 from .bench import AlgoConfig, BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
 from .errors import SelectionError
-from .oracle import TabulatedSetFunction, bound_report, compare_to_optimal, exhaustive_optimal, subset_scorer
+from .oracle import TabulatedSetFunction, _ground_set_size, bound_report, compare_to_optimal
+from .oracle import exhaustive_optimal, subset_scorer
 from .selectors import ALGORITHMS
 from .simgen import gen_sim1, gen_sim2
 
@@ -159,6 +160,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--bounds is available only for the ve metric")
     algo = AlgoConfig(args.algo, args.sigma if args.algo == "itfs" else None) if args.algo else None
     data = center_columns(_load_input(args))
+    if args.bounds:
+        _ground_set_size(data.v)  # the table's limit, checked before the search
     sigma = args.sigma if args.metric == "mi" else None
     optimal = exhaustive_optimal(data, args.k, args.metric, sigma=sigma)
     payload: dict = {

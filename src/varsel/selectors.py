@@ -32,8 +32,8 @@ norm themselves when the input is not already unit-norm, since that
 normalization is part of those algorithms.
 
 Engines: L-FSCA alone runs the lazy engine.  The FSCA gain scores one
-candidate at a time (one matrix-vector product against the residual per
-evaluation), so the evaluations that lazy selection skips are real work.
+candidate at a time (one matrix-vector product per evaluation), so the
+evaluations that lazy selection skips are real work.
 The other five gains score every column at once through ``step_scores``,
 once per step, so they run the plain engine: skipping candidates would
 save nothing.
@@ -46,11 +46,14 @@ gain but UFS's keeps its residual and deflation on the v x v triangular
 factor ``T`` of ``X = QT``: every quantity they read (column norms,
 ``R^T R``, ``R^T X``, and ``R^T p`` for PFS's first component ``p``) is
 unchanged by the orthonormal ``Q``, so they select as on ``X`` (up to
-round-off, which can decide an exact tie) at v x v cost.  An FSCA evaluation
-stays one product per candidate, of length v instead of m, so the
-evaluations that the lazy engine skips are still work saved.  UFS stays on
+round-off, which can decide an exact tie) at v x v cost.  UFS stays on
 the m x v residual, because the round-off of ``T`` would break its exact
 ties between orthogonal columns.
+
+FSCA when ``m < v``, and FOS-MOD on every shape, score through a
+min(m, v)-square form of ``x`` that is built once and never updated (see
+``_FscaGain`` and ``_FosModGain``): an FSCA evaluation costs min(m, v)^2,
+a FOS-MOD step min(m, v)^2 v.
 
 PFS imports ``scipy.linalg.eigh`` in ``_first_component``, its one
 caller, so that the other six selectors never pay for importing
@@ -329,23 +332,32 @@ class _FscaGain(_SelectorGain):
     """VE gain of a residual column: ``100 ||R^T r||^2 / (r^T r ||X||^2)``.
 
     Every evaluation — full sweeps in the plain engine and head
-    re-evaluations in the lazy engine — costs one matrix-vector product
-    against the residual: O(v^2) on the triangular factor when ``m > v``,
-    O(mv) on the data otherwise.  Keeping the two engines on the same
+    re-evaluations in the lazy engine — costs one matrix-vector product:
+    against the residual, O(v^2) (on the triangular factor when ``m > v``),
+    when ``m >= v``; against ``W = x x^T``, O(m^2), when ``m < v``.  ``W`` is built once and
+    never updated: with ``P`` the projection off the selected span,
+    ``R = P x`` and ``P r = r``, so ``R^T r = x^T P r = x^T r`` and
+    ``||R^T r||^2 = r^T W r``.  Keeping the two engines on the same
     evaluation primitive is what makes their wall-clock ratio measure the
     evaluation savings of lazy selection rather than a batching artifact.
     """
 
     def __init__(self, data: Dataset):
         self.res = _Residual(data, thin=True)
+        x = self.res.x
+        self.w = x @ x.T if x.shape[0] < x.shape[1] else None
 
     def gain(self, selected, candidate: int) -> float:
         res = self.res
         if res.excluded[candidate]:
             return EXCLUDED
         r = res.r[:, candidate]
-        t = r @ res.r
-        return 100.0 * float(t @ t) / (float(r @ r) * res.energy)
+        if self.w is None:
+            t = r @ res.r
+            captured = float(t @ t)
+        else:
+            captured = float(r @ (self.w @ r))
+        return 100.0 * captured / (float(r @ r) * res.energy)
 
     gain_all = GainFunction.gain_all
 
@@ -359,6 +371,10 @@ class _FosModGain(_SelectorGain):
     """Average squared correlation of a residual column with all original
     columns: ``(1/v) sum_j (x_j^T r)^2 / (||x_j||^2 ||r||^2)``.
 
+    The numerator is ``r^T N r`` with ``N = x diag(1/||x_j||^2) x^T``,
+    min(m, v) square, built once: it reads only the original columns, so it
+    needs no update.  A step costs min(m, v)^2 v, against v^2 min(m, v) for
+    ``R^T x``.
     Columns already selected contribute zero because the residual is
     orthogonal to them; original columns with zero norm are left out of the
     average (the residual's rank test excludes them from candidacy).
@@ -366,18 +382,15 @@ class _FosModGain(_SelectorGain):
 
     def __init__(self, data: Dataset):
         self.res = _Residual(data, thin=True)
-        x_sqnorms = self.res.x_sqnorms
-        self.inv_sqnorms = np.zeros_like(x_sqnorms)
-        nonzero = x_sqnorms > 0.0
-        self.inv_sqnorms[nonzero] = 1.0 / x_sqnorms[nonzero]
+        x, x_sqnorms = self.res.x, self.res.x_sqnorms
+        inv_sqnorms = np.divide(1.0, x_sqnorms, out=np.zeros_like(x_sqnorms), where=x_sqnorms > 0.0)
+        self.n = (x * inv_sqnorms) @ x.T
         self.v = data.v
 
     def step_scores(self, selected):
         res = self.res
-        cross = res.r.T @ res.x
-        cross *= cross  # in place: a second v x v temporary could be faulted in anew each step
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = cross @ self.inv_sqnorms / (self.v * res.sqnorms)
+            scores = np.einsum("ij,ij->j", res.r, self.n @ res.r) / (self.v * res.sqnorms)
         scores[res.excluded] = EXCLUDED
         return scores
 

@@ -868,6 +868,20 @@ class TestOracle:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_too_wide_for_bounds_rejected_before_search(self, capsys, monkeypatch):
+        # v = 13 is one past the tabulation limit: the ground set is
+        # refused before the exhaustive search starts.
+        def fail(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("varsel.cli.exhaustive_optimal", fail)
+        code, out, err = run_cli(
+            capsys, "oracle", "--k", "2", "--bounds", "--input", "sim2",
+            "--m", "60", "--u", "4", "--v", "13",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: 8192 combinations exceed the enumeration cap of 4096\n"
+
 
 # =========================================================================
 # Top-level parser behaviour

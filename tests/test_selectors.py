@@ -634,13 +634,79 @@ class TestTriangularFactor:
         assert warnings.count("NIPALS stopped at 500 iterations without converging") == 2
 
     @pytest.mark.parametrize("select, scores", DATA_SPACE)
-    def test_wide_path_unchanged(self, select, scores):
+    def test_wide_curves_exact_traces_close(self, select, scores):
+        # With m < v the residual stays on the data.  FSCA and FOS-MOD score
+        # through a fixed m x m form, so their traces agree at round-off;
+        # orders, counts, warnings and VE curves, and all of PFS, are exact.
         data = center_columns(gen_sim2(m=40, u=8, v=60, seed=3))
         order, evals, warnings, trace, ve = data_space_run(data, 15, scores)
         result = select(data, 15)
         assert (result.order, result.eval_count, result.warnings) == (order, evals, warnings)
-        assert result.native_trace == tuple(trace)
+        if select is pfs_select:
+            assert result.native_trace == tuple(trace)
+        else:
+            np.testing.assert_allclose(result.native_trace, trace, rtol=1e-12, atol=0.0)
         assert result.ve_curve.values == tuple(ve)
+
+
+# =========================================================================
+# FSCA, L-FSCA and FOS-MOD against the references with m < v
+# =========================================================================
+
+
+#: Inputs with fewer rows than columns, on which FSCA, L-FSCA and FOS-MOD
+#: score through a fixed m x m form instead of the residual.
+WIDE_SHAPES = [
+    pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
+    pytest.param(center_columns(gen_sim2(m=80, u=10, v=120, seed=0)), id="sim2-80x120-seed0"),
+]
+
+WIDE_REFERENCES = {
+    "fsca": lambda data, k: fsca_reference(data, k)[0],
+    "lfsca": lfsca_reference,
+    "fosmod": lambda data, k: fosmod_reference(data, k)[0],
+}
+
+
+def checked_selection(name: str, data: Dataset, k: int):
+    """The order, with L-FSCA's evaluation count: what the reference gives."""
+    result = ALGORITHMS[name](data, k)
+    return (result.order, result.eval_count) if name == "lfsca" else result.order
+
+
+class TestWideReference:
+    @pytest.mark.parametrize("name", sorted(WIDE_REFERENCES))
+    @pytest.mark.parametrize("data", WIDE_SHAPES)
+    def test_near_duplicate_matches_reference(self, name, data):
+        # Column 6 becomes column 3 plus eps times standard-normal noise, as
+        # in TestFsca; below eps = 1e-11 round-off decides which of the two
+        # is picked (README "Numerical envelope").
+        noise = make_rng(0).normal(size=data.m)
+        for exponent in range(1, 12):
+            eps = 10.0**-exponent
+            values = data.values.copy()
+            values[:, 5] = values[:, 2] + eps * noise
+            near = center_columns(Dataset(values))
+            assert checked_selection(name, near, 12) == WIDE_REFERENCES[name](near, 12), eps
+
+    @pytest.mark.parametrize("name", sorted(WIDE_REFERENCES))
+    @pytest.mark.parametrize("data", WIDE_SHAPES)
+    @pytest.mark.parametrize("column", [2, 15])
+    def test_rescaled_column_matches_reference(self, name, data, column):
+        for scale in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            scaled = rescaled(data, column, scale)
+            assert checked_selection(name, scaled, 8) == WIDE_REFERENCES[name](scaled, 8), scale
+
+    def test_fosmod_never_picks_a_zero_column(self):
+        # 40 centred rows have rank 39: with column 3 at zero, FOS-MOD spans
+        # the data in 39 picks from the other 59 columns.
+        values = center_columns(gen_sim2(m=40, u=8, v=60, seed=3)).values.copy()
+        values[:, 2] = 0.0
+        data = Dataset(values, centered=True)
+        result = fosmod_select(data, 40)
+        assert 3 not in result.order and len(result.order) == 39
+        assert result.warnings == (EXHAUSTED,)
+        assert result.order == fosmod_reference(data, 40)[0]
 
 
 # =========================================================================
