@@ -28,6 +28,10 @@ Conventions baked in here:
   one scorer per distinct dataset object: FP on the unit-normalized
   columns, MI under the default noise scale, regardless of per-algorithm
   options.  MI at ``k = v`` is None: it needs a non-empty complement.
+  A metric that a dataset cannot be scored by is None for that dataset,
+  such as FP when a column is constant (it has no unit-norm version).
+* A dataset with no variance after centering (every column constant) is
+  a configuration error, as is a ``k_max`` above its column count.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .dataset import Dataset, center_columns, load_csv
 from .engine import Cardinality
-from .errors import SelectionError, ThresholdNeverReached
+from .errors import SelectionError, ThresholdNeverReached, ZeroColumn
 from .metrics import auc, k_at_threshold, relative_performance
 from .oracle import subset_scorer
 from .selectors import ALGORITHMS, SelectionResult, _check_itfs_sigma
@@ -355,7 +359,8 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     Deterministic apart from wall-clock fields: the same config produces
     the same metric values.  Per-cell failures become ``error`` entries;
     dataset-level problems (unreadable CSV, k_max exceeding the column
-    count) are configuration errors and raise instead.
+    count, no variance after centering) are configuration errors and raise
+    instead.
     """
     seeds = [config.seed_base + i for i in range(config.repeats)]
 
@@ -372,9 +377,11 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             raise ValueError(
                 f"k_max={config.k_max} exceeds column count of dataset {source.name!r}"
             )
+        if not all(data.values.any() for data in centered):
+            raise ValueError(f"dataset {source.name!r} has no variance after centering")
         prepared[source.name] = centered
 
-    scorers: dict = {}  # (id(data), metric) -> score, per distinct dataset object
+    scorers: dict = {}  # (id(data), metric) -> score or None, per distinct dataset object
 
     def metric_value(metric: str, k: int, results, per_seed_data) -> float | None:
         per_seed: list[float | None] = []
@@ -385,8 +392,12 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                 continue
             key = (id(data), metric)
             if key not in scorers:
-                scorers[key] = subset_scorer(data, metric)[0]
-            per_seed.append(float(scorers[key](np.array([result.order[:k]]) - 1)[0]))
+                try:
+                    scorers[key] = subset_scorer(data, metric)[0]
+                except ZeroColumn:  # FP needs unit-norm columns
+                    scorers[key] = None
+            score = scorers[key]
+            per_seed.append(None if score is None else float(score(np.array([result.order[:k]]) - 1)[0]))
         return _median(per_seed)
 
     cells: list[BenchCell] = []

@@ -292,8 +292,7 @@ def k_at_threshold(curve, threshold: float) -> int:
     for idx, value in enumerate(values):
         if value >= threshold:
             return idx + 1
-    best = max(values) if values else 0.0
-    raise ThresholdNeverReached(threshold, best)
+    raise ThresholdNeverReached(threshold, max(values, default=0.0))
 
 
 def relative_performance(curves: Mapping[str, Sequence[float]]) -> dict[str, float]:
@@ -325,7 +324,7 @@ def relative_performance(curves: Mapping[str, Sequence[float]]) -> dict[str, flo
             k_star = k
             break
     if k_star is None:
-        worst = min(max(vals) for vals in values.values())
+        worst = min(max(vals, default=0.0) for vals in values.values())
         raise ThresholdNeverReached(99.0, worst)
     wins = {name: 0 for name in names}
     for k in range(k_star):

@@ -32,7 +32,7 @@ norm themselves when the input is not already unit-norm, since that
 normalization is part of those algorithms.
 
 Engines: L-FSCA alone runs the lazy engine.  The FSCA gain scores one
-candidate at a time (one matrix-vector product per evaluation), so the
+candidate at a time (one min(m, v)^2 product per evaluation), so the
 evaluations that lazy selection skips are real work.
 The other five gains score every column at once through ``step_scores``,
 once per step, so they run the plain engine: skipping candidates would
@@ -44,16 +44,16 @@ residual's one rank test, rerun after each deflation, decides which columns
 stay candidates and which commits capture nothing.  When ``m > v``, every
 gain but UFS's keeps its residual and deflation on the v x v triangular
 factor ``T`` of ``X = QT``: every quantity they read (column norms,
-``R^T R``, ``R^T X``, and ``R^T p`` for PFS's first component ``p``) is
-unchanged by the orthonormal ``Q``, so they select as on ``X`` (up to
-round-off, which can decide an exact tie) at v x v cost.  UFS stays on
-the m x v residual, because the round-off of ``T`` would break its exact
-ties between orthogonal columns.
+``X^T r`` for a residual column ``r``, and ``R^T p`` for PFS's first
+component ``p``) is unchanged by the orthonormal ``Q``, so they select as
+on ``X`` (up to round-off, which can decide an exact tie) at v x v cost.
+UFS stays on the m x v residual, because the round-off of ``T`` would
+break its exact ties between orthogonal columns.
 
-FSCA when ``m < v``, and FOS-MOD on every shape, score through a
-min(m, v)-square form of ``x`` that is built once and never updated (see
-``_FscaGain`` and ``_FosModGain``): an FSCA evaluation costs min(m, v)^2,
-a FOS-MOD step min(m, v)^2 v.
+FSCA, L-FSCA and FOS-MOD share one gain, ``_VeGain``: FOS-MOD's average
+squared correlation is FSCA's VE gain against the unit-norm columns.  It
+reads ``X^T r`` through one min(m, v)-square form built per run and never
+updated, on every shape.
 
 PFS imports ``scipy.linalg.eigh`` in ``_first_component``, its one
 caller, so that the other six selectors never pay for importing
@@ -324,75 +324,59 @@ class _SelectorGain(GainFunction):
 
 
 # =========================================================================
-# FSCA and lazy FSCA
+# FSCA, lazy FSCA and FOS-MOD
 # =========================================================================
 
 
-class _FscaGain(_SelectorGain):
-    """VE gain of a residual column: ``100 ||R^T r||^2 / (r^T r ||X||^2)``.
+class _VeGain(_SelectorGain):
+    """Share of the variance of ``z`` that a residual column captures:
+    ``s ||z^T r||^2 / (r^T r c)`` for residual column ``r``.
 
-    Every evaluation — full sweeps in the plain engine and head
-    re-evaluations in the lazy engine — costs one matrix-vector product:
-    against the residual, O(v^2) (on the triangular factor when ``m > v``),
-    when ``m >= v``; against ``W = x x^T``, O(m^2), when ``m < v``.  ``W`` is built once and
-    never updated: with ``P`` the projection off the selected span,
-    ``R = P x`` and ``P r = r``, so ``R^T r = x^T P r = x^T r`` and
-    ``||R^T r||^2 = r^T W r``.  Keeping the two engines on the same
-    evaluation primitive is what makes their wall-clock ratio measure the
-    evaluation savings of lazy selection rather than a batching artifact.
+    FSCA and L-FSCA take ``z = x``, ``s = 100`` and ``c = ||X||^2``: the VE
+    gain, in percent.  FOS-MOD (``unit``) takes the unit-norm columns of
+    ``x`` (a zero column stays zero), ``s = 1`` and ``c = v``: the average
+    squared correlation of ``r`` with the original columns, which is FSCA's
+    gain on the unit-norm data divided by 100.
+
+    The numerator is ``r^T F r`` for the min(m, v)-square form
+    ``F = z z^T``, built once and never updated: with ``P`` the projection
+    off the selected span, ``R = P x`` and ``P r = r``, so
+    ``x^T r = x^T P r = R^T r``.  FSCA scores one candidate per
+    evaluation, one min(m, v)^2 product, in both engines: keeping them on
+    the same primitive is what makes their wall-clock ratio measure the
+    evaluations that lazy selection skips rather than a batching artifact.
+    FOS-MOD scores a whole step with one product, min(m, v)^2 v.
     """
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, unit: bool = False):
         self.res = _Residual(data, thin=True)
         x = self.res.x
-        self.w = x @ x.T if x.shape[0] < x.shape[1] else None
+        if unit:
+            norms = np.sqrt(self.res.x_sqnorms)
+            x = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
+        self.form = x @ x.T
+        self.unit = unit
+        self.scale, self.total = (1.0, data.v) if unit else (100.0, self.res.energy)
 
     def gain(self, selected, candidate: int) -> float:
         res = self.res
         if res.excluded[candidate]:
             return EXCLUDED
         r = res.r[:, candidate]
-        if self.w is None:
-            t = r @ res.r
-            captured = float(t @ t)
-        else:
-            captured = float(r @ (self.w @ r))
-        return 100.0 * captured / (float(r @ r) * res.energy)
-
-    gain_all = GainFunction.gain_all
-
-
-# =========================================================================
-# FOS-MOD
-# =========================================================================
-
-
-class _FosModGain(_SelectorGain):
-    """Average squared correlation of a residual column with all original
-    columns: ``(1/v) sum_j (x_j^T r)^2 / (||x_j||^2 ||r||^2)``.
-
-    The numerator is ``r^T N r`` with ``N = x diag(1/||x_j||^2) x^T``,
-    min(m, v) square, built once: it reads only the original columns, so it
-    needs no update.  A step costs min(m, v)^2 v, against v^2 min(m, v) for
-    ``R^T x``.
-    Columns already selected contribute zero because the residual is
-    orthogonal to them; original columns with zero norm are left out of the
-    average (the residual's rank test excludes them from candidacy).
-    """
-
-    def __init__(self, data: Dataset):
-        self.res = _Residual(data, thin=True)
-        x, x_sqnorms = self.res.x, self.res.x_sqnorms
-        inv_sqnorms = np.divide(1.0, x_sqnorms, out=np.zeros_like(x_sqnorms), where=x_sqnorms > 0.0)
-        self.n = (x * inv_sqnorms) @ x.T
-        self.v = data.v
+        return self.scale * float(r @ (self.form @ r)) / (float(r @ r) * self.total)
 
     def step_scores(self, selected):
         res = self.res
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.einsum("ij,ij->j", res.r, self.n @ res.r) / (self.v * res.sqnorms)
+            captured = np.einsum("ij,ij->j", res.r, self.form @ res.r)
+            scores = self.scale * captured / (res.sqnorms * self.total)
         scores[res.excluded] = EXCLUDED
         return scores
+
+    def gain_all(self, selected, candidates):
+        if self.unit:
+            return super().gain_all(selected, candidates)
+        return GainFunction.gain_all(self, selected, candidates)
 
 
 # =========================================================================
@@ -667,7 +651,7 @@ def fsca_select(data: Dataset, k: int | None = None, *, tau: float | None = None
     ``k`` selections, or, when ``tau`` is given instead, once the variance
     explained reaches ``tau`` percent.
     """
-    return _select("fsca", data, k, tau, lambda: _FscaGain(data))
+    return _select("fsca", data, k, tau, lambda: _VeGain(data))
 
 
 def lfsca_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
@@ -679,7 +663,7 @@ def lfsca_select(data: Dataset, k: int | None = None, *, tau: float | None = Non
     from plain FSCA, with VE differences that stay within a small fraction
     of a percentage point in practice.
     """
-    return _select("lfsca", data, k, tau, lambda: _FscaGain(data), lazy=True)
+    return _select("lfsca", data, k, tau, lambda: _VeGain(data), lazy=True)
 
 
 def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:
@@ -689,7 +673,7 @@ def fosmod_select(data: Dataset, k: int | None = None, *, tau: float | None = No
     correlation against all original columns, then deflates.  Threshold
     mode stops once variance explained reaches ``tau`` percent.
     """
-    return _select("fosmod", data, k, tau, lambda: _FosModGain(data))
+    return _select("fosmod", data, k, tau, lambda: _VeGain(data, unit=True))
 
 
 def pfs_select(data: Dataset, k: int | None = None, *, tau: float | None = None) -> SelectionResult:

@@ -8,7 +8,8 @@ each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_scores`,
 :func:`fsca_select`, :func:`lfsca_select` and :func:`pfs_select` work in
 float64, by QR projections (and an SVD for PFS), :func:`fosmod_select` by
-least-squares residuals, and :func:`itfs_select` by dense solves and
+least-squares residuals, :func:`fsfp_fsca_select` by the frame potential of
+every candidate selection, and :func:`itfs_select` by dense solves and
 inverses of covariance blocks, so they are cheap enough to run on every
 shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
@@ -259,6 +260,34 @@ def fosmod_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
         scores[live] = (cross * cross).T @ weights / (data.v * np.sum(residual[:, live] ** 2, axis=0))
         order.append(int(np.argmax(scores)))
         trace.append(float(scores[order[-1]]))
+    return tuple(i + 1 for i in order), np.array(trace)
+
+
+def fsfp_fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """FSFP-FSCA's 1-based order and the frame potential after each pick.
+
+    The columns are scaled to unit norm first.  The first pick is the first
+    best FSCA first-step score ``sum_i G_ij^2 / G_jj`` of their Gram ``G``;
+    each later step tries every unselected column ``j`` and adds the first
+    whose selection ``S + j`` has the least frame potential
+    ``||X_S^T X_S||_F^2``, recomputed from the columns for every candidate.
+    There is no rank test: the order always has ``k`` picks.
+    """
+    x = data.values / np.linalg.norm(data.values, axis=0)
+    gram = x.T @ x
+    order = [int(np.argmax(np.sum(gram * gram, axis=0) / np.diag(gram)))]
+    trace = [float(np.sum((x[:, order].T @ x[:, order]) ** 2))]
+    while len(order) < k:
+        best, best_fp = None, math.inf
+        for j in range(data.v):
+            if j in order:
+                continue
+            columns = x[:, order + [j]]
+            fp = float(np.sum((columns.T @ columns) ** 2))
+            if fp < best_fp:
+                best, best_fp = j, fp
+        order.append(best)
+        trace.append(best_fp)
     return tuple(i + 1 for i in order), np.array(trace)
 
 

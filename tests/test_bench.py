@@ -301,7 +301,8 @@ class TestRunBenchmark:
 
     def test_cell_error_captured(self, tmp_path):
         # A constant column has no unit-norm version, so ufs raises
-        # ZeroColumn; fsca never picks it.
+        # ZeroColumn; fsca never picks it.  FP, which needs unit-norm
+        # columns too, reads None for this dataset while VE and MI score.
         rng = make_rng(5)
         x = rng.normal(size=(40, 4))
         x[:, 3] = 1.0
@@ -311,6 +312,7 @@ class TestRunBenchmark:
             datasets=(DatasetSource(name="constant", csv_path=str(path)),),
             algorithms=(AlgoConfig("fsca"), AlgoConfig("ufs")),
             k_max=4,
+            metric_ks=(2,),
         )
         report = run_benchmark(config)
         assert report.has_errors
@@ -319,6 +321,16 @@ class TestRunBenchmark:
         assert bad.auc is None
         good = report.cell("constant", "fsca")
         assert good.error is None
+        assert good.metric_value("fp", 2) is None
+        assert isinstance(good.metric_value("ve", 2), float)
+        assert isinstance(good.metric_value("mi", 2), float)
+
+    def test_no_variance_rejected(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        save_csv(Dataset(np.tile([1.0, 2.0, 3.0], (10, 1))), path)
+        config = small_config(datasets=(DatasetSource(name="flat", csv_path=str(path)),), k_max=2)
+        with pytest.raises(ValueError, match="dataset 'flat' has no variance after centering"):
+            run_benchmark(config)
 
     def test_determinism(self):
         config = small_config(

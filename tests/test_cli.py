@@ -449,6 +449,16 @@ class TestBench:
         assert code == 1 and out == ""
         assert "csv format requires --output" in err
 
+    def test_no_variance_dataset_rejected(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        save_csv(Dataset(np.tile([1.0, 2.0, 3.0], (10, 1))), path)
+        config = write_bench_config(
+            tmp_path, datasets=[{"name": "flat", "csv_path": str(path)}], k_max=2
+        )
+        code, out, err = run_cli(capsys, "bench", "--config", config)
+        assert code == 1 and out == ""
+        assert err == "error: dataset 'flat' has no variance after centering\n"
+
     def test_csv_report(self, capsys, tmp_path):
         config = write_bench_config(tmp_path)
         out_path = tmp_path / "report.csv"

@@ -472,3 +472,10 @@ class TestRelativePerformance:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             relative_performance({"a": VECurve((99.5,)), "b": VECurve((99.5, 99.9))})
+
+    def test_empty_curves_never_reach_threshold(self):
+        # All-constant data gives every selector an empty curve: the error
+        # names the threshold and a best value of 0, as k_at_threshold's does.
+        with pytest.raises(ThresholdNeverReached) as info:
+            relative_performance({"a": (), "b": ()})
+        assert (info.value.threshold, info.value.best) == (99.0, 0.0)

@@ -181,11 +181,11 @@ WARM_START_ONLY = {
 # correlation 1, the same FOS-MOD average, an FSCA VE of 100), and
 # round-off alone picks among the 31 of them.  PFS picked 21 by NIPALS and
 # picks 30 by the exact eigenvector; FSCA and L-FSCA picked column 1 on
-# the m x v residual and pick column 9 on the triangular factor
-# (test_rank_ten_last_fsca_pick_is_a_tie).
+# the m x v residual, column 9 on the triangular factor, and pick column 27
+# through the fixed form ``T T^T`` (test_rank_ten_last_fsca_pick_is_a_tie).
 RANK_TEN = {
     "fsca": (
-        (26, 28, 16, 19, 31, 13, 22, 18, 21, 9),
+        (26, 28, 16, 19, 31, 13, 22, 18, 21, 27),
         385,
         (EXHAUSTED,),
         (
@@ -202,7 +202,7 @@ RANK_TEN = {
         ),
     ),
     "lfsca": (
-        (26, 28, 16, 19, 31, 13, 22, 18, 21, 9),
+        (26, 28, 16, 19, 31, 13, 22, 18, 21, 27),
         220,
         (EXHAUSTED,),
         (
@@ -340,14 +340,14 @@ def test_rank_ten_k12(name):
 def test_rank_ten_last_fsca_pick_is_a_tie():
     # After the first nine pinned picks the residual has rank one, so every
     # live column completes the span: the reference scores all 31 of them
-    # at the same VE, and the pinned 10th pick (9) and the one it replaced
-    # (1) are both among them.
+    # at the same VE, and the pinned 10th pick (27) and the ones it replaced
+    # (1, then 9) are all among them.
     order = RANK_TEN["fsca"][0]
     assert RANK_TEN["lfsca"][0] == order
     scores = fsca_scores(sim2(noise_sd=0.0), order[:9])
     live = np.flatnonzero(np.isfinite(scores)) + 1
     assert len(live) == 31
-    assert {1, 9} <= set(live)
+    assert {1, 9, 27} <= set(live)
     assert np.ptp(scores[live - 1]) <= 1e-12
 
 

@@ -38,6 +38,7 @@ from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, n
 from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
 from reference import fosmod_select as fosmod_reference
 from reference import fsca_select as fsca_reference
+from reference import fsfp_fsca_select as fsfp_reference
 from reference import itfs_select as itfs_reference
 from reference import lfsca_select as lfsca_reference
 from reference import pfs_select as pfs_reference
@@ -75,6 +76,14 @@ REFERENCE_SHAPES = [
     pytest.param(center_columns(gen_sim1(m=200, seed=1)), id="sim1-200-seed1"),
     pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
     pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=2)), id="sim2-200x30-seed2"),
+    pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
+]
+
+#: sim1 (v = 26) and sim2 inputs with m > v and with m < v.
+IDENTITY_SHAPES = [
+    pytest.param(center_columns(gen_sim1(m=200, seed=0)), id="sim1-200-seed0"),
+    pytest.param(center_columns(gen_sim1(m=20, seed=1)), id="sim1-20-seed1"),
+    pytest.param(center_columns(gen_sim2(m=200, u=8, v=30, seed=0)), id="sim2-200x30-seed0"),
     pytest.param(center_columns(gen_sim2(m=40, u=8, v=60, seed=3)), id="sim2-40x60-seed3"),
 ]
 
@@ -450,6 +459,18 @@ class TestFosMod:
         for scale in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
             scaled = rescaled(data, column, scale)
             assert fosmod_select(scaled, 8).order == fosmod_reference(scaled, 8)[0], scale
+
+    @pytest.mark.parametrize("data", IDENTITY_SHAPES)
+    def test_is_fsca_on_unit_columns(self, data):
+        # FOS-MOD's average squared correlation is FSCA's VE gain against
+        # the unit-norm columns, divided by 100: the identity that lets the
+        # two selectors share one gain.
+        fosmod = fosmod_select(data, 12)
+        fsca = fsca_select(normalize_unit(data), 12)
+        assert fosmod.order == fsca.order
+        np.testing.assert_allclose(
+            100.0 * np.array(fosmod.native_trace), fsca.native_trace, rtol=1e-12, atol=0.0
+        )
 
 
 # =========================================================================
@@ -994,6 +1015,13 @@ class TestFsfpFsca:
         scales = make_rng(36).uniform(0.5, 3.0, size=6)
         scaled = Dataset(data.values * scales, centered=True)
         assert fsfp_fsca_select(data, 4).order == fsfp_fsca_select(scaled, 4).order
+
+    @pytest.mark.parametrize("data", REFERENCE_SHAPES)
+    def test_order_matches_reference(self, data):
+        result = fsfp_fsca_select(data, 12)
+        order, trace = fsfp_reference(data, 12)
+        assert result.order == order
+        np.testing.assert_allclose(result.native_trace, trace, rtol=1e-12, atol=0.0)
 
     def test_sim2_fp_near_reference(self):
         values = []
