@@ -3,7 +3,7 @@
 Covers the compression view (percentage variance explained and its curve
 summaries), the frame-theoretic view (frame potential), and the
 information-theoretic view (Gaussian mutual information between a selection
-and its complement, and the conditional variances ITFS scores by).
+and its complement).
 
 All selections are given as 1-based indices in any integer sequence.
 """
@@ -122,11 +122,16 @@ class CovarianceModel:
         When ``sigma`` is omitted it defaults to 1% of the root-mean-square
         variable scale: ``0.01 * sqrt(mean(diag(cov)))``.
         """
-        gram = data.values.T @ data.values
-        cov = (gram + gram.T) / (2.0 * data.m)
+        cov = _data_covariance(data)
         if sigma is None:
             sigma = default_sigma(cov)
         return cls(cov, sigma)
+
+
+def _data_covariance(data: Dataset) -> np.ndarray:
+    """A new ``X^T X / m``, symmetrized against round-off."""
+    gram = data.values.T @ data.values
+    return (gram + gram.T) / (2.0 * data.m)
 
 
 def default_sigma(cov: np.ndarray) -> float:
@@ -164,6 +169,14 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return captured
 
 
+def _total_energy(data: Dataset) -> float:
+    """``||X||_F^2``, the denominator of every VE, which must not be zero."""
+    energy = float(np.linalg.norm(data.values)) ** 2
+    if energy == 0.0:
+        raise ValueError("variance explained is undefined: the data has no variance")
+    return energy
+
+
 def variance_explained(data: Dataset, selected) -> float:
     """Percentage of total variance captured by projecting onto a selection.
 
@@ -176,13 +189,14 @@ def variance_explained(data: Dataset, selected) -> float:
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
     against the columns before it lies in their span and adds nothing: a
     dependent selection scores the VE of its span, as the oracle's ``ve``
-    scorer does.
+    scorer does.  Data with no variance raises ``ValueError``.
     """
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
+    energy = _total_energy(data)
     captured = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
-    return 100.0 * float(captured[0]) / float(np.linalg.norm(data.values)) ** 2
+    return 100.0 * float(captured[0]) / energy
 
 
 # =========================================================================
@@ -213,27 +227,16 @@ def frame_potential(data: Dataset, selected) -> float:
 # =========================================================================
 
 
-def _schur_diagonal(matrix: np.ndarray, given, targets, shift: float = 0.0) -> np.ndarray:
-    """``diag(M_TT - M_TG M_GG^{-1} M_GT)`` of ``M = matrix + shift I`` for
-    disjoint 0-based index sets, from one Cholesky of ``M_GG``, which
-    raises :class:`SingularCovariance` if it fails."""
+def _schur_diagonal(matrix: np.ndarray, given, targets) -> np.ndarray:
+    """``diag(M_TT - M_TG M_GG^{-1} M_GT)`` for disjoint 0-based index
+    sets, from one Cholesky of ``M_GG``, which raises
+    :class:`SingularCovariance`, with no jitter retry, if it fails."""
     given = np.asarray(given, dtype=int)
-    diagonal = np.diag(matrix)[targets] + shift
+    diagonal = np.diag(matrix)[targets]
     if given.size == 0:
         return diagonal
-    block = matrix[np.ix_(given, given)]
-    block.flat[:: given.size + 1] += shift
     cross = matrix[np.ix_(given, targets)]
-    return diagonal - np.einsum("ij,ij->j", cross, spd_solve(block, cross))
-
-
-def conditional_variances(model: CovarianceModel, given, targets) -> np.ndarray:
-    """``diag(A_TT - A_TG A_GG^{-1} A_GT)`` for disjoint 0-based index sets:
-    the variance of each target given the ``given`` block under the
-    regularized covariance ``A``; :class:`SingularCovariance`, with no
-    jitter retry, if ``A_GG`` fails Cholesky (``s^2`` zero or below
-    round-off)."""
-    return _schur_diagonal(model.cov, given, targets, model.sigma_noise**2)
+    return diagonal - np.einsum("ij,ij->j", cross, spd_solve(matrix[np.ix_(given, given)], cross))
 
 
 def mutual_information(model: CovarianceModel, selected) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 from .dataset import Dataset, _gram_root, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
-from .metrics import CovarianceModel, _captured_energy, mutual_information
+from .metrics import CovarianceModel, _captured_energy, _total_energy, mutual_information
 
 __all__ = [
     "OptimalSubset",
@@ -271,7 +271,7 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
             return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
     else:
         root = _gram_root(data)
-        energy = float(np.linalg.norm(data.values)) ** 2
+        energy = _total_energy(data)
 
         def score(idx):
             rows = max(1, _QR_ENTRIES // (idx.shape[1] * (3 * root.shape[0] + root.shape[1])))

@@ -74,6 +74,7 @@ from time import perf_counter
 
 import numpy as np
 
+from ._linalg import spd_inverse
 from .dataset import DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
 from .dataset import normalize_unit
 from .engine import (
@@ -86,7 +87,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient
-from .metrics import CovarianceModel, VECurve, _schur_diagonal, conditional_variances
+from .metrics import VECurve, _data_covariance, _schur_diagonal, default_sigma
 
 __all__ = [
     "SelectionResult",
@@ -475,25 +476,27 @@ class _PfsGain(_SelectorGain):
 
 
 def _check_itfs_sigma(sigma: float | None) -> None:
-    """Reject an ITFS noise scale that is given and not positive."""
+    """Reject an ITFS noise scale that is given and not a positive finite number."""
     if sigma is not None and not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if sigma == math.inf:
+        raise ValueError(f"sigma must be finite, got {sigma}")
 
 
 class _ItfsGain(_SelectorGain):
     """Posterior-variance ratio ``var(x|S) / var(x|U\\x)`` under a Gaussian
     model with isotropic noise regularization.
 
-    The gain holds the covariance model, whose regularized covariance is
-    ``A = cov + s^2 I`` and whose precision matrix ``P = A^{-1}`` is
-    inverted once per run (``model.precision``, which mutual information
-    also reads).  Per step, :func:`~varsel.metrics.conditional_variances`
-    gives every numerator from one factorization of the selected block
-    ``A_SS``.  The posterior variance of ``x_i`` given the rest of the
-    unselected block is ``1 / ((A_UU)^{-1})_ii``, and since
-    ``(A_UU)^{-1} = P_UU - P_US P_SS^{-1} P_SU`` every denominator comes
-    from one factorization of ``P_SS``: a step costs O(k^2 v), not the
-    O(v^3) of inverting ``A_UU``.
+    The gain builds the regularized covariance ``a``, ``A = cov + s^2 I``,
+    and its precision matrix ``p``, ``P = A^{-1}``, once per run, as
+    :class:`~varsel.metrics.CovarianceModel` does for mutual information.
+    The posterior variance of ``x_i`` given the selection is the Schur
+    complement ``A_ii - A_iS A_SS^{-1} A_Si``, and given the rest of the
+    unselected block it is ``1 / ((A_UU)^{-1})_ii``; since
+    ``(A_UU)^{-1} = P_UU - P_US P_SS^{-1} P_SU``, the ratio is the product
+    of the Schur-complement diagonals of ``A`` and of ``P`` against ``S``,
+    from one factorization each of ``A_SS`` and ``P_SS``: a step costs
+    O(k^2 v), not the O(v^3) of inverting ``A_UU``.
 
     A zero column (a constant one, after centering) scores ``s^2 / s^2 = 1``
     but adds no variance, so ITFS keeps the columns that the residual's rank
@@ -502,16 +505,17 @@ class _ItfsGain(_SelectorGain):
 
     def __init__(self, data: Dataset, sigma: float | None):
         _check_itfs_sigma(sigma)
-        self.model = CovarianceModel.from_dataset(data, sigma)
+        cov = _data_covariance(data)
+        sigma = default_sigma(cov) if sigma is None else float(sigma)
+        cov.flat[:: data.v + 1] += sigma**2
+        self.a, self.p = cov, spd_inverse(cov)
         self.res = _Residual(data, thin=True)
         self.zero = self.res.excluded.copy()
 
     def step_scores(self, selected):
-        model = self.model
-        unsel = np.setdiff1d(np.arange(model.v), selected)
-        scores = np.full(model.v, EXCLUDED)
-        numerators = conditional_variances(model, selected, unsel)
-        scores[unsel] = numerators * _schur_diagonal(model.precision, selected, unsel)
+        unsel = np.setdiff1d(np.arange(self.a.shape[0]), selected)
+        scores = np.full(self.a.shape[0], EXCLUDED)
+        scores[unsel] = _schur_diagonal(self.a, selected, unsel) * _schur_diagonal(self.p, selected, unsel)
         scores[self.zero] = EXCLUDED
         return scores
 
@@ -706,7 +710,8 @@ def itfs_select(
     conditioned on the selected block, and the denominators are a Schur
     complement of the precision matrix on it.
 
-    ``sigma`` defaults to 1% of the root-mean-square variable scale.  A
+    ``sigma`` defaults to 1% of the root-mean-square variable scale; a
+    given one must be positive and finite (``ValueError``).  A
     ``sigma**2`` too small for the covariance or a block to pass Cholesky
     raises :class:`~varsel.errors.SingularCovariance`; no jitter stands in
     for it.

@@ -7,11 +7,11 @@ at ``DIGITS`` significant digits: float inputs are converted exactly and
 each result is rounded to float64 once, at the end, so a test can measure
 the package's round-off against it.  :func:`fsca_scores`,
 :func:`fsca_select`, :func:`lfsca_select` and :func:`pfs_select` work in
-float64, by QR projections (and an SVD for PFS), :func:`fosmod_select` by
-least-squares residuals, :func:`fsfp_fsca_select` by the frame potential of
-every candidate selection, and :func:`itfs_select` by dense solves and
-inverses of covariance blocks, so they are cheap enough to run on every
-shape the tests use.
+float64, by QR projections (and an SVD for PFS), :func:`fosmod_select` and
+:func:`ufs_select` by least-squares residuals, :func:`fsfp_fsca_select` by
+the frame potential of every candidate selection, and :func:`itfs_select`
+by dense solves and inverses of covariance blocks, so they are cheap
+enough to run on every shape the tests use.
 :func:`load_csv_rows` is the CSV grammar and its errors, one row and one
 cell at a time.  :func:`standard_normals` and :func:`gen_sim2_values` are
 the generators' Box-Muller stream and sim2 matrix as plain expressions,
@@ -288,6 +288,39 @@ def fsfp_fsca_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray
                 best, best_fp = j, fp
         order.append(best)
         trace.append(best_fp)
+    return tuple(i + 1 for i in order), np.array(trace)
+
+
+def ufs_select(data: Dataset, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """UFS's 1-based order and its native trace.
+
+    The columns are scaled to unit norm first.  The warm start is the first
+    pair ``i < j``, in lexicographic order, with the least ``|u_i^T u_j|``.
+    Each later step fits every unit column ``u`` from the selected ones by
+    ``np.linalg.lstsq`` and adds the first column with the least
+    ``R^2 = ||u_hat||^2 / ||u||^2`` among those whose residual ``u - u_hat``
+    keeps more than ``DEPENDENT_TOL`` of ``||u||``; the order ends early
+    when no such column is left.  The trace is the pair's ``|u_i^T u_j|``
+    twice, then the ``R^2`` of each later pick.
+    """
+    x = data.values / np.linalg.norm(data.values, axis=0)
+    best = None
+    for i in range(data.v):
+        for j in range(i + 1, data.v):
+            overlap = abs(float(x[:, i] @ x[:, j]))
+            if best is None or overlap < best[0]:
+                best = (overlap, i, j)
+    order, trace = [best[1], best[2]], [best[0], best[0]]
+    norms = np.linalg.norm(x, axis=0)
+    while len(order) < k:
+        fitted = x[:, order] @ np.linalg.lstsq(x[:, order], x, rcond=None)[0]
+        live = np.linalg.norm(x - fitted, axis=0) > DEPENDENT_TOL * norms
+        live[order] = False
+        if not live.any():
+            break
+        r_squared = np.where(live, np.sum(fitted * fitted, axis=0) / norms**2, np.inf)
+        order.append(int(np.argmin(r_squared)))
+        trace.append(float(r_squared[order[-1]]))
     return tuple(i + 1 for i in order), np.array(trace)
 
 

@@ -262,7 +262,8 @@ class TestSelect:
     @pytest.mark.parametrize(
         "algo, sigma, message",
         [("fsca", "0.1", "sigma applies only to itfs, not 'fsca'"),
-         ("itfs", "0", "sigma must be positive, got 0.0")],
+         ("itfs", "0", "sigma must be positive, got 0.0"),
+         ("itfs", "inf", "sigma must be finite, got inf")],
     )
     def test_sigma_checked_before_input_is_read(self, capsys, tmp_path, algo, sigma, message):
         missing = str(tmp_path / "nope.csv")
@@ -792,6 +793,15 @@ class TestOracle:
         assert len(comparison["order"]) == 3
         assert 0 <= comparison["n_common"] <= 3
         assert comparison["ratio"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("extra", [(), ("--bounds",)], ids=["search", "bounds"])
+    def test_no_variance_rejected(self, capsys, tmp_path, extra):
+        # Every column constant: no selection explains any variance.
+        path = tmp_path / "flat.csv"
+        save_csv(Dataset(np.tile([1.0, 2.0, 3.0], (10, 1))), path)
+        code, out, err = run_cli(capsys, "oracle", "--k", "1", "--input", str(path), *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: variance explained is undefined: the data has no variance\n"
 
     def test_itfs_rejects_zero_sigma(self, capsys, small_csv):
         code, _, err = run_cli(

@@ -27,7 +27,7 @@ from varsel import (
     relative_performance,
     variance_explained,
 )
-from varsel.metrics import conditional_variances
+from varsel.metrics import _schur_diagonal
 from varsel.oracle import TabulatedSetFunction, subset_scorer
 from varsel.selectors import _ItfsGain
 
@@ -104,6 +104,14 @@ class TestVarianceExplained:
         raw = Dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
         with pytest.raises(ValueError):
             variance_explained(raw, (1,))
+
+    def test_no_variance_raises(self):
+        # Every column constant: VE's denominator ||X||^2 is zero.
+        data = center_columns(Dataset(np.ones((4, 3))))
+        with pytest.raises(ValueError, match="the data has no variance"):
+            variance_explained(data, (1,))
+        with pytest.raises(ValueError, match="the data has no variance"):
+            subset_scorer(data, "ve")
 
     def test_monotone_in_selection(self):
         data = random_dataset(30, 6, seed=5)
@@ -374,9 +382,9 @@ class TestDeltaMi:
         # Noise-free sim2 with u = 3 has rank 3 over 8 variables; at
         # sigma = 0 conditioning on four or more of them is singular.
         data = center_columns(gen_sim2(100, 3, 8, seed=0, noise_sd=0.0))
-        model = CovarianceModel(data.values.T @ data.values / data.m, 0.0)
+        cov = data.values.T @ data.values / data.m
         with pytest.raises(SingularCovariance, match="regularized covariance is singular"):
-            conditional_variances(model, np.arange(1, 8), [0])
+            _schur_diagonal(cov, np.arange(1, 8), [0])
 
 
 class TestSelectionValidation:

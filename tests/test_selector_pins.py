@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from varsel import center_columns, fsfp_fsca_select, gen_sim2, ufs_select
+from varsel import CovarianceModel, center_columns, fsfp_fsca_select, gen_sim2, ufs_select
 from varsel.metrics import _schur_diagonal
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
@@ -376,13 +376,14 @@ def test_itfs_denominators_match_reference(noise_sd, pinned):
     # as the gain computes it from its precision matrix, against the inverse
     # of A_UU in 60 digits.  The bound is about cond(A) * eps, with cond(A)
     # about 1e5 on both inputs; measured: 2.3e-13 noisy, 5.7e-12 noise-free.
-    gain = _ItfsGain(sim2(noise_sd), None)
+    data = sim2(noise_sd)
+    gain, model = _ItfsGain(data, None), CovarianceModel.from_dataset(data)
     order = [i - 1 for i in pinned["itfs"][0]]
     for step in range(len(order)):
         selected = order[:step]
-        unsel = np.setdiff1d(np.arange(gain.model.v), selected)
-        denominators = 1.0 / _schur_diagonal(gain.model.precision, selected, unsel)
-        expected = itfs_denominators(gain.model.cov, gain.model.sigma_noise, selected)
+        unsel = np.setdiff1d(np.arange(data.v), selected)
+        denominators = 1.0 / _schur_diagonal(gain.p, selected, unsel)
+        expected = itfs_denominators(model.cov, model.sigma_noise, selected)
         np.testing.assert_allclose(denominators, expected, rtol=1e-11, atol=0.0)
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from varsel import (
+    CovarianceModel,
     Dataset,
     RankDeficient,
     SelectionResult,
@@ -32,7 +33,7 @@ from varsel import (
 from varsel._linalg import spd_inverse
 from varsel.dataset import dataset_from_gram, deflate_in_place
 from varsel.engine import EXCLUDED
-from varsel.metrics import conditional_variances
+from varsel.metrics import _schur_diagonal
 from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
 
 from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
@@ -42,6 +43,7 @@ from reference import fsfp_fsca_select as fsfp_reference
 from reference import itfs_select as itfs_reference
 from reference import lfsca_select as lfsca_reference
 from reference import pfs_select as pfs_reference
+from reference import ufs_select as ufs_reference
 
 
 def centered_sim1(seed):
@@ -930,11 +932,10 @@ class TestItfs:
         # replaced: one Cholesky inverse of the unselected block A_UU per step.
         class UnselectedBlockInverse(_ItfsGain):
             def step_scores(self, selected):
-                model = self.model
-                unsel = np.setdiff1d(np.arange(model.v), selected)
-                denominators = 1.0 / np.diag(spd_inverse(model.block(unsel)))
-                scores = np.full(model.v, EXCLUDED)
-                scores[unsel] = conditional_variances(model, selected, unsel) / denominators
+                unsel = np.setdiff1d(np.arange(self.a.shape[0]), selected)
+                denominators = 1.0 / np.diag(spd_inverse(self.a[np.ix_(unsel, unsel)]))
+                scores = np.full(self.a.shape[0], EXCLUDED)
+                scores[unsel] = _schur_diagonal(self.a, selected, unsel) / denominators
                 return scores
 
         data = center_columns(gen_sim2(m=m, u=10, v=v, seed=seed))
@@ -944,6 +945,32 @@ class TestItfs:
         assert result.eval_count == expected.eval_count
         assert result.warnings == expected.warnings
         np.testing.assert_allclose(result.native_trace, expected.native_trace, rtol=1e-10)
+
+    @pytest.mark.parametrize("sigma", [None, 0.1], ids=["default-sigma", "sigma-0.1"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            center_columns(gen_sim1(m=200, seed=3)),
+            center_columns(gen_sim1(m=20, seed=4)),
+            center_columns(gen_sim2(m=200, u=10, v=30, seed=5)),
+            center_columns(gen_sim2(m=40, u=10, v=60, seed=6)),
+        ],
+        ids=["sim1-200x26", "sim1-20x26", "sim2-200x30", "sim2-40x60"],
+    )
+    def test_reads_the_mutual_information_model(self, data, sigma):
+        # At every step of the run, the gain's scores are the Schur-complement
+        # diagonals of the model's regularized covariance and precision matrix,
+        # the two matrices mutual information reads, bit for bit.
+        model = CovarianceModel.from_dataset(data, sigma)
+        gain = _ItfsGain(data, sigma)
+        order = [i - 1 for i in itfs_select(data, 12, sigma=sigma).order]
+        for step in range(len(order)):
+            selected = order[:step]
+            unsel = np.setdiff1d(np.arange(data.v), selected)
+            expected = _schur_diagonal(model.block(range(data.v)), selected, unsel) * _schur_diagonal(
+                model.precision, selected, unsel
+            )
+            np.testing.assert_array_equal(gain.step_scores(selected)[unsel], expected)
 
     def test_sigma_below_round_off_raises(self):
         # Noise-free sim2 has rank 10; at sigma = 1e-7 the unselected block
@@ -1037,31 +1064,6 @@ class TestFsfpFsca:
 # =========================================================================
 
 
-def naive_ufs(data, k):
-    """Literal re-derivation: pair by min |gram|, then min projection R^2."""
-    unit = normalize_unit(data)
-    gram = unit.values.T @ unit.values
-    v = data.v
-    best = None
-    for i in range(v):
-        for j in range(i + 1, v):
-            if best is None or abs(gram[i, j]) < best[0]:
-                best = (abs(gram[i, j]), i + 1, j + 1)
-    selected = [best[1], best[2]]
-    for _ in range(k - 2):
-        basis = unit.values[:, [s - 1 for s in selected]]
-        q, _ = np.linalg.qr(basis)
-        best_cand, best_r2 = None, math.inf
-        for cand in range(1, v + 1):
-            if cand in selected:
-                continue
-            r2 = float(np.sum((q.T @ unit.column(cand)) ** 2))
-            if r2 < best_r2:
-                best_cand, best_r2 = cand, r2
-        selected.append(best_cand)
-    return tuple(selected)
-
-
 class TestUfs:
     def test_dependent_warm_start_pair(self):
         # Rank-one data: every pair is dependent, so the warm start's second
@@ -1089,10 +1091,28 @@ class TestUfs:
         assert result.order == (1, 2, 3, 4, 5, 6, 7)
         assert all(value == 0.0 for value in result.native_trace)
 
-    def test_matches_naive_rederivation(self):
-        for seed in range(8):
-            data = random_dataset(40, 8, seed=seed)
-            assert ufs_select(data, 6).order == naive_ufs(data, 6)
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *REFERENCE_SHAPES,
+            pytest.param(center_columns(gen_sim2(m=80, u=20, v=120, seed=4)), id="sim2-80x120-seed4"),
+            pytest.param(
+                center_columns(gen_sim2(m=300, u=10, v=40, seed=7, noise_sd=0.0)), id="sim2-300x40-rank10"
+            ),
+        ],
+    )
+    def test_order_matches_reference(self, data, scale):
+        # Column 2 rescaled: UFS scales every column to unit norm, so only
+        # round-off may see the scale.  The noise-free input has rank 10, so
+        # both stop at its rank.  The trace's round-off is absolute:
+        # its first entries are a dot product of unit columns near 1e-4.
+        # Measured: at most 6.7e-15.
+        data = rescaled(data, 2, scale)
+        result = ufs_select(data, 12)
+        order, trace = ufs_reference(data, 12)
+        assert result.order == order
+        np.testing.assert_allclose(result.native_trace, trace, rtol=0.0, atol=1e-12)
 
     def test_rebuild_basis_agrees(self):
         # The incremental R^2 against a basis rebuilt from scratch each step.
