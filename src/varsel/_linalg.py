@@ -55,7 +55,7 @@ def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def spd_logdet(matrix: np.ndarray) -> float:
     """Log-determinant of a symmetric positive-definite matrix."""
     factor, _ = _factor(matrix)
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:

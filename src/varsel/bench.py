@@ -39,8 +39,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ __all__ = [
     "emit_report",
 ]
 
-SCHEMA_VERSION = "1.2.0"
+SCHEMA_VERSION = "1.3.0"
 
 #: Fixed leading CSV columns; k-at-threshold columns follow, one per
 #: configured threshold, named ``k{n}pct``.
@@ -290,12 +291,14 @@ class BenchCell:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """A benchmark grid's outcome: config echo plus one cell per combination."""
+    """A benchmark grid's outcome: config echo plus one cell per combination,
+    and the environment its timings came from (see :func:`_environment`)."""
 
     config: BenchConfig
     cells: tuple[BenchCell, ...]
     schema_version: str = SCHEMA_VERSION
     generated_at: str = ""
+    environment: dict = field(default_factory=dict)
 
     @property
     def has_errors(self) -> bool:
@@ -335,6 +338,25 @@ def _extend_curve(values, length: int) -> tuple[float, ...]:
 
 def _run_error(exc: Exception, seed: int) -> str:
     return f"{type(exc).__name__} (seed {seed}): {exc}"
+
+
+def _environment() -> dict:
+    """Where a report's timings came from.  scipy's version is read from its
+    package metadata, so recording it does not import scipy; ``platform``
+    and ``importlib.metadata`` load here, not with ``varsel select``."""
+    import platform
+    from importlib import metadata
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 # =========================================================================
@@ -476,6 +498,7 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
         config=config,
         cells=tuple(cells),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
+        environment=_environment(),
     )
 
 

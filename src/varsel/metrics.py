@@ -156,10 +156,11 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     first dependent column.
     """
     n, k = subsets.shape
-    q, r = np.linalg.qr(np.swapaxes(root.T[subsets], 1, 2))
+    columns = root.T[subsets]
+    q, r = np.linalg.qr(np.swapaxes(columns, 1, 2))
     diagonal = np.zeros((n, k))
     diagonal[:, : r.shape[1]] = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    dependent = diagonal <= DEPENDENT_TOL * np.linalg.norm(root, axis=0)[subsets]
+    dependent = diagonal <= DEPENDENT_TOL * np.linalg.norm(columns, axis=2)
     coords = np.matmul(np.swapaxes(q, 1, 2), root)
     captured = np.einsum("nkv,nkv->n", coords, coords)
     redo = np.flatnonzero(dependent.any(axis=1))
@@ -175,6 +176,12 @@ def _total_energy(data: Dataset) -> float:
     if energy == 0.0:
         raise ValueError("variance explained is undefined: the data has no variance")
     return energy
+
+
+def _percent_explained(captured: np.ndarray, energy: float) -> np.ndarray:
+    """``100 captured / energy``, clamped to [0, 100] against round-off as
+    the selectors' VE curves are."""
+    return np.clip(100.0 * captured / energy, 0.0, 100.0)
 
 
 def variance_explained(data: Dataset, selected) -> float:
@@ -196,7 +203,7 @@ def variance_explained(data: Dataset, selected) -> float:
     sel = selection_tuple(selected, data.v)
     energy = _total_energy(data)
     captured = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
-    return 100.0 * float(captured[0]) / energy
+    return float(_percent_explained(captured, energy)[0])
 
 
 # =========================================================================
@@ -246,8 +253,9 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     ``MI(S; U) = (log det A_SS + log det A_UU - log det A) / 2``.  Since
     ``det A = det A_UU / det P_SS`` for the precision matrix ``P = A^{-1}``
     (``(P_SS)^{-1}`` is the Schur complement of ``A_UU`` in ``A``), it is
-    computed as ``(log det A_SS + log det P_SS) / 2``: two k x k Cholesky
-    factorizations per subset, with ``P`` inverted once per model.
+    computed as ``(log det A_SS + log det P_SS) / 2``: the log det of the
+    2k x 2k block-diagonal pair ``diag(A_SS, P_SS)``, one Cholesky
+    factorization per subset, with ``P`` inverted once per model.
 
     Raises
     ------
@@ -259,8 +267,11 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     sel0 = np.array(selection_tuple(selected, model.v), dtype=int) - 1
     if not 0 < sel0.size < model.v:
         raise ValueError("mutual information requires a non-empty selection and complement")
-    precision_block = model.precision[sel0[:, None], sel0]
-    return 0.5 * (spd_logdet(model.block(sel0)) + spd_logdet(precision_block))
+    k = sel0.size
+    pair = np.zeros((2 * k, 2 * k))
+    pair[:k, :k] = model.block(sel0)
+    pair[k:, k:] = model.precision[sel0[:, None], sel0]
+    return 0.5 * spd_logdet(pair)
 
 
 # =========================================================================

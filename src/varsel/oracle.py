@@ -37,7 +37,9 @@ import numpy as np
 from .dataset import Dataset, _gram_root, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
-from .metrics import CovarianceModel, _captured_energy, _total_energy, mutual_information
+from .metrics import (
+    CovarianceModel, _captured_energy, _percent_explained, _total_energy, mutual_information,
+)
 
 __all__ = [
     "OptimalSubset",
@@ -276,7 +278,7 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
         def score(idx):
             rows = max(1, _QR_ENTRIES // (idx.shape[1] * (3 * root.shape[0] + root.shape[1])))
             parts = np.split(idx, range(rows, len(idx), rows))
-            return 100.0 * np.concatenate([_captured_energy(root, p) for p in parts]) / energy
+            return _percent_explained(np.concatenate([_captured_energy(root, p) for p in parts]), energy)
     return score, METRIC_MAXIMIZE[metric]
 
 

@@ -87,7 +87,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient
-from .metrics import VECurve, _data_covariance, _schur_diagonal, default_sigma
+from .metrics import VECurve, _data_covariance, _schur_diagonal, _total_energy, default_sigma
 
 __all__ = [
     "SelectionResult",
@@ -619,10 +619,12 @@ def _select(name: str, data: Dataset, k, tau, make_gain, lazy: bool = False) -> 
     ``make_gain()`` builds the gain, preprocessing and warm start included,
     inside the timed region.  ``k`` may not be below the warm start's size;
     when it equals it, the engine returns the warm start with no
-    evaluation.  ``lazy`` picks the lazy engine over the plain one.
+    evaluation.  ``lazy`` picks the lazy engine over the plain one.  Data
+    with no variance raises the ``ValueError`` of ``variance_explained``.
     """
     if not data.centered:
         raise ValueError(f"{name} requires centered data (apply center_columns first)")
+    _total_energy(data)
     started = perf_counter()
     gain = make_gain()
     stop = _make_stop(k, tau)

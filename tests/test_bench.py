@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy
 
 from varsel import (
     AlgoConfig,
@@ -366,6 +369,20 @@ class TestReports:
         loaded = json.loads(path.read_text())
         assert loaded == as_json(report)
         assert loaded["schema_version"] == report.schema_version
+
+    def test_environment_recorded(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        report = run_benchmark(small_config())
+        env = report.environment
+        assert report.schema_version == "1.3.0"
+        assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}.items() <= env["threads"].items()
+        assert all(name.endswith("_NUM_THREADS") for name in env["threads"])
+        assert env["cpu_count"] == os.cpu_count()
+        assert as_json(report)["environment"] == env
 
     def test_csv_layout(self, tmp_path):
         config = small_config(

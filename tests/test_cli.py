@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from varsel import (
+    ALGORITHMS,
     Dataset,
     center_columns,
     exhaustive_optimal,
@@ -314,6 +315,16 @@ class TestSelect:
         assert code == 0 and out == ""
         payload = json.loads(out_path.read_text())
         assert payload["algorithm"] == "pfs"
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_no_variance_rejected(self, capsys, tmp_path, algo):
+        # Every column constant: each selector names the cause, rather than
+        # an empty order, a singular covariance or a zero-norm column.
+        path = tmp_path / "flat.csv"
+        save_csv(Dataset(np.tile([1.0, 2.0, 3.0], (4, 1))), path)
+        code, out, err = run_cli(capsys, "select", "--algo", algo, "--k", "1", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: variance explained is undefined: the data has no variance\n"
 
 
 # =========================================================================

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
 from varsel import (
     CovarianceModel,
@@ -27,8 +28,9 @@ from varsel import (
     relative_performance,
     variance_explained,
 )
-from varsel.metrics import _schur_diagonal
-from varsel.oracle import TabulatedSetFunction, subset_scorer
+from varsel.dataset import _gram_root
+from varsel.metrics import _captured_energy, _schur_diagonal
+from varsel.oracle import TabulatedSetFunction, exhaustive_optimal, subset_scorer
 from varsel.selectors import _ItfsGain
 
 from conftest import make_rng, orthogonal_dataset, random_dataset
@@ -172,6 +174,35 @@ class TestVarianceExplained:
         scaled = Dataset(values, centered=True)
         expected = subset_ve(scaled, (2, 3))
         assert variance_explained(scaled, (2, 3)) == pytest.approx(expected, rel=1e-12)
+
+    def test_clamped_to_hundred(self):
+        # Five rows of rank 4 spanned by all nine columns: the captured
+        # energy exceeds ||X||^2 by round-off, which reads 100, as the
+        # selectors' curves do, on both scoring paths.
+        data = center_columns(gen_sim2(5, 2, 9, 1))
+        assert variance_explained(data, range(1, 10)) == 100.0
+        assert exhaustive_optimal(data, 6, "ve").value == 100.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-14])
+    def test_dependence_flags_single_and_batched(self, scale):
+        # Column 3 is rescaled but independent, so it is never dependent;
+        # column 6 is column 1 + column 2, so it is dependent at every scale.
+        # On both roots, each subset scores the same alone as in a batch.
+        values = random_dataset(20, 6, seed=24).values.copy()
+        values[:, 2] *= scale
+        values[:, 5] = values[:, 0] + values[:, 1]
+        data = Dataset(values, centered=True)
+        subsets = np.array(list(itertools.combinations(range(6), 3)))
+        for root in (data.values, _gram_root(data)):
+            batched = _captured_energy(root, subsets)
+            single = np.concatenate([_captured_energy(root, row[None]) for row in subsets])
+            np.testing.assert_array_equal(batched, single)
+            for row, captured in zip(subsets.tolist(), batched):
+                if row == [0, 1, 5]:
+                    assert captured == _captured_energy(root, np.array([[0, 1]]))[0]
+                elif 2 in row:
+                    rest = np.array([[i for i in row if i != 2]])
+                    assert captured > (1 + 1e-6) * _captured_energy(root, rest)[0]
 
     def test_more_columns_than_rows_spans_everything(self):
         # Centred data with 5 rows has rank 4, which 6 generic columns span.
@@ -330,6 +361,49 @@ class TestMutualInformation:
         model = CovarianceModel(cov, ratio * math.sqrt(float(np.mean(np.diag(cov)))))
         assert self.max_relative_error(model, seed=22) <= bound
 
+    @pytest.mark.parametrize(
+        "u, noise_sd, ratio, bound",
+        [(6, 1.0, None, 1e-12), (4, 0.0, 1e-4, 1e-8), (4, 0.0, 1e-6, 1e-4)],
+        ids=["default-sigma", "rank-four-1e-4", "rank-four-1e-6"],
+    )
+    def test_matches_reference_at_every_size(self, u, noise_sd, ratio, bound):
+        # The families and tolerances of the two tests above, with one
+        # subset of each size 1..15, so the factored pair runs up to 30x30.
+        data = center_columns(gen_sim2(m=300, u=u, v=16, seed=1, noise_sd=noise_sd))
+        model = CovarianceModel.from_dataset(data)
+        if ratio is not None:
+            model = CovarianceModel(model.cov, ratio * math.sqrt(float(np.mean(np.diag(model.cov)))))
+        rng = make_rng(23)
+        for k in range(1, 16):
+            sel0 = np.sort(rng.choice(16, size=k, replace=False))
+            expected = reference_mi(model.cov, model.sigma_noise, sel0)
+            assert abs(mutual_information(model, tuple(sel0 + 1)) - expected) <= bound * expected
+
+    def test_one_factorization_per_call(self, monkeypatch):
+        # After P is inverted once per model, each subset is one Cholesky of
+        # the 2k x 2k pair diag(A_SS, P_SS).  A singular A fails at P's
+        # factorization, once per call, and nothing is retried.
+        shapes = []
+
+        def counting(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr("varsel._linalg.cho_factor", counting)
+        model = CovarianceModel.from_dataset(center_columns(gen_sim2(m=300, u=6, v=16, seed=1)))
+        mutual_information(model, (1,))
+        assert shapes == [(16, 16), (2, 2)]
+        shapes.clear()
+        for selected in [(4,), (2, 5, 9), tuple(range(1, 16))]:
+            mutual_information(model, selected)
+        assert shapes == [(2, 2), (6, 6), (30, 30)]
+        shapes.clear()
+        singular = CovarianceModel(np.ones((3, 3)), 0.0)
+        for selected in [(1,), (2, 3)]:
+            with pytest.raises(SingularCovariance):
+                mutual_information(singular, selected)
+        assert shapes == [(3, 3), (3, 3)]
+
 
 class TestDeltaMi:
     """ITFS's greedy information gain, the posterior-variance ratio
@@ -482,8 +556,9 @@ class TestRelativePerformance:
             relative_performance({"a": VECurve((99.5,)), "b": VECurve((99.5, 99.9))})
 
     def test_empty_curves_never_reach_threshold(self):
-        # All-constant data gives every selector an empty curve: the error
-        # names the threshold and a best value of 0, as k_at_threshold's does.
+        # Curves with no steps (selectors reject all-constant data, so none
+        # returns one): the error names the threshold and a best value of 0,
+        # as k_at_threshold's does.
         with pytest.raises(ThresholdNeverReached) as info:
             relative_performance({"a": (), "b": ()})
         assert (info.value.threshold, info.value.best) == (99.0, 0.0)

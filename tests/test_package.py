@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,19 @@ def test_select_loads_scipy_only_for_pfs_and_itfs(sim_csv, algo, needs_scipy):
     expected = selectors.ALGORITHMS[algo](data, 4)
     assert tuple(payload["order"]) == expected.order
     assert payload["ve_curve"] == list(expected.ve_curve.values)
+
+
+def test_bench_reads_scipy_version_without_importing_it(sim_csv, tmp_path):
+    path, _ = sim_csv
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "datasets": [{"name": "sim", "csv_path": str(path), "has_header": True}],
+        "algorithms": [{"name": "fsca"}],
+        "k_max": 3,
+    }))
+    code, report, scipy_modules = _fresh_cli("bench", "--config", str(config))
+    assert (code, scipy_modules) == (0, [])
+    assert report["environment"]["scipy"] == metadata.version("scipy")
 
 
 def test_oracle_mi_loads_scipy_and_matches_library(sim_csv):
