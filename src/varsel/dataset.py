@@ -24,7 +24,9 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +107,15 @@ class Dataset:
             if np.any(np.abs(means) > FLAG_TOL * col_scale):
                 raise ValueError("centered=True but column means are not zero")
 
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, float]:
+        """``(_gram_root(self), ||X||_F^2)``, computed on first read and kept:
+        the data-only part of every subset VE.  Selectors do not read it,
+        so each selector call pays for its own factorization."""
+        root = _gram_root(self)
+        root.setflags(write=False)
+        return root, float(np.linalg.norm(self.values)) ** 2
+
     @property
     def m(self) -> int:
         return self.values.shape[0]
@@ -182,8 +193,12 @@ def normalize_unit(data: Dataset) -> Dataset:
 
 def selection_tuple(selected, v: int) -> tuple[int, ...]:
     """The 1-based index sequence ``selected`` as a tuple; ``ValueError``
-    if an index repeats or lies outside ``1..v``."""
-    sel = tuple(int(i) for i in selected)
+    if an index is not an integer (even ``2.0``), repeats or lies outside
+    ``1..v``."""
+    try:
+        sel = tuple(map(operator.index, selected))
+    except TypeError:
+        raise ValueError(f"selection {selected!r} must hold integer indices") from None
     if len(set(sel)) != len(sel) or not all(1 <= i <= v for i in sel):
         raise ValueError(f"selection {sel} must hold distinct indices in 1..{v}")
     return sel

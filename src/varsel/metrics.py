@@ -98,20 +98,26 @@ class CovarianceModel:
     def v(self) -> int:
         return self.cov.shape[0]
 
+    @cached_property
+    def _regularized(self) -> np.ndarray:
+        """``A = cov + s^2 I`` (read-only), the regularized covariance that
+        all conditioning uses, built once per model."""
+        a = self.cov.copy()
+        a.flat[:: self.v + 1] += self.sigma_noise**2
+        a.setflags(write=False)
+        return a
+
     def block(self, index) -> np.ndarray:
-        """A new copy of ``A_II`` for 0-based ``index``, where ``A = cov + s^2 I``
-        is the regularized covariance that all conditioning uses."""
+        """A new copy of ``A_II`` for 0-based ``index``."""
         index = np.asarray(index, dtype=int)
-        out = self.cov[index[:, None], index]
-        out.flat[:: index.size + 1] += self.sigma_noise**2
-        return out
+        return self._regularized[index[:, None], index]
 
     @cached_property
     def precision(self) -> np.ndarray:
         """The precision matrix ``P = A^{-1}`` (read-only), by the same
         Cholesky path as every block: a singular ``A`` makes every mutual
         information infinite, so it raises :class:`SingularCovariance`."""
-        precision = spd_inverse(self.block(range(self.v)))
+        precision = spd_inverse(self._regularized)
         precision.setflags(write=False)
         return precision
 
@@ -170,12 +176,23 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return captured
 
 
+_NO_VARIANCE = "variance explained is undefined: the data has no variance"
+
+
 def _total_energy(data: Dataset) -> float:
     """``||X||_F^2``, the denominator of every VE, which must not be zero."""
     energy = float(np.linalg.norm(data.values)) ** 2
     if energy == 0.0:
-        raise ValueError("variance explained is undefined: the data has no variance")
+        raise ValueError(_NO_VARIANCE)
     return energy
+
+
+def _gram_energy(data: Dataset) -> tuple[np.ndarray, float]:
+    """The dataset's cached Gram root and ``||X||_F^2``, as a VE needs them."""
+    root, energy = data._gram
+    if energy == 0.0:
+        raise ValueError(_NO_VARIANCE)
+    return root, energy
 
 
 def _percent_explained(captured: np.ndarray, energy: float) -> np.ndarray:
@@ -189,8 +206,11 @@ def variance_explained(data: Dataset, selected) -> float:
 
     ``VE = 100 ||Q_S^T X||_F^2 / ||X||_F^2``, ``Q_S`` an orthonormal basis of
     the span of the selected columns from their Householder QR: the energy
-    of the least-squares reconstruction from them, at O(mk(k + v)) cost.
-    The empty selection scores 0.
+    of the least-squares reconstruction from them.  The QR is of their
+    columns of the Gram root (``T`` of ``X = QT`` when ``m > v``, else
+    ``X``), kept with ``||X||_F^2`` on the dataset after its first VE: a call
+    costs O(rk(k + v)), ``r = min(m, v)``, and equals the oracle's ``ve``
+    scorer bit for bit.  The empty selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
@@ -201,8 +221,8 @@ def variance_explained(data: Dataset, selected) -> float:
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    energy = _total_energy(data)
-    captured = _captured_energy(data.values, np.array([sel], dtype=int) - 1)
+    root, energy = _gram_energy(data)
+    captured = _captured_energy(root, np.array([sel], dtype=int) - 1)
     return float(_percent_explained(captured, energy)[0])
 
 
@@ -254,8 +274,9 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     ``det A = det A_UU / det P_SS`` for the precision matrix ``P = A^{-1}``
     (``(P_SS)^{-1}`` is the Schur complement of ``A_UU`` in ``A``), it is
     computed as ``(log det A_SS + log det P_SS) / 2``: the log det of the
-    2k x 2k block-diagonal pair ``diag(A_SS, P_SS)``, one Cholesky
-    factorization per subset, with ``P`` inverted once per model.
+    2k x 2k block-diagonal pair ``diag(A_SS, P_SS)``, two gathers and one
+    Cholesky factorization per subset, with ``A`` built and inverted once
+    per model.
 
     Raises
     ------

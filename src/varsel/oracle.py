@@ -34,11 +34,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .dataset import Dataset, _gram_root, normalize_unit, selection_tuple
+from .dataset import Dataset, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
 from .metrics import (
-    CovarianceModel, _captured_energy, _percent_explained, _total_energy, mutual_information,
+    CovarianceModel, _captured_energy, _gram_energy, _percent_explained, mutual_information,
 )
 
 __all__ = [
@@ -201,14 +201,15 @@ class TabulatedSetFunction:
         """Tabulate ``fn(subset_tuple)`` over all subsets.
 
         ``fn`` receives a sorted tuple of 1-based indices (empty for the
-        empty set).
+        empty set), in mask order.  The tuples are built by doubling:
+        appending variable ``i`` to each subset of the variables before it
+        gives the masks ``2^(i-1) .. 2^i - 1``.
         """
         v = _ground_set_size(v)
-        table = np.empty(2**v)
-        for mask in range(2**v):
-            subset = tuple(i + 1 for i in range(v) if mask & (1 << i))
-            table[mask] = fn(subset)
-        return cls(v, table)
+        subsets = [()]
+        for i in range(1, v + 1):
+            subsets += [subset + (i,) for subset in subsets]
+        return cls(v, [fn(subset) for subset in subsets])
 
     def _check_monotone(self) -> None:
         scale = max(1.0, float(np.max(np.abs(self.values))))
@@ -246,13 +247,14 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
 
     Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
     array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
-    variance explained by the rule of ``metrics.variance_explained``, on
-    the Gram root of ``X`` (a dependent subset scores its span's), ``"fp"``
-    the frame potential of the unit-normalized columns and ``"mi"`` the
-    Gaussian mutual information under noise scale ``sigma`` (default: 1%
-    of the root-mean-square variable scale); ``sigma`` is rejected for the
-    other metrics.  The exhaustive search, :func:`compare_to_optimal` and
-    the benchmark's metric values all score through this one function.
+    variance explained by ``metrics.variance_explained``'s rule on the
+    dataset's cached Gram root, equal to it bit for bit (a dependent
+    subset scores its span's), ``"fp"`` the frame potential of the
+    unit-normalized columns and ``"mi"`` the Gaussian mutual information
+    under noise scale ``sigma`` (default: 1% of the root-mean-square
+    variable scale); ``sigma`` is rejected for the other metrics.  The
+    exhaustive search, :func:`compare_to_optimal` and the benchmark's
+    metric values all score through this one function.
     """
     if metric not in METRIC_MAXIMIZE:
         raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
@@ -270,13 +272,14 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
         gram_sq = (unit.values.T @ unit.values) ** 2
 
         def score(idx):
+            if idx.shape[1] == 0:
+                raise ValueError("frame_potential requires a non-empty selection")
             return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
     else:
-        root = _gram_root(data)
-        energy = _total_energy(data)
+        root, energy = _gram_energy(data)
 
         def score(idx):
-            rows = max(1, _QR_ENTRIES // (idx.shape[1] * (3 * root.shape[0] + root.shape[1])))
+            rows = max(1, _QR_ENTRIES // (max(1, idx.shape[1]) * (3 * root.shape[0] + root.shape[1])))
             parts = np.split(idx, range(rows, len(idx), rows))
             return _percent_explained(np.concatenate([_captured_energy(root, p) for p in parts]), energy)
     return score, METRIC_MAXIMIZE[metric]
@@ -507,14 +510,16 @@ def compare_to_optimal(
     returns one when it stopped at the numerical rank, so the head spans
     every column: under ``"ve"`` it reaches the optimum, while under
     ``"fp"`` and ``"mi"`` the ratio compares subsets of different sizes.
+    An empty head scores a VE of 0, and raises the metric's ``ValueError``
+    under ``"fp"`` and ``"mi"``.
     """
-    head = tuple(int(i) for i in order)[: optimal.k]
+    head = selection_tuple(list(order)[: optimal.k], data.v)
     n_common = len(set(head) & optimal.indices)
     achieved: float | None = None
     ratio: float | None = None
     if optimal.metric in METRIC_MAXIMIZE:
         score, maximize = subset_scorer(data, optimal.metric, sigma)
-        achieved = float(score(np.array([selection_tuple(head, data.v)]) - 1)[0])
+        achieved = float(score(np.array([head], dtype=int) - 1)[0])
         num, den = (achieved, optimal.value) if maximize else (optimal.value, achieved)
         ratio = num / den if den > 0.0 else 1.0
     return OptimalComparison(

@@ -44,6 +44,7 @@ from varsel import (
     ufs_select,
     variance_explained,
 )
+from varsel.bench import _environment
 from varsel.selectors import ALGORITHMS, _ItfsGain
 
 from conftest import data_dir, deflated, lazy_select, make_rng, random_dataset
@@ -142,11 +143,14 @@ def test_criterion_2_speedup():
     s_big = _lazy_speedup(center_columns(Dataset(rng.standard_normal((5000, 400)))), 50)
     s_small = _lazy_speedup(center_columns(Dataset(rng.standard_normal((500, 100)))), 5)
     elapsed = perf_counter() - started
+    env = _environment()
+    threads = " ".join(f"{k}={v}" for k, v in env["threads"].items()) or "no *_NUM_THREADS set"
     _report(
         2,
         s_big >= 3.0 and s_small >= 1.2 and elapsed < 300.0,
         f"speed-up {s_big:.2f}x at 5000x400/k=50 (floor 3), "
-        f"{s_small:.2f}x at 500x100/k=5 (floor 1.2), {elapsed:.1f}s",
+        f"{s_small:.2f}x at 500x100/k=5 (floor 1.2), {elapsed:.1f}s; "
+        f"{threads}, cpu_count {env['cpu_count']}",
     )
 
 

@@ -28,6 +28,7 @@ from varsel import (
     relative_performance,
     variance_explained,
 )
+from varsel._linalg import spd_inverse, spd_logdet
 from varsel.dataset import _gram_root
 from varsel.metrics import _captured_energy, _schur_diagonal
 from varsel.oracle import TabulatedSetFunction, exhaustive_optimal, subset_scorer
@@ -225,6 +226,25 @@ class TestVarianceExplained:
             without = np.arange(256)[(np.arange(256) & (1 << i)) == 0]
             assert np.all(table.values[without | (1 << i)] >= table.values[without] - 1e-9)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: center_columns(gen_sim2(500, 4, 12, seed=3)),
+            lambda: random_dataset(6, 10, seed=25),
+            lambda: center_columns(gen_sim2(300, 3, 8, seed=0, noise_sd=0.0)),
+        ],
+        ids=["sim2_v12", "m_below_v", "rank_deficient"],
+    )
+    def test_equals_scorer_bit_for_bit(self, make):
+        # One rule on one cached root: every subset, each batch of one size
+        # scored at once, reads the same float as the function.
+        data = make()
+        score = subset_scorer(data, "ve")[0]
+        for k in range(data.v + 1):
+            subsets = np.array(list(itertools.combinations(range(data.v), k)), dtype=int)
+            single = [variance_explained(data, row + 1) for row in subsets]
+            np.testing.assert_array_equal(score(subsets), single)
+
 
 # =========================================================================
 # Frame potential
@@ -404,6 +424,29 @@ class TestMutualInformation:
                 mutual_information(singular, selected)
         assert shapes == [(3, 3), (3, 3)]
 
+    def test_cached_regularized_covariance_matches_blocks_built_per_call(self):
+        # A = cov + s^2 I is built once per model; every block gathered from
+        # it, P and each MI read bit for bit as when each block added s^2
+        # to its own diagonal.
+        model = CovarianceModel.from_dataset(center_columns(gen_sim2(500, 6, 16, seed=1)))
+        s2 = model.sigma_noise**2
+
+        def block(index):
+            out = model.cov[index[:, None], index]
+            out.flat[:: index.size + 1] += s2
+            return out
+
+        precision = spd_inverse(block(np.arange(16)))
+        np.testing.assert_array_equal(model.precision, precision)
+        assert model._regularized is model._regularized
+        for selected in itertools.combinations(range(16), 6):
+            sel0 = np.array(selected)
+            pair = np.zeros((12, 12))
+            pair[:6, :6] = block(sel0)
+            pair[6:, 6:] = precision[sel0[:, None], sel0]
+            np.testing.assert_array_equal(model.block(sel0), pair[:6, :6])
+            assert mutual_information(model, sel0 + 1) == 0.5 * spd_logdet(pair)
+
 
 class TestDeltaMi:
     """ITFS's greedy information gain, the posterior-variance ratio
@@ -474,6 +517,29 @@ class TestSelectionValidation:
         }[metric]
         with pytest.raises(ValueError, match="distinct indices in 1..4"):
             call(data, selected)
+
+    @pytest.mark.parametrize(
+        "selected", [[1.5], [2.0], ["1"], [np.float64(2.0)], [1, 2.0]],
+        ids=["fraction", "integral_float", "string", "numpy_float", "mixed"],
+    )
+    @pytest.mark.parametrize("metric", ["ve", "fp", "mi"])
+    def test_rejects_non_integer_indices(self, metric, selected):
+        data = normalize_unit(random_dataset(20, 4, seed=19))
+        call = {
+            "ve": variance_explained,
+            "fp": frame_potential,
+            "mi": lambda d, s: mutual_information(CovarianceModel.from_dataset(d, 0.1), s),
+        }[metric]
+        with pytest.raises(ValueError, match="must hold integer indices"):
+            call(data, selected)
+
+    def test_accepts_numpy_integers(self):
+        data = normalize_unit(random_dataset(20, 4, seed=19))
+        model = CovarianceModel.from_dataset(data, 0.1)
+        for selected in [np.array([1, 3]), np.array([1, 3], dtype=np.int32), (np.int64(1), np.uint8(3))]:
+            assert variance_explained(data, selected) == variance_explained(data, (1, 3))
+            assert frame_potential(data, selected) == frame_potential(data, (1, 3))
+            assert mutual_information(model, selected) == mutual_information(model, (1, 3))
 
 
 # =========================================================================

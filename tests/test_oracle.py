@@ -24,7 +24,7 @@ from varsel import (
     normalize_unit,
     variance_explained,
 )
-from varsel import oracle
+from varsel import dataset, oracle, selectors
 from varsel.dataset import dataset_from_gram
 from varsel.oracle import (
     COMBINATION_CAP,
@@ -109,6 +109,43 @@ class TestTabulatedSetFunction:
             TabulatedSetFunction(0, [0.0])
         with pytest.raises(ValueError, match=re.escape(message)):
             TabulatedSetFunction.from_callable(0, lambda s: 0.0)
+
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_hands_fn_the_bit_loop_subsets_in_mask_order(self, v):
+        seen = []
+        TabulatedSetFunction.from_callable(v, lambda s: seen.append(s) or float(len(s)))
+        assert seen == [tuple(i + 1 for i in range(v) if mask & (1 << i)) for mask in range(2**v)]
+
+    def test_gram_root_once_per_dataset_and_per_selector_call(self, monkeypatch):
+        # The VE of every subset reads the dataset's cached root; selectors
+        # do not read the cache, so each call factors the data again.
+        calls = []
+
+        def counting(data):
+            calls.append(data.values.shape)
+            return root(data)
+
+        root = dataset._gram_root
+        monkeypatch.setattr(dataset, "_gram_root", counting)
+        monkeypatch.setattr(selectors, "_gram_root", counting)
+        data = center_columns(gen_sim2(500, 4, 12, seed=1))
+        fsca_select(data, 3)
+        fsca_select(data, 3)
+        assert calls == [(500, 12)] * 2
+        assert "_gram" not in vars(data)
+        table = TabulatedSetFunction.from_callable(12, lambda s: variance_explained(data, s))
+        exhaustive_optimal(data, 3, "ve")
+        assert calls == [(500, 12)] * 3
+        fsca_select(data, 3)
+        assert calls == [(500, 12)] * 4
+        assert table.value_of(range(1, 13)) == pytest.approx(100.0, abs=1e-9)
+
+    @pytest.mark.parametrize("indices", [[1.5], [2.0], ["1"]])
+    def test_value_of_rejects_non_integer_indices(self, indices):
+        table = TabulatedSetFunction.from_callable(3, lambda s: float(len(s)))
+        with pytest.raises(ValueError, match="must hold integer indices"):
+            table.value_of(indices)
+        assert table.value_of(np.array([1, 3])) == 2.0
 
     def test_gain_function_drives_engine(self):
         fn = coverage_function(1)
@@ -599,6 +636,28 @@ class TestCompareToOptimal:
         best = exhaustive_optimal(data, 2, "ve")
         with pytest.raises(ValueError):
             compare_to_optimal((1, 7), best, data=data)
+
+    @pytest.mark.parametrize("order", [(1.5, 2), (2.0, 1), ("1", 2)])
+    def test_head_rejects_non_integer_indices(self, order):
+        data = random_dataset(30, 6, seed=21)
+        best = exhaustive_optimal(data, 2, "ve")
+        with pytest.raises(ValueError, match="must hold integer indices"):
+            compare_to_optimal(order, best, data=data)
+
+    def test_empty_head_scores_zero_ve(self):
+        data = random_dataset(30, 6, seed=22)
+        best = exhaustive_optimal(data, 2, "ve")
+        comparison = compare_to_optimal((), best, data=data)
+        assert comparison.n_common == 0
+        assert comparison.achieved == 0.0 == variance_explained(data, ())
+        assert comparison.ratio == 0.0
+
+    @pytest.mark.parametrize("metric", ["fp", "mi"])
+    def test_empty_head_raises_as_the_metric_does(self, metric):
+        data = normalize_unit(random_dataset(30, 6, seed=22))
+        best = exhaustive_optimal(data, 2, metric)
+        with pytest.raises(ValueError, match="non-empty selection"):
+            compare_to_optimal([], best, data=data)
 
     def test_tabulated_optimum_no_ratio(self):
         data = random_dataset(30, 6, seed=17)
