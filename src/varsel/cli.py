@@ -23,12 +23,13 @@ import json
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from .bench import AlgoConfig, BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
 from .errors import SelectionError
-from .metrics import variance_explained
 from .oracle import TabulatedSetFunction, _ground_set_size, bound_report, compare_to_optimal
-from .oracle import exhaustive_optimal
+from .oracle import exhaustive_optimal, subset_scorer
 from .selectors import ALGORITHMS
 from .simgen import gen_sim1, gen_sim2
 
@@ -171,8 +172,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "optimal_value": optimal.value,
     }
     if args.bounds:
-        # VE equals the search's scorer bit for bit, so the two optima agree.
-        table = TabulatedSetFunction.from_callable(data.v, lambda subset: variance_explained(data, subset))
+        # The search's own scorer, so the two optima agree bit for bit.
+        score = subset_scorer(data, "ve")[0]
+        table = TabulatedSetFunction.from_callable(
+            data.v, lambda subset: float(score(np.array([subset]) - 1)[0]) if subset else 0.0
+        )
         bounds = asdict(bound_report(table, args.k))
         del bounds["k"]
         payload["bounds"] = bounds

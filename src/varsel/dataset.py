@@ -108,13 +108,18 @@ class Dataset:
                 raise ValueError("centered=True but column means are not zero")
 
     @cached_property
-    def _gram(self) -> tuple[np.ndarray, float]:
-        """``(_gram_root(self), ||X||_F^2)``, computed on first read and kept:
-        the data-only part of every subset VE.  Selectors do not read it,
-        so each selector call pays for its own factorization."""
+    def _root(self) -> np.ndarray:
+        """``_gram_root(self)`` (read-only), computed on first read and kept
+        for the VEs of many subsets.  Selectors do not read it, so each
+        selector call pays for its own factorization."""
         root = _gram_root(self)
         root.setflags(write=False)
-        return root, float(np.linalg.norm(self.values)) ** 2
+        return root
+
+    @cached_property
+    def _energy(self) -> float:
+        """``_total_energy(self)``, computed on first read and kept."""
+        return _total_energy(self)
 
     @property
     def m(self) -> int:
@@ -209,6 +214,14 @@ def _gram_root(data: Dataset) -> np.ndarray:
     matrix with Gram ``X^T X``, on which residual norms and the energy a
     subspace captures read as on ``X``, up to round-off."""
     return np.linalg.qr(data.values, mode="r") if data.m > data.v else data.values
+
+
+def _total_energy(data: Dataset) -> float:
+    """``||X||_F^2``, the denominator of every VE, which must not be zero."""
+    energy = float(np.linalg.norm(data.values)) ** 2
+    if energy == 0.0:
+        raise ValueError("variance explained is undefined: the data has no variance")
+    return energy
 
 
 def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:

@@ -176,23 +176,14 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return captured
 
 
-_NO_VARIANCE = "variance explained is undefined: the data has no variance"
-
-
-def _total_energy(data: Dataset) -> float:
-    """``||X||_F^2``, the denominator of every VE, which must not be zero."""
-    energy = float(np.linalg.norm(data.values)) ** 2
-    if energy == 0.0:
-        raise ValueError(_NO_VARIANCE)
-    return energy
-
-
-def _gram_energy(data: Dataset) -> tuple[np.ndarray, float]:
-    """The dataset's cached Gram root and ``||X||_F^2``, as a VE needs them."""
-    root, energy = data._gram
-    if energy == 0.0:
-        raise ValueError(_NO_VARIANCE)
-    return root, energy
+# A VE reads the dataset's kept Gram root instead of ``X`` only when the
+# root's QR, about ``m v^2`` flops, costs no more than the fixed overhead of
+# one call (about 40 us at 500 x 12, against 50 us for a one-column VE, on
+# one Haswell core): the root then pays for itself by the second call on
+# the dataset, as in a tabulation of all 2^v subsets, and a single call
+# loses at most that overhead.  Larger data keep the QR of ``X_S``, whose
+# O(mk(k + v)) is up to v/k times less.
+ROOT_FLOPS = 2**17
 
 
 def _percent_explained(captured: np.ndarray, energy: float) -> np.ndarray:
@@ -206,11 +197,14 @@ def variance_explained(data: Dataset, selected) -> float:
 
     ``VE = 100 ||Q_S^T X||_F^2 / ||X||_F^2``, ``Q_S`` an orthonormal basis of
     the span of the selected columns from their Householder QR: the energy
-    of the least-squares reconstruction from them.  The QR is of their
-    columns of the Gram root (``T`` of ``X = QT`` when ``m > v``, else
-    ``X``), kept with ``||X||_F^2`` on the dataset after its first VE: a call
-    costs O(rk(k + v)), ``r = min(m, v)``, and equals the oracle's ``ve``
-    scorer bit for bit.  The empty selection scores 0.
+    of the least-squares reconstruction from them, at O(mk(k + v)) cost.
+    ``||X||_F^2`` is kept on the dataset after its first VE.  On data small
+    enough that the Gram root's QR costs at most ``ROOT_FLOPS`` (m v^2), the
+    QR is of the selected columns of the root (``T`` of ``X = QT`` when
+    ``m > v``, else ``X``), kept on the dataset too: the first call there
+    also pays the root's O(mv^2), each later one O(vk(k + v)), and every
+    call equals the oracle's ``ve`` scorer bit for bit.  The empty
+    selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
@@ -221,8 +215,9 @@ def variance_explained(data: Dataset, selected) -> float:
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    root, energy = _gram_energy(data)
-    captured = _captured_energy(root, np.array([sel], dtype=int) - 1)
+    energy = data._energy
+    x = data._root if data.m * data.v**2 <= ROOT_FLOPS else data.values
+    captured = _captured_energy(x, np.array([sel], dtype=int) - 1)
     return float(_percent_explained(captured, energy)[0])
 
 

@@ -38,7 +38,7 @@ from .dataset import Dataset, normalize_unit, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
 from .metrics import (
-    CovarianceModel, _captured_energy, _gram_energy, _percent_explained, mutual_information,
+    CovarianceModel, _captured_energy, _percent_explained, mutual_information,
 )
 
 __all__ = [
@@ -248,13 +248,13 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
     Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
     array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
     variance explained by ``metrics.variance_explained``'s rule on the
-    dataset's cached Gram root, equal to it bit for bit (a dependent
-    subset scores its span's), ``"fp"`` the frame potential of the
-    unit-normalized columns and ``"mi"`` the Gaussian mutual information
-    under noise scale ``sigma`` (default: 1% of the root-mean-square
-    variable scale); ``sigma`` is rejected for the other metrics.  The
-    exhaustive search, :func:`compare_to_optimal` and the benchmark's
-    metric values all score through this one function.
+    dataset's kept Gram root, equal to it bit for bit on data within
+    ``metrics.ROOT_FLOPS`` (a dependent subset scores its span's), ``"fp"``
+    the frame potential of the unit-normalized columns and ``"mi"`` the
+    Gaussian mutual information under noise scale ``sigma`` (default: 1% of
+    the root-mean-square variable scale); ``sigma`` is rejected for the
+    other metrics.  The exhaustive search, :func:`compare_to_optimal` and
+    the benchmark's metric values all score through this one function.
     """
     if metric not in METRIC_MAXIMIZE:
         raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
@@ -276,7 +276,7 @@ def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
                 raise ValueError("frame_potential requires a non-empty selection")
             return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
     else:
-        root, energy = _gram_energy(data)
+        root, energy = data._root, data._energy
 
         def score(idx):
             rows = max(1, _QR_ENTRIES // (max(1, idx.shape[1]) * (3 * root.shape[0] + root.shape[1])))

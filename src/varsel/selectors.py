@@ -75,7 +75,7 @@ from time import perf_counter
 import numpy as np
 
 from ._linalg import spd_inverse
-from .dataset import DEPENDENT_TOL, Dataset, _gram_root, deflate_in_place
+from .dataset import DEPENDENT_TOL, Dataset, _gram_root, _total_energy, deflate_in_place
 from .dataset import normalize_unit
 from .engine import (
     EXCLUDED,
@@ -87,7 +87,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient
-from .metrics import VECurve, _data_covariance, _schur_diagonal, _total_energy, default_sigma
+from .metrics import VECurve, _data_covariance, _schur_diagonal, default_sigma
 
 __all__ = [
     "SelectionResult",

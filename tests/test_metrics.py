@@ -30,7 +30,7 @@ from varsel import (
 )
 from varsel._linalg import spd_inverse, spd_logdet
 from varsel.dataset import _gram_root
-from varsel.metrics import _captured_energy, _schur_diagonal
+from varsel.metrics import ROOT_FLOPS, _captured_energy, _schur_diagonal
 from varsel.oracle import TabulatedSetFunction, exhaustive_optimal, subset_scorer
 from varsel.selectors import _ItfsGain
 
@@ -221,7 +221,7 @@ class TestVarianceExplained:
         for k in range(1, 9):
             subsets = np.array(list(itertools.combinations(range(8), k)))
             masks = (1 << subsets).sum(axis=1)
-            np.testing.assert_allclose(table.values[masks], score(subsets), rtol=1e-9, atol=0)
+            np.testing.assert_array_equal(table.values[masks], score(subsets))
         for i in range(8):
             without = np.arange(256)[(np.arange(256) & (1 << i)) == 0]
             assert np.all(table.values[without | (1 << i)] >= table.values[without] - 1e-9)
@@ -231,12 +231,11 @@ class TestVarianceExplained:
         [
             lambda: center_columns(gen_sim2(500, 4, 12, seed=3)),
             lambda: random_dataset(6, 10, seed=25),
-            lambda: center_columns(gen_sim2(300, 3, 8, seed=0, noise_sd=0.0)),
         ],
-        ids=["sim2_v12", "m_below_v", "rank_deficient"],
+        ids=["sim2_v12", "m_below_v"],
     )
     def test_equals_scorer_bit_for_bit(self, make):
-        # One rule on one cached root: every subset, each batch of one size
+        # One rule on one kept root: every subset, each batch of one size
         # scored at once, reads the same float as the function.
         data = make()
         score = subset_scorer(data, "ve")[0]
@@ -244,6 +243,24 @@ class TestVarianceExplained:
             subsets = np.array(list(itertools.combinations(range(data.v), k)), dtype=int)
             single = [variance_explained(data, row + 1) for row in subsets]
             np.testing.assert_array_equal(score(subsets), single)
+
+
+    @pytest.mark.parametrize("shape", [(2000, 150), (600, 20)])
+    def test_past_root_flops_factors_the_selected_columns(self, shape):
+        # On data whose root would cost more than ROOT_FLOPS a VE factors
+        # X_S itself, bit for bit, also once a scorer has kept the root.
+        m, v = shape
+        data = center_columns(gen_sim2(m, 6, v, seed=4))
+        assert m * v**2 > ROOT_FLOPS
+        energy = float(np.linalg.norm(data.values)) ** 2
+        subsets = [(1,), (3, 1, 7), tuple(range(1, 11)), (2, 5)]
+        for scorer_first in (False, True):
+            if scorer_first:
+                subset_scorer(data, "ve")
+                assert "_root" in vars(data)
+            for sel in subsets:
+                captured = _captured_energy(data.values, np.array([sel]) - 1)[0]
+                assert variance_explained(data, sel) == min(100.0, 100.0 * captured / energy)
 
 
 # =========================================================================

@@ -24,7 +24,7 @@ from varsel import (
     normalize_unit,
     variance_explained,
 )
-from varsel import dataset, oracle, selectors
+from varsel import dataset, metrics, oracle, selectors
 from varsel.dataset import dataset_from_gram
 from varsel.oracle import (
     COMBINATION_CAP,
@@ -117,8 +117,10 @@ class TestTabulatedSetFunction:
         assert seen == [tuple(i + 1 for i in range(v) if mask & (1 << i)) for mask in range(2**v)]
 
     def test_gram_root_once_per_dataset_and_per_selector_call(self, monkeypatch):
-        # The VE of every subset reads the dataset's cached root; selectors
-        # do not read the cache, so each call factors the data again.
+        # On small data every subset's VE reads the dataset's kept root, and
+        # the search's scorer reads the same one; on data past ROOT_FLOPS a
+        # VE factors X_S and builds no root.  Selectors do not read the
+        # kept root, so each call factors the data again.
         calls = []
 
         def counting(data):
@@ -129,16 +131,24 @@ class TestTabulatedSetFunction:
         monkeypatch.setattr(dataset, "_gram_root", counting)
         monkeypatch.setattr(selectors, "_gram_root", counting)
         data = center_columns(gen_sim2(500, 4, 12, seed=1))
+        assert data.m * data.v**2 <= metrics.ROOT_FLOPS
         fsca_select(data, 3)
         fsca_select(data, 3)
         assert calls == [(500, 12)] * 2
-        assert "_gram" not in vars(data)
+        assert "_root" not in vars(data)
         table = TabulatedSetFunction.from_callable(12, lambda s: variance_explained(data, s))
+        assert calls == [(500, 12)] * 3
         exhaustive_optimal(data, 3, "ve")
         assert calls == [(500, 12)] * 3
         fsca_select(data, 3)
         assert calls == [(500, 12)] * 4
         assert table.value_of(range(1, 13)) == pytest.approx(100.0, abs=1e-9)
+        tall = center_columns(gen_sim2(2000, 6, 150, seed=1))
+        assert tall.m * tall.v**2 > metrics.ROOT_FLOPS
+        for k in range(1, 11):
+            variance_explained(tall, range(1, k + 1))
+        assert calls == [(500, 12)] * 4
+        assert "_root" not in vars(tall)
 
     @pytest.mark.parametrize("indices", [[1.5], [2.0], ["1"]])
     def test_value_of_rejects_non_integer_indices(self, indices):
@@ -218,11 +228,11 @@ class TestExhaustiveOptimal:
         assert best.value >= greedy.ve_curve[-1] - 1e-9
 
     def test_ve_matches_brute_force(self):
-        # [DERIVED] plain loop over combinations with the public metric.
+        # [DERIVED] plain loop over combinations with the 60-digit reference.
         data = random_dataset(30, 8, seed=5)
         best = exhaustive_optimal(data, 3, "ve")
         values = {
-            combo: variance_explained(data, combo)
+            combo: subset_ve(data, combo)
             for combo in itertools.combinations(range(1, 9), 3)
         }
         brute_best = max(values.values())
