@@ -24,14 +24,15 @@ Conventions baked in here:
   a short curve; curves are padded with their last value when alignment
   with other algorithms requires it.
 * AUC is reported only when the run covers k = 1..v-1.
-* Metric values at k (VE/FP/MI) are scored by ``oracle.subset_scorer``,
+* Metric values at k (VE/FP/MI) are scored by ``metrics.subset_scorer``,
   one scorer per distinct dataset object: FP on the unit-normalized
   columns, MI under the default noise scale, regardless of per-algorithm
   options.  MI at ``k = v`` is None: it needs a non-empty complement.
   A metric that a dataset cannot be scored by is None for that dataset,
   such as FP when a column is constant (it has no unit-norm version).
-* A dataset with no variance after centering (every column constant) is
-  a configuration error, as is a ``k_max`` above its column count.
+* A dataset with no variance after centering, by the selectors' own
+  ``||X||^2 = 0`` test, is a configuration error, as is a ``k_max`` above
+  its column count.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ import numpy as np
 from .dataset import Dataset, center_columns, load_csv
 from .engine import Cardinality
 from .errors import SelectionError, ThresholdNeverReached, ZeroColumn
-from .metrics import auc, k_at_threshold, relative_performance
-from .oracle import subset_scorer
+from .metrics import auc, k_at_threshold, relative_performance, subset_scorer
 from .selectors import ALGORITHMS, SelectionResult, _check_itfs_sigma
 from .simgen import SimSpec, dataset_from_spec
 
@@ -399,8 +399,11 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             raise ValueError(
                 f"k_max={config.k_max} exceeds column count of dataset {source.name!r}"
             )
-        if not all(data.values.any() for data in centered):
-            raise ValueError(f"dataset {source.name!r} has no variance after centering")
+        try:
+            for data in centered:
+                data._energy  # ||X||^2, kept for the VE metric; ValueError when 0
+        except ValueError:
+            raise ValueError(f"dataset {source.name!r} has no variance after centering") from None
         prepared[source.name] = centered
 
     scorers: dict = {}  # (id(data), metric) -> score or None, per distinct dataset object

@@ -28,8 +28,9 @@ import numpy as np
 from .bench import AlgoConfig, BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
 from .errors import SelectionError
-from .oracle import TabulatedSetFunction, _ground_set_size, bound_report, compare_to_optimal
-from .oracle import exhaustive_optimal, subset_scorer
+from .metrics import subset_scorer
+from .oracle import TabulatedSetFunction, _ground_set_size, bound_report
+from .oracle import compare_to_optimal, exhaustive_optimal
 from .selectors import ALGORITHMS
 from .simgen import gen_sim1, gen_sim2
 
@@ -175,7 +176,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # The search's own scorer, so the two optima agree bit for bit.
         score = subset_scorer(data, "ve")[0]
         table = TabulatedSetFunction.from_callable(
-            data.v, lambda subset: float(score(np.array([subset]) - 1)[0]) if subset else 0.0
+            data.v, lambda subset: float(score(np.array([subset], dtype=int) - 1)[0])
         )
         bounds = asdict(bound_report(table, args.k))
         del bounds["k"]

@@ -196,14 +196,19 @@ def normalize_unit(data: Dataset) -> Dataset:
 # =========================================================================
 
 
+def index_tuple(indices, what: str) -> tuple[int, ...]:
+    """``indices`` as a tuple of ints; ``ValueError`` naming ``what`` for a non-integer (``2.0``)."""
+    try:
+        return tuple(map(operator.index, indices))
+    except TypeError:
+        raise ValueError(f"{what} {indices!r} must hold integer indices") from None
+
+
 def selection_tuple(selected, v: int) -> tuple[int, ...]:
     """The 1-based index sequence ``selected`` as a tuple; ``ValueError``
     if an index is not an integer (even ``2.0``), repeats or lies outside
     ``1..v``."""
-    try:
-        sel = tuple(map(operator.index, selected))
-    except TypeError:
-        raise ValueError(f"selection {selected!r} must hold integer indices") from None
+    sel = index_tuple(selected, "selection")
     if len(set(sel)) != len(sel) or not all(1 <= i <= v for i in sel):
         raise ValueError(f"selection {sel} must hold distinct indices in 1..{v}")
     return sel

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import index_tuple
 from .errors import ThresholdNeverReached
 
 __all__ = [
@@ -131,7 +132,7 @@ class GreedyRun:
 def _warm_start(v: int, stop: StoppingRule, initial: Sequence[int]) -> list[int]:
     if v < 1:
         raise ValueError("need at least one candidate")
-    init = [int(i) for i in initial]
+    init = list(index_tuple(initial, "warm start"))
     if len(set(init)) != len(init):
         raise ValueError(f"duplicate ids in warm start {init}")
     for i in init:

@@ -3,7 +3,8 @@
 Covers the compression view (percentage variance explained and its curve
 summaries), the frame-theoretic view (frame potential), and the
 information-theoretic view (Gaussian mutual information between a selection
-and its complement).
+and its complement); ``subset_scorer`` scores batches of subsets by each,
+``ve`` by the same function as :func:`variance_explained`.
 
 All selections are given as 1-based indices in any integer sequence.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import spd_inverse, spd_logdet, spd_solve
-from .dataset import DEPENDENT_TOL, Dataset, selection_tuple
+from ._linalg import spd_inverse, spd_logdet
+from .dataset import DEPENDENT_TOL, Dataset, normalize_unit, selection_tuple
 from .errors import LengthMismatch, ThresholdNeverReached
 
 __all__ = [
@@ -28,6 +29,14 @@ __all__ = [
 
 #: VE values of rank-1 ties closer than this (percentage points) count as equal.
 RANK_TIE_TOL = 1e-9
+
+#: Metrics :func:`subset_scorer` supports, mapped to their direction.
+METRIC_MAXIMIZE = {"ve": True, "mi": True, "fp": False}
+
+#: Float64 entries in one stacked QR of :func:`_subset_ve`: a subset of
+#: ``k`` columns of an ``r x v`` matrix holds about ``k (3r + v)`` (the
+#: gathered columns, LAPACK's copy of them, ``Q`` and ``Q^T x``).
+_QR_ENTRIES = 1 << 19
 
 
 # =========================================================================
@@ -186,10 +195,15 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 ROOT_FLOPS = 2**17
 
 
-def _percent_explained(captured: np.ndarray, energy: float) -> np.ndarray:
-    """``100 captured / energy``, clamped to [0, 100] against round-off as
-    the selectors' VE curves are."""
-    return np.clip(100.0 * captured / energy, 0.0, 100.0)
+def _subset_ve(x: np.ndarray, energy: float, subsets: np.ndarray) -> np.ndarray:
+    """VE (percent of ``energy = ||X||^2``) of each row of the ``(n, k)``
+    0-based ``subsets`` of ``x`` (``X`` or its Gram root), in chunks of at
+    most ``_QR_ENTRIES`` entries; clamped to [0, 100] against round-off."""
+    rows = max(1, _QR_ENTRIES // (max(1, subsets.shape[1]) * (3 * x.shape[0] + x.shape[1])))
+    if len(subsets) > rows:
+        parts = np.split(subsets, range(rows, len(subsets), rows))
+        return np.concatenate([_subset_ve(x, energy, part) for part in parts])
+    return np.clip(100.0 * _captured_energy(x, subsets) / energy, 0.0, 100.0)
 
 
 def variance_explained(data: Dataset, selected) -> float:
@@ -203,22 +217,20 @@ def variance_explained(data: Dataset, selected) -> float:
     QR is of the selected columns of the root (``T`` of ``X = QT`` when
     ``m > v``, else ``X``), kept on the dataset too: the first call there
     also pays the root's O(mv^2), each later one O(vk(k + v)), and every
-    call equals the oracle's ``ve`` scorer bit for bit.  The empty
+    call equals :func:`subset_scorer`'s ``ve`` bit for bit.  The empty
     selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
     against the columns before it lies in their span and adds nothing: a
-    dependent selection scores the VE of its span, as the oracle's ``ve``
-    scorer does.  Data with no variance raises ``ValueError``.
+    dependent selection scores the VE of its span.  Data with no variance
+    raises ``ValueError``.
     """
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    energy = data._energy
     x = data._root if data.m * data.v**2 <= ROOT_FLOPS else data.values
-    captured = _captured_energy(x, np.array([sel], dtype=int) - 1)
-    return float(_percent_explained(captured, energy)[0])
+    return float(_subset_ve(x, data._energy, np.array([sel], dtype=int) - 1)[0])
 
 
 # =========================================================================
@@ -245,20 +257,8 @@ def frame_potential(data: Dataset, selected) -> float:
 
 
 # =========================================================================
-# Gaussian mutual information
+# Gaussian mutual information, and subset scoring by any metric
 # =========================================================================
-
-
-def _schur_diagonal(matrix: np.ndarray, given, targets) -> np.ndarray:
-    """``diag(M_TT - M_TG M_GG^{-1} M_GT)`` for disjoint 0-based index
-    sets, from one Cholesky of ``M_GG``, which raises
-    :class:`SingularCovariance`, with no jitter retry, if it fails."""
-    given = np.asarray(given, dtype=int)
-    diagonal = np.diag(matrix)[targets]
-    if given.size == 0:
-        return diagonal
-    cross = matrix[np.ix_(given, targets)]
-    return diagonal - np.einsum("ij,ij->j", cross, spd_solve(matrix[np.ix_(given, given)], cross))
 
 
 def mutual_information(model: CovarianceModel, selected) -> float:
@@ -288,6 +288,41 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     pair[:k, :k] = model.block(sel0)
     pair[k:, k:] = model.precision[sel0[:, None], sel0]
     return 0.5 * spd_logdet(pair)
+
+
+def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
+    """The scoring function of a metric on ``data`` and its direction.
+
+    Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
+    array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
+    :func:`_subset_ve` on the dataset's kept Gram root (the empty subset
+    scores 0), ``"fp"`` the frame potential of the unit-normalized columns
+    and ``"mi"`` the Gaussian mutual information under noise scale
+    ``sigma`` (default: 1% of the root-mean-square variable scale);
+    ``sigma`` is rejected for the other metrics.
+    """
+    if metric not in METRIC_MAXIMIZE:
+        raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
+    if sigma is not None and metric != "mi":
+        raise ValueError(f"sigma applies only to the mi metric, not {metric!r}")
+    if not data.centered:
+        raise ValueError("subset scoring requires centered data")
+    if metric == "mi":
+        model = CovarianceModel.from_dataset(data, sigma)
+
+        def score(idx):
+            return np.array([mutual_information(model, row + 1) for row in idx])
+    elif metric == "fp":
+        unit = normalize_unit(data)
+        gram_sq = (unit.values.T @ unit.values) ** 2
+
+        def score(idx):
+            if idx.shape[1] == 0:
+                raise ValueError("frame_potential requires a non-empty selection")
+            return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
+    else:
+        score = partial(_subset_ve, data._root, data._energy)
+    return score, METRIC_MAXIMIZE[metric]
 
 
 # =========================================================================

@@ -2,10 +2,7 @@
 
 ``exhaustive_optimal`` finds the best k-subset for a chosen metric by
 enumerating every combination (guarded by a hard cap on the combination
-count); ``subset_scorer`` is the one place a metric name becomes a
-scoring function, for the search, ``compare_to_optimal`` and the
-benchmark's metric values; its VE is ``metrics.variance_explained``'s
-rule, batched, and a dependent subset scores the VE of its span.
+count) and scoring them with ``metrics.subset_scorer``.
 
 ``TabulatedSetFunction`` stores a set function's value for all 2^v
 subsets of a small ground set, which makes the structural quantities
@@ -34,12 +31,10 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .dataset import Dataset, normalize_unit, selection_tuple
+from .dataset import Dataset, selection_tuple
 from .engine import Cardinality, GainFunction, greedy_select
 from .errors import NotMonotone, TooLarge
-from .metrics import (
-    CovarianceModel, _captured_energy, _percent_explained, mutual_information,
-)
+from .metrics import METRIC_MAXIMIZE, subset_scorer
 
 __all__ = [
     "OptimalSubset",
@@ -63,19 +58,11 @@ TABULATION_LIMIT = 12
 
 _CHUNK = 2048
 
-#: Float64 entries in one stacked QR of the ``ve`` scorer: a subset of
-#: ``k`` columns of the ``r x v`` Gram root holds about ``k (3r + v)`` (the
-#: gathered columns, LAPACK's copy of them, ``Q`` and ``Q^T root``).
-_QR_ENTRIES = 1 << 19
-
 #: Pairs scored per array in one pass of :func:`submodularity_ratio`.
 _GAMMA_ENTRIES = 1 << 15
 
 #: Subset values within this fraction of each other tie: round-off cannot order them.
 _TIE_REL_TOL = 1e-12
-
-#: Metrics supported by exhaustive search, mapped to their direction.
-METRIC_MAXIMIZE = {"ve": True, "mi": True, "fp": False}
 
 
 # =========================================================================
@@ -165,10 +152,10 @@ class _TabulatedGain(GainFunction):
 
 
 def _ground_set_size(v) -> int:
-    """``v`` as an int in ``1..TABULATION_LIMIT``; :class:`TooLarge` above."""
+    """``v`` as an int in ``1..TABULATION_LIMIT`` by :class:`Cardinality`'s rule; TooLarge above."""
+    if isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1:
+        raise ValueError(f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v!r}")
     v = int(v)
-    if v < 1:
-        raise ValueError(f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v}")
     if v > TABULATION_LIMIT:
         raise TooLarge(2**v, 2**TABULATION_LIMIT)
     return v
@@ -240,49 +227,6 @@ class TabulatedSetFunction:
 # =========================================================================
 # Exhaustive search
 # =========================================================================
-
-
-def subset_scorer(data: Dataset, metric: str, sigma: float | None = None):
-    """The scoring function of a metric on ``data`` and its direction.
-
-    Returns ``(score, maximize)``: ``score`` maps an ``(n, k)`` integer
-    array of 0-based subsets to their ``n`` metric values.  ``"ve"`` is
-    variance explained by ``metrics.variance_explained``'s rule on the
-    dataset's kept Gram root, equal to it bit for bit on data within
-    ``metrics.ROOT_FLOPS`` (a dependent subset scores its span's), ``"fp"``
-    the frame potential of the unit-normalized columns and ``"mi"`` the
-    Gaussian mutual information under noise scale ``sigma`` (default: 1% of
-    the root-mean-square variable scale); ``sigma`` is rejected for the
-    other metrics.  The exhaustive search, :func:`compare_to_optimal` and
-    the benchmark's metric values all score through this one function.
-    """
-    if metric not in METRIC_MAXIMIZE:
-        raise ValueError(f"metric must be one of {sorted(METRIC_MAXIMIZE)}, got {metric!r}")
-    if sigma is not None and metric != "mi":
-        raise ValueError(f"sigma applies only to the mi metric, not {metric!r}")
-    if not data.centered:
-        raise ValueError("subset scoring requires centered data")
-    if metric == "mi":
-        model = CovarianceModel.from_dataset(data, sigma)
-
-        def score(idx):
-            return np.array([mutual_information(model, row + 1) for row in idx])
-    elif metric == "fp":
-        unit = normalize_unit(data)
-        gram_sq = (unit.values.T @ unit.values) ** 2
-
-        def score(idx):
-            if idx.shape[1] == 0:
-                raise ValueError("frame_potential requires a non-empty selection")
-            return gram_sq[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
-    else:
-        root, energy = data._root, data._energy
-
-        def score(idx):
-            rows = max(1, _QR_ENTRIES // (max(1, idx.shape[1]) * (3 * root.shape[0] + root.shape[1])))
-            parts = np.split(idx, range(rows, len(idx), rows))
-            return _percent_explained(np.concatenate([_captured_energy(root, p) for p in parts]), energy)
-    return score, METRIC_MAXIMIZE[metric]
 
 
 def _best_subset(v: int, k: int, score, maximize: bool, metric: str) -> OptimalSubset:

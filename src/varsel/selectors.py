@@ -74,9 +74,9 @@ from time import perf_counter
 
 import numpy as np
 
-from ._linalg import spd_inverse
+from ._linalg import spd_inverse, spd_solve
 from .dataset import DEPENDENT_TOL, Dataset, _gram_root, _total_energy, deflate_in_place
-from .dataset import normalize_unit
+from .dataset import index_tuple, normalize_unit
 from .engine import (
     EXCLUDED,
     Cardinality,
@@ -87,7 +87,7 @@ from .engine import (
     lazy_greedy_select,
 )
 from .errors import RankDeficient
-from .metrics import VECurve, _data_covariance, _schur_diagonal, default_sigma
+from .metrics import VECurve, _data_covariance, default_sigma
 
 __all__ = [
     "SelectionResult",
@@ -153,7 +153,7 @@ class SelectionResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
+        order = index_tuple(self.order, "order")
         object.__setattr__(self, "order", order)
         if len(set(order)) != len(order):
             raise ValueError(f"duplicate indices in order {order}")
@@ -243,7 +243,8 @@ class _Residual:
     UFS alone is not thin).
     Each commit deflates ``r``; the energy captured, in percent of
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
-    the energy captured from it, ``||x_j||^2 - ||r_j||^2``.
+    the energy captured from it, ``||x_j||^2 - ||r_j||^2``.  Every gain builds
+    its residual first: ``_total_energy`` is the call's one no-variance test.
 
     The one rank test runs at init and after each deflation: column ``j``
     lies in the selected span when ``sqnorms[j] = ||r_j||^2 <= floor_sq[j]
@@ -255,7 +256,7 @@ class _Residual:
     """
 
     def __init__(self, data: Dataset, thin: bool):
-        self.energy = float(np.linalg.norm(data.values)) ** 2
+        self.energy = _total_energy(data)
         self.x = _gram_root(data) if thin else data.values
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
@@ -475,6 +476,18 @@ class _PfsGain(_SelectorGain):
 # =========================================================================
 
 
+def _schur_diagonal(matrix: np.ndarray, given, targets) -> np.ndarray:
+    """``diag(M_TT - M_TG M_GG^{-1} M_GT)`` for disjoint 0-based index
+    sets, from one Cholesky of ``M_GG``, which raises
+    :class:`SingularCovariance`, with no jitter retry, if it fails."""
+    given = np.asarray(given, dtype=int)
+    diagonal = np.diag(matrix)[targets]
+    if given.size == 0:
+        return diagonal
+    cross = matrix[np.ix_(given, targets)]
+    return diagonal - np.einsum("ij,ij->j", cross, spd_solve(matrix[np.ix_(given, given)], cross))
+
+
 def _check_itfs_sigma(sigma: float | None) -> None:
     """Reject an ITFS noise scale that is given and not a positive finite number."""
     if sigma is not None and not sigma > 0.0:
@@ -504,13 +517,13 @@ class _ItfsGain(_SelectorGain):
     """
 
     def __init__(self, data: Dataset, sigma: float | None):
+        self.res = _Residual(data, thin=True)
+        self.zero = self.res.excluded.copy()
         _check_itfs_sigma(sigma)
         cov = _data_covariance(data)
         sigma = default_sigma(cov) if sigma is None else float(sigma)
         cov.flat[:: data.v + 1] += sigma**2
         self.a, self.p = cov, spd_inverse(cov)
-        self.res = _Residual(data, thin=True)
-        self.zero = self.res.excluded.copy()
 
     def step_scores(self, selected):
         unsel = np.setdiff1d(np.arange(self.a.shape[0]), selected)
@@ -538,11 +551,11 @@ class _FsfpGain(_SelectorGain):
     """
 
     def __init__(self, data: Dataset):
+        self.res = _Residual(data, thin=True)
         normalized = normalize_unit(data)
         self.gram = normalized.values.T @ normalized.values
         self.diag_sq = np.diag(self.gram) ** 2
         self.pair_sums = np.zeros(normalized.v)
-        self.res = _Residual(data, thin=True)
         self.fp = 0.0
         self.fp_trace: list[float] = []
 
@@ -579,13 +592,13 @@ class _UfsGain(_SelectorGain):
     """
 
     def __init__(self, data: Dataset):
+        self.res = _Residual(data, thin=False)
         if data.v < 2:
             raise ValueError("ufs needs at least two variables")
         normalized = normalize_unit(data)
         gram = normalized.values.T @ normalized.values
         self.initial = _least_correlated_pair(gram)
         self.pair_value = abs(float(gram[self.initial]))
-        self.res = _Residual(data, thin=False)
         for i in self.initial:
             self.commit(i)
 
@@ -620,11 +633,10 @@ def _select(name: str, data: Dataset, k, tau, make_gain, lazy: bool = False) -> 
     inside the timed region.  ``k`` may not be below the warm start's size;
     when it equals it, the engine returns the warm start with no
     evaluation.  ``lazy`` picks the lazy engine over the plain one.  Data
-    with no variance raises the ``ValueError`` of ``variance_explained``.
+    with no variance raises the ``ValueError`` of the gain's residual.
     """
     if not data.centered:
         raise ValueError(f"{name} requires centered data (apply center_columns first)")
-    _total_energy(data)
     started = perf_counter()
     gain = make_gain()
     stop = _make_stop(k, tau)
@@ -632,8 +644,7 @@ def _select(name: str, data: Dataset, k, tau, make_gain, lazy: bool = False) -> 
     run = engine(gain, data.v, stop, initial=gain.initial)
     elapsed = perf_counter() - started
     warnings = list(gain.warnings)
-    if gain.res.first_idle_pick is not None:
-        pick = gain.res.first_idle_pick
+    if (pick := gain.res.first_idle_pick) is not None:
         warnings.insert(0, f"pick {pick} adds no variance: it lies in the span of the earlier picks")
     if run.exhausted:
         warnings.insert(0, "selection stopped early: every remaining column lies in the selected span")

@@ -27,6 +27,14 @@ def random_dataset(m: int, v: int, seed: int = 0, centered: bool = True) -> Data
     return center_columns(data) if centered else data
 
 
+def underflowing_dataset() -> Dataset:
+    """Centered 20 x 4 data with entries near 1e-200: not all zero, but
+    their squares, and so ``||X||^2``, underflow to 0."""
+    data = center_columns(Dataset(make_rng(5).normal(size=(20, 4)) * 1e-200))
+    assert data.values.any() and np.linalg.norm(data.values) == 0.0
+    return data
+
+
 def lazy_select(name: str, data: Dataset, k: int):
     """FSFP-FSCA's or UFS's gain (``name``) driven through the lazy engine,
     which reproduces the plain selection because both gains are submodular."""

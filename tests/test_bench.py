@@ -31,7 +31,7 @@ from varsel import (
 )
 from varsel.selectors import ALGORITHMS
 
-from conftest import make_rng, random_dataset
+from conftest import make_rng, random_dataset, underflowing_dataset
 
 
 def sim2_source(name="sim2", m=200, u=5, v=12, seed=0):
@@ -333,6 +333,15 @@ class TestRunBenchmark:
         save_csv(Dataset(np.tile([1.0, 2.0, 3.0], (10, 1))), path)
         config = small_config(datasets=(DatasetSource(name="flat", csv_path=str(path)),), k_max=2)
         with pytest.raises(ValueError, match="dataset 'flat' has no variance after centering"):
+            run_benchmark(config)
+
+    def test_underflowing_variance_rejected(self, tmp_path):
+        # Entries near 1e-200 are not all zero, but ||X||^2 underflows to 0
+        # and every selector rejects them: so does the grid, by the same test.
+        path = tmp_path / "tiny.csv"
+        save_csv(underflowing_dataset(), path)
+        config = small_config(datasets=(DatasetSource(name="tiny", csv_path=str(path)),), k_max=2)
+        with pytest.raises(ValueError, match="dataset 'tiny' has no variance after centering"):
             run_benchmark(config)
 
     def test_determinism(self):

@@ -323,6 +323,15 @@ class TestGreedySelect:
         with pytest.raises(ValueError):
             greedy_select(gain, 3, Cardinality(3), initial=(0, 0))
 
+    @pytest.mark.parametrize("select", [greedy_select, lazy_greedy_select])
+    def test_warm_start_ids_are_not_truncated(self, select):
+        # int() would start from id 1 for 1.5 and accept "2" as id 2.
+        for initial in ([1.5], ["2"], [np.float64(1.0)]):
+            with pytest.raises(ValueError, match="warm start .* must hold integer indices"):
+                select(ModularGain([1.0, 2.0, 3.0, 4.0]), 4, Cardinality(2), initial=initial)
+        run = select(ModularGain([1.0, 2.0, 3.0, 4.0]), 4, Cardinality(2), initial=[np.int64(1)])
+        assert run.order == (1, 3) and type(run.order[0]) is int
+
     def test_k_exceeding_candidates_rejected(self):
         with pytest.raises(ValueError):
             greedy_select(ModularGain([1.0]), 1, Cardinality(2))

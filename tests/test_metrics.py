@@ -30,9 +30,9 @@ from varsel import (
 )
 from varsel._linalg import spd_inverse, spd_logdet
 from varsel.dataset import _gram_root
-from varsel.metrics import ROOT_FLOPS, _captured_energy, _schur_diagonal
-from varsel.oracle import TabulatedSetFunction, exhaustive_optimal, subset_scorer
-from varsel.selectors import _ItfsGain
+from varsel.metrics import ROOT_FLOPS, _captured_energy, subset_scorer
+from varsel.oracle import TabulatedSetFunction, exhaustive_optimal
+from varsel.selectors import _ItfsGain, _schur_diagonal
 
 from conftest import make_rng, orthogonal_dataset, random_dataset
 from reference import mutual_information as reference_mi

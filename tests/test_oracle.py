@@ -26,6 +26,7 @@ from varsel import (
 )
 from varsel import dataset, metrics, oracle, selectors
 from varsel.dataset import dataset_from_gram
+from varsel.metrics import subset_scorer
 from varsel.oracle import (
     COMBINATION_CAP,
     BoundReport,
@@ -37,7 +38,6 @@ from varsel.oracle import (
     curvature,
     exhaustive_optimal,
     submodularity_ratio,
-    subset_scorer,
     tabulated_optimal,
 )
 
@@ -109,6 +109,21 @@ class TestTabulatedSetFunction:
             TabulatedSetFunction(0, [0.0])
         with pytest.raises(ValueError, match=re.escape(message)):
             TabulatedSetFunction.from_callable(0, lambda s: 0.0)
+
+    @pytest.mark.parametrize("v", [2.7, "2", True, np.bool_(True)], ids=repr)
+    def test_non_integer_ground_set_rejected(self, v):
+        # int() would read 2.7 and "2" as 2, and True as 1.
+        message = f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabulatedSetFunction(v, [0.0, 1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabulatedSetFunction.from_callable(v, lambda s: float(len(s)))
+
+    @pytest.mark.parametrize("v", [2, 2.0, np.int64(2), np.float32(2.0)], ids=repr)
+    def test_integer_ground_set_of_any_numeric_type(self, v):
+        table = TabulatedSetFunction(v, [0.0, 1.0, 1.0, 2.0])
+        assert table.v == 2 and type(table.v) is int
+        assert TabulatedSetFunction.from_callable(v, lambda s: float(len(s))).v == 2
 
     @pytest.mark.parametrize("v", range(1, 7))
     def test_hands_fn_the_bit_loop_subsets_in_mask_order(self, v):

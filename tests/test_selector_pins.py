@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from varsel import CovarianceModel, center_columns, fsfp_fsca_select, gen_sim2, ufs_select
-from varsel.metrics import _schur_diagonal
-from varsel.selectors import ALGORITHMS, _ItfsGain
+from varsel.selectors import ALGORITHMS, _ItfsGain, _schur_diagonal
 
 from conftest import lazy_select
 from reference import fsca_scores, itfs_denominators, pfs_scores_exact

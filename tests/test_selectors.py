@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from varsel import selectors
 from varsel import (
     CovarianceModel,
     Dataset,
@@ -33,10 +34,11 @@ from varsel import (
 from varsel._linalg import spd_inverse
 from varsel.dataset import dataset_from_gram, deflate_in_place
 from varsel.engine import EXCLUDED
-from varsel.metrics import _schur_diagonal
-from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _select, nipals_first_pc
+from varsel.selectors import ALGORITHMS, OrthonormalBasis, _ItfsGain, _schur_diagonal, _select
+from varsel.selectors import nipals_first_pc
 
 from conftest import lazy_select, make_rng, orthogonal_dataset, orthonormal_dataset, random_dataset
+from conftest import underflowing_dataset
 from reference import fosmod_select as fosmod_reference
 from reference import fsca_select as fsca_reference
 from reference import fsfp_fsca_select as fsfp_reference
@@ -132,6 +134,14 @@ class TestSelectionResult:
                 eval_count=3,
                 elapsed=0.0,
             )
+
+    def test_order_is_not_truncated(self):
+        # int() would store (1.5, 2.9) as (1, 2).
+        for order in [(1.5, 2.9), ("1", "2")]:
+            with pytest.raises(ValueError, match="order .* must hold integer indices"):
+                SelectionResult("fsca", order, (10.0, 20.0), (1.0, 2.0), 3, 0.0)
+        result = SelectionResult("fsca", np.array([3, 1]), (10.0, 20.0), (1.0, 2.0), 3, 0.0)
+        assert result.order == (3, 1) and all(type(i) is int for i in result.order)
 
     def test_invariants_across_algorithms(self):
         data = random_dataset(40, 6, seed=0)
@@ -808,6 +818,45 @@ class TestRankTest:
         assert stopped.order == full.order and len(full.order) == 8
         assert full.warnings == (idle_pick(4),)
         assert stopped.warnings == (EXHAUSTED, idle_pick(4))
+
+
+# =========================================================================
+# No variance
+# =========================================================================
+
+
+class TestNoVariance:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_one_energy_pass_per_call(self, monkeypatch, name):
+        # The gain's residual computes ||X||^2, and with it the call's one
+        # no-variance test; nothing is kept on the dataset between calls.
+        calls = []
+
+        def counting(data):
+            calls.append(data.values.shape)
+            return energy(data)
+
+        energy = selectors._total_energy
+        monkeypatch.setattr(selectors, "_total_energy", counting)
+        data = random_dataset(30, 6, seed=4)
+        ALGORITHMS[name](data, 3)
+        assert calls == [(30, 6)]
+        ALGORITHMS[name](data, 3)
+        assert calls == [(30, 6)] * 2
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(underflowing_dataset(), id="underflowing"),
+            pytest.param(center_columns(Dataset(np.tile([1.0, 2.0, 3.0, 4.0], (20, 1)))), id="constant"),
+        ],
+    )
+    def test_rejected_before_any_other_error(self, name, data):
+        # Not a singular covariance (ITFS) or a zero column (FSFP-FSCA,
+        # UFS), nor an empty order (FSCA): every selector names the cause.
+        with pytest.raises(ValueError, match="^variance explained is undefined: the data has no variance$"):
+            ALGORITHMS[name](data, 2)
 
 
 # =========================================================================
