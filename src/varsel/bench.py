@@ -15,7 +15,9 @@ Conventions baked in here:
   fixed data, so their repeats differ only in timing.
 * Centering is shared preprocessing and excluded from timing; unit
   normalization and covariance construction happen inside the selectors
-  that need them and are therefore timed.
+  that need them and are therefore timed.  Each timed selector call gets
+  a fresh ``Dataset`` of the same values, so every call pays for the Gram
+  root it factors, whatever the grid's order of algorithms.
 * Integer summaries (k at threshold) use the lower median; continuous
   summaries use the standard median.  A threshold never reached counts as
   infinity in the median, and the summary is None when the median itself
@@ -365,11 +367,12 @@ def _environment() -> dict:
 
 
 def _run_cell(algo: AlgoConfig, per_seed_data: list[Dataset], seeds: list[int], k: int):
-    """All repeats for one cell; returns (results, error-or-None)."""
+    """All repeats for one cell, each timed on a fresh copy of its dataset
+    with no kept Gram root; returns (results, error-or-None)."""
     results: list[SelectionResult] = []
     for data, seed in zip(per_seed_data, seeds):
         try:
-            results.append(algo.run(data, k))
+            results.append(algo.run(replace(data), k))
         except (SelectionError, ValueError, np.linalg.LinAlgError) as exc:
             return results, _run_error(exc, seed)
     return results, None

@@ -109,9 +109,10 @@ class Dataset:
 
     @cached_property
     def _root(self) -> np.ndarray:
-        """``_gram_root(self)`` (read-only), computed on first read and kept
-        for the VEs of many subsets.  Selectors do not read it, so each
-        selector call pays for its own factorization."""
+        """``_gram_root(self)`` (read-only), computed on first read and kept:
+        the one factorization of the data that the thin selectors' residuals,
+        the VEs of small data and the ``ve`` scorer share.  A timer that must
+        pay for it on every call times a fresh ``Dataset`` of the same values."""
         root = _gram_root(self)
         root.setflags(write=False)
         return root
@@ -197,17 +198,23 @@ def normalize_unit(data: Dataset) -> Dataset:
 
 
 def index_tuple(indices, what: str) -> tuple[int, ...]:
-    """``indices`` as a tuple of ints; ``ValueError`` naming ``what`` for a non-integer (``2.0``)."""
+    """``indices`` as a tuple of ints; ``ValueError`` naming ``what`` for a
+    non-integer (``2.0``) or a bool, which ``operator.index`` reads as 0 or 1.
+    An array is read through ``tolist``: Python scalars check faster than
+    numpy ones."""
     try:
-        return tuple(map(operator.index, indices))
+        items = tuple(indices.tolist() if isinstance(indices, np.ndarray) else indices)
+        if bool not in map(type, items):
+            return tuple(map(operator.index, items))
     except TypeError:
-        raise ValueError(f"{what} {indices!r} must hold integer indices") from None
+        pass
+    raise ValueError(f"{what} {indices!r} must hold integer indices")
 
 
 def selection_tuple(selected, v: int) -> tuple[int, ...]:
     """The 1-based index sequence ``selected`` as a tuple; ``ValueError``
-    if an index is not an integer (even ``2.0``), repeats or lies outside
-    ``1..v``."""
+    if an index is not an integer (even ``2.0`` or ``True``), repeats or
+    lies outside ``1..v``."""
     sel = index_tuple(selected, "selection")
     if len(set(sel)) != len(sel) or not all(1 <= i <= v for i in sel):
         raise ValueError(f"selection {sel} must hold distinct indices in 1..{v}")

@@ -47,6 +47,8 @@ factor ``T`` of ``X = QT``: every quantity they read (column norms,
 ``X^T r`` for a residual column ``r``, and ``R^T p`` for PFS's first
 component ``p``) is unchanged by the orthonormal ``Q``, so they select as
 on ``X`` (up to round-off, which can decide an exact tie) at v x v cost.
+``T`` is the Gram root the ``Dataset`` keeps: the first of these gains
+to run on a ``Dataset`` factors it, and the others read it.
 UFS stays on the m x v residual, because the round-off of ``T`` would
 break its exact ties between orthogonal columns.
 
@@ -75,7 +77,7 @@ from time import perf_counter
 import numpy as np
 
 from ._linalg import spd_inverse, spd_solve
-from .dataset import DEPENDENT_TOL, Dataset, _gram_root, _total_energy, deflate_in_place
+from .dataset import DEPENDENT_TOL, Dataset, _total_energy, deflate_in_place
 from .dataset import index_tuple, normalize_unit
 from .engine import (
     EXCLUDED,
@@ -137,7 +139,9 @@ class SelectionResult:
         each re-evaluation in the lazy engine.
     elapsed : float
         Wall-clock seconds for the selection (preprocessing done inside the
-        selector, such as unit-normalization, included).
+        selector, such as unit-normalization, included).  The ``Dataset``
+        keeps its Gram root, so the factorization is included only in the
+        first call of a selector other than UFS on a ``Dataset``.
     warnings : tuple of str
         Non-fatal anomalies (early exhaustion, a pick that adds no
         variance, a PFS step whose first principal component is
@@ -238,9 +242,11 @@ def _make_stop(k, tau) -> StoppingRule:
 class _Residual:
     """The residual ``r`` of ``x`` against the selection, and the VE trace.
 
-    ``x`` is the centered data ``X``, or, with ``thin`` and ``m > v``, the
-    v x v triangular factor ``T`` of ``X = QT`` (see the module docstring;
-    UFS alone is not thin).
+    ``x`` is the centered data ``X``, or, with ``thin``, the Gram root the
+    dataset keeps (``data._root``): the v x v triangular factor ``T`` of
+    ``X = QT`` when ``m > v``, else ``X`` (see the module docstring; UFS
+    alone is not thin).  The root is read-only and factored once per
+    ``Dataset``, by whichever reads it first.
     Each commit deflates ``r``; the energy captured, in percent of
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
     the energy captured from it, ``||x_j||^2 - ||r_j||^2``.  Every gain builds
@@ -257,7 +263,7 @@ class _Residual:
 
     def __init__(self, data: Dataset, thin: bool):
         self.energy = _total_energy(data)
-        self.x = _gram_root(data) if thin else data.values
+        self.x = data._root if thin else data.values
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)
         self.floor_sq = DEPENDENT_TOL**2 * self.x_sqnorms

@@ -29,6 +29,7 @@ from varsel import (
     save_csv,
     variance_explained,
 )
+from varsel import dataset
 from varsel.selectors import ALGORITHMS
 
 from conftest import make_rng, random_dataset, underflowing_dataset
@@ -297,6 +298,36 @@ class TestRunBenchmark:
         assert r_fsca is not None and r_ufs is not None
         assert 0.0 <= r_ufs <= 100.0
         assert r_fsca >= 50.0
+
+    def test_each_timed_thin_call_factors_its_own_root(self, tmp_path, monkeypatch):
+        # A Dataset keeps its Gram root, so each timed call gets a fresh one:
+        # every call of the six thin selectors pays for its factorization,
+        # whatever the grid's order, and the ``ve`` scorer factors each
+        # prepared dataset once (the CSV source's repeats share one).
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return root(data)
+
+        root = dataset._gram_root
+        monkeypatch.setattr(dataset, "_gram_root", counting)
+        path = tmp_path / "fixed.csv"
+        save_csv(random_dataset(60, 8, seed=1, centered=False), path)
+        sources = (sim2_source(), DatasetSource(name="fixed", csv_path=str(path)))
+        names = sorted(ALGORITHMS)
+        for order in (names, names[::-1]):
+            calls.clear()
+            run_benchmark(
+                small_config(
+                    datasets=sources,
+                    algorithms=tuple(AlgoConfig(name) for name in order),
+                    repeats=2,
+                    metric_ks=(3,),
+                )
+            )
+            assert len(calls) == (6 * 2 + 2) + (6 * 2 + 1)
+            assert len({id(data) for data in calls}) == len(calls)
 
     def test_k_max_exceeding_width_rejected(self):
         with pytest.raises(ValueError):

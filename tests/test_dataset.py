@@ -27,7 +27,7 @@ from varsel import (
     gen_sim2,
     save_csv,
 )
-from varsel.dataset import FLAG_TOL, dataset_from_gram
+from varsel.dataset import FLAG_TOL, dataset_from_gram, selection_tuple
 
 from conftest import deflated, make_rng, random_dataset
 from reference import load_csv_rows, project_onto
@@ -157,6 +157,21 @@ class TestNormalizeUnit:
     def test_preserves_centered_flag(self):
         data = normalize_unit(center_columns(random_dataset(8, 3, seed=3, centered=False)))
         assert data.centered and data.unit_norm
+
+
+# =========================================================================
+# Selections
+# =========================================================================
+
+
+class TestSelectionTuple:
+    @pytest.mark.parametrize(
+        "selected", [[True], [1, False], (np.int64(2), True), np.array([True])], ids=repr
+    )
+    def test_bools_rejected(self, selected):
+        # operator.index reads True as 1.
+        with pytest.raises(ValueError, match="selection .* must hold integer indices"):
+            selection_tuple(selected, 5)
 
 
 # =========================================================================

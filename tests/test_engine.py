@@ -332,6 +332,13 @@ class TestGreedySelect:
         run = select(ModularGain([1.0, 2.0, 3.0, 4.0]), 4, Cardinality(2), initial=[np.int64(1)])
         assert run.order == (1, 3) and type(run.order[0]) is int
 
+    @pytest.mark.parametrize("select", [greedy_select, lazy_greedy_select])
+    def test_warm_start_rejects_bools(self, select):
+        # operator.index would start from id 1 for True.
+        for initial in ([True], [0, False]):
+            with pytest.raises(ValueError, match="warm start .* must hold integer indices"):
+                select(ModularGain([1.0, 2.0, 3.0, 4.0]), 4, Cardinality(2), initial=initial)
+
     def test_k_exceeding_candidates_rejected(self):
         with pytest.raises(ValueError):
             greedy_select(ModularGain([1.0]), 1, Cardinality(2))

@@ -21,6 +21,7 @@ from varsel import (
     auc,
     center_columns,
     frame_potential,
+    fsca_select,
     gen_sim2,
     k_at_threshold,
     mutual_information,
@@ -248,15 +249,16 @@ class TestVarianceExplained:
     @pytest.mark.parametrize("shape", [(2000, 150), (600, 20)])
     def test_past_root_flops_factors_the_selected_columns(self, shape):
         # On data whose root would cost more than ROOT_FLOPS a VE factors
-        # X_S itself, bit for bit, also once a scorer has kept the root.
+        # X_S itself, bit for bit, also once a scorer or a selector has kept
+        # the root: the rule reads the shape, not what ran before.
         m, v = shape
-        data = center_columns(gen_sim2(m, 6, v, seed=4))
         assert m * v**2 > ROOT_FLOPS
-        energy = float(np.linalg.norm(data.values)) ** 2
         subsets = [(1,), (3, 1, 7), tuple(range(1, 11)), (2, 5)]
-        for scorer_first in (False, True):
-            if scorer_first:
-                subset_scorer(data, "ve")
+        for keep in (None, lambda d: subset_scorer(d, "ve"), lambda d: fsca_select(d, 1)):
+            data = center_columns(gen_sim2(m, 6, v, seed=4))
+            energy = float(np.linalg.norm(data.values)) ** 2
+            if keep is not None:
+                keep(data)
                 assert "_root" in vars(data)
             for sel in subsets:
                 captured = _captured_energy(data.values, np.array([sel]) - 1)[0]
@@ -536,8 +538,8 @@ class TestSelectionValidation:
             call(data, selected)
 
     @pytest.mark.parametrize(
-        "selected", [[1.5], [2.0], ["1"], [np.float64(2.0)], [1, 2.0]],
-        ids=["fraction", "integral_float", "string", "numpy_float", "mixed"],
+        "selected", [[1.5], [2.0], ["1"], [np.float64(2.0)], [1, 2.0], [True]],
+        ids=["fraction", "integral_float", "string", "numpy_float", "mixed", "bool"],
     )
     @pytest.mark.parametrize("metric", ["ve", "fp", "mi"])
     def test_rejects_non_integer_indices(self, metric, selected):

@@ -131,39 +131,39 @@ class TestTabulatedSetFunction:
         TabulatedSetFunction.from_callable(v, lambda s: seen.append(s) or float(len(s)))
         assert seen == [tuple(i + 1 for i in range(v) if mask & (1 << i)) for mask in range(2**v)]
 
-    def test_gram_root_once_per_dataset_and_per_selector_call(self, monkeypatch):
-        # On small data every subset's VE reads the dataset's kept root, and
-        # the search's scorer reads the same one; on data past ROOT_FLOPS a
-        # VE factors X_S and builds no root.  Selectors do not read the
-        # kept root, so each call factors the data again.
+    def test_gram_root_once_per_dataset(self, monkeypatch):
+        # The six thin selectors, the VEs of small data and the search's
+        # ``ve`` scorer read one root kept on the dataset; UFS reads X, and
+        # a fresh Dataset of the same values factors again.  On data past
+        # ROOT_FLOPS a VE factors X_S and builds no root.
         calls = []
 
         def counting(data):
-            calls.append(data.values.shape)
+            calls.append(data)
             return root(data)
 
         root = dataset._gram_root
         monkeypatch.setattr(dataset, "_gram_root", counting)
-        monkeypatch.setattr(selectors, "_gram_root", counting)
         data = center_columns(gen_sim2(500, 4, 12, seed=1))
         assert data.m * data.v**2 <= metrics.ROOT_FLOPS
-        fsca_select(data, 3)
-        fsca_select(data, 3)
-        assert calls == [(500, 12)] * 2
-        assert "_root" not in vars(data)
+        selectors.ufs_select(data, 3)
+        assert calls == [] and "_root" not in vars(data)
+        for select in selectors.ALGORITHMS.values():
+            select(data, 3)
+            select(data, 3)
         table = TabulatedSetFunction.from_callable(12, lambda s: variance_explained(data, s))
-        assert calls == [(500, 12)] * 3
         exhaustive_optimal(data, 3, "ve")
-        assert calls == [(500, 12)] * 3
-        fsca_select(data, 3)
-        assert calls == [(500, 12)] * 4
+        assert len(calls) == 1 and calls[0] is data
+        fresh = Dataset(data.values, centered=True)
+        fsca_select(fresh, 3)
+        variance_explained(fresh, [1, 2])
+        assert len(calls) == 2 and calls[1] is fresh
         assert table.value_of(range(1, 13)) == pytest.approx(100.0, abs=1e-9)
         tall = center_columns(gen_sim2(2000, 6, 150, seed=1))
         assert tall.m * tall.v**2 > metrics.ROOT_FLOPS
         for k in range(1, 11):
             variance_explained(tall, range(1, k + 1))
-        assert calls == [(500, 12)] * 4
-        assert "_root" not in vars(tall)
+        assert len(calls) == 2 and "_root" not in vars(tall)
 
     @pytest.mark.parametrize("indices", [[1.5], [2.0], ["1"]])
     def test_value_of_rejects_non_integer_indices(self, indices):

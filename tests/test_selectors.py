@@ -143,6 +143,11 @@ class TestSelectionResult:
         result = SelectionResult("fsca", np.array([3, 1]), (10.0, 20.0), (1.0, 2.0), 3, 0.0)
         assert result.order == (3, 1) and all(type(i) is int for i in result.order)
 
+    def test_order_rejects_bools(self):
+        # operator.index would store (True,) as (1,).
+        with pytest.raises(ValueError, match="order .* must hold integer indices"):
+            SelectionResult("fsca", (True,), (10.0,), (1.0,), 1, 0.0)
+
     def test_invariants_across_algorithms(self):
         data = random_dataset(40, 6, seed=0)
         for name, select in ALGORITHMS.items():
@@ -680,6 +685,23 @@ class TestTriangularFactor:
         else:
             np.testing.assert_allclose(result.native_trace, trace, rtol=1e-12, atol=0.0)
         assert result.ve_curve.values == tuple(ve)
+
+
+class TestKeptRoot:
+    """A Dataset keeps the Gram root its first thin selector factors; every
+    selector returns the same result on it as on a fresh Dataset."""
+
+    @pytest.mark.parametrize("m, v", [(300, 40), (40, 60)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_same_bits_as_on_a_fresh_dataset(self, name, m, v):
+        data = center_columns(gen_sim2(m=m, u=8, v=v, seed=3))
+        fresh = ALGORITHMS[name](Dataset(data.values, centered=True), 15)
+        fsca_select(data, 1)
+        assert "_root" in vars(data)
+        kept = ALGORITHMS[name](data, 15)
+        for field in ("order", "native_trace", "eval_count", "warnings"):
+            assert getattr(kept, field) == getattr(fresh, field)
+        assert kept.ve_curve.values == fresh.ve_curve.values
 
 
 # =========================================================================
