@@ -17,7 +17,8 @@ Conventions baked in here:
   normalization and covariance construction happen inside the selectors
   that need them and are therefore timed.  Each timed selector call gets
   a fresh ``Dataset`` of the same values, so every call pays for the Gram
-  root it factors, whatever the grid's order of algorithms.
+  root it factors and the ``||X||^2`` it reads, whatever the grid's order
+  of algorithms.
 * Integer summaries (k at threshold) use the lower median; continuous
   summaries use the standard median.  A threshold never reached counts as
   infinity in the median, and the summary is None when the median itself
@@ -368,7 +369,7 @@ def _environment() -> dict:
 
 def _run_cell(algo: AlgoConfig, per_seed_data: list[Dataset], seeds: list[int], k: int):
     """All repeats for one cell, each timed on a fresh copy of its dataset
-    with no kept Gram root; returns (results, error-or-None)."""
+    with no kept Gram root or ``||X||^2``; returns (results, error-or-None)."""
     results: list[SelectionResult] = []
     for data, seed in zip(per_seed_data, seeds):
         try:

@@ -22,13 +22,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-
-import numpy as np
+from functools import partial
 
 from .bench import AlgoConfig, BenchConfig, emit_report, run_benchmark
 from .dataset import Dataset, center_columns, load_csv, save_csv
 from .errors import SelectionError
-from .metrics import subset_scorer
+from .metrics import variance_explained
 from .oracle import TabulatedSetFunction, _ground_set_size, bound_report
 from .oracle import compare_to_optimal, exhaustive_optimal
 from .selectors import ALGORITHMS
@@ -173,11 +172,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "optimal_value": optimal.value,
     }
     if args.bounds:
-        # The search's own scorer, so the two optima agree bit for bit.
-        score = subset_scorer(data, "ve")[0]
-        table = TabulatedSetFunction.from_callable(
-            data.v, lambda subset: float(score(np.array([subset], dtype=int) - 1)[0])
-        )
+        # VE equals the search's scorer bit for bit, so the two optima agree.
+        table = TabulatedSetFunction.from_callable(data.v, partial(variance_explained, data))
         bounds = asdict(bound_report(table, args.k))
         del bounds["k"]
         payload["bounds"] = bounds

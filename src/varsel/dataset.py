@@ -111,15 +111,16 @@ class Dataset:
     def _root(self) -> np.ndarray:
         """``_gram_root(self)`` (read-only), computed on first read and kept:
         the one factorization of the data that the thin selectors' residuals,
-        the VEs of small data and the ``ve`` scorer share.  A timer that must
-        pay for it on every call times a fresh ``Dataset`` of the same values."""
+        every VE and the ``ve`` scorer share.  A timer that must pay for it
+        on every call times a fresh ``Dataset`` of the same values."""
         root = _gram_root(self)
         root.setflags(write=False)
         return root
 
     @cached_property
     def _energy(self) -> float:
-        """``_total_energy(self)``, computed on first read and kept."""
+        """``_total_energy(self)``, computed on first read and kept, as is
+        :attr:`_root`; its no-variance ``ValueError`` recurs on every read."""
         return _total_energy(self)
 
     @property

@@ -52,18 +52,24 @@ class Cardinality:
     k: int
 
     def __post_init__(self):
-        if isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k or self.k < 1:
+        try:
+            valid = not isinstance(self.k, (bool, np.bool_)) and int(self.k) == self.k >= 1
+        except (OverflowError, ValueError):  # int() of an infinity or of NaN
+            valid = False
+        if not valid:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
 
 @dataclass(frozen=True)
 class Threshold:
-    """Stop once the tracked criterion value reaches ``tau``."""
+    """Stop once the tracked criterion value reaches ``tau``, a finite real."""
 
     tau: float
 
     def __post_init__(self):
+        if isinstance(self.tau, (bool, np.bool_, str, bytes)):
+            raise ValueError(f"tau must be a real number, got {self.tau!r}")
         tau = float(self.tau)
         if not math.isfinite(tau):
             raise ValueError(f"tau must be finite, got {tau}")
@@ -167,7 +173,8 @@ def greedy_select(
     """Forward greedy selection: per step, evaluate all remaining candidates
     and commit the best (lowest id on exact ties)."""
     selected = _warm_start(v, stop, initial)
-    remaining = [i for i in range(v) if i not in set(selected)]
+    warm = set(selected)
+    remaining = [i for i in range(v) if i not in warm]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
     exhausted = False
@@ -210,7 +217,8 @@ def lazy_greedy_select(
     heuristic, applied exactly as stated with no safeguard re-scan.
     """
     selected = _warm_start(v, stop, initial)
-    heap = [(-math.inf, i, -1) for i in range(v) if i not in set(selected)]
+    warm = set(selected)
+    heap = [(-math.inf, i, -1) for i in range(v) if i not in warm]
     gains: list[float] = [math.nan] * len(selected)
     evals = 0
     exhausted = False

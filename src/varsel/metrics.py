@@ -185,19 +185,9 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return captured
 
 
-# A VE reads the dataset's kept Gram root instead of ``X`` only when the
-# root's QR, about ``m v^2`` flops, costs no more than the fixed overhead of
-# one call (about 40 us at 500 x 12, against 50 us for a one-column VE, on
-# one Haswell core): the root then pays for itself by the second call on
-# the dataset, as in a tabulation of all 2^v subsets, and a single call
-# loses at most that overhead.  Larger data keep the QR of ``X_S``, whose
-# O(mk(k + v)) is up to v/k times less.
-ROOT_FLOPS = 2**17
-
-
 def _subset_ve(x: np.ndarray, energy: float, subsets: np.ndarray) -> np.ndarray:
     """VE (percent of ``energy = ||X||^2``) of each row of the ``(n, k)``
-    0-based ``subsets`` of ``x`` (``X`` or its Gram root), in chunks of at
+    0-based ``subsets`` of a Gram root ``x`` of ``X``, in chunks of at
     most ``_QR_ENTRIES`` entries; clamped to [0, 100] against round-off."""
     rows = max(1, _QR_ENTRIES // (max(1, subsets.shape[1]) * (3 * x.shape[0] + x.shape[1])))
     if len(subsets) > rows:
@@ -210,15 +200,13 @@ def variance_explained(data: Dataset, selected) -> float:
     """Percentage of total variance captured by projecting onto a selection.
 
     ``VE = 100 ||Q_S^T X||_F^2 / ||X||_F^2``, ``Q_S`` an orthonormal basis of
-    the span of the selected columns from their Householder QR: the energy
-    of the least-squares reconstruction from them, at O(mk(k + v)) cost.
-    ``||X||_F^2`` is kept on the dataset after its first VE.  On data small
-    enough that the Gram root's QR costs at most ``ROOT_FLOPS`` (m v^2), the
-    QR is of the selected columns of the root (``T`` of ``X = QT`` when
-    ``m > v``, else ``X``), kept on the dataset too: the first call there
-    also pays the root's O(mv^2), each later one O(vk(k + v)), and every
-    call equals :func:`subset_scorer`'s ``ve`` bit for bit.  The empty
-    selection scores 0.
+    the span of the selected columns: the energy of the least-squares
+    reconstruction from them.  The QR is of the selected columns of the
+    Gram root the dataset keeps (``T`` of ``X = QT`` when ``m > v``, else
+    ``X``), and ``||X||_F^2`` is kept there too: the first read of each on
+    a dataset pays for it, O(mv^2) for the root, and each call then costs
+    O(min(m, v) k (k + v)).  Every call equals :func:`subset_scorer`'s ``ve`` bit
+    for bit.  The empty selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
@@ -229,8 +217,7 @@ def variance_explained(data: Dataset, selected) -> float:
     if not data.centered:
         raise ValueError("variance_explained requires centered data")
     sel = selection_tuple(selected, data.v)
-    x = data._root if data.m * data.v**2 <= ROOT_FLOPS else data.values
-    return float(_subset_ve(x, data._energy, np.array([sel], dtype=int) - 1)[0])
+    return float(_subset_ve(data._root, data._energy, np.array([sel], dtype=int) - 1)[0])
 
 
 # =========================================================================

@@ -153,9 +153,10 @@ class _TabulatedGain(GainFunction):
 
 def _ground_set_size(v) -> int:
     """``v`` as an int in ``1..TABULATION_LIMIT`` by :class:`Cardinality`'s rule; TooLarge above."""
-    if isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1:
-        raise ValueError(f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v!r}")
-    v = int(v)
+    try:
+        v = Cardinality(v).k
+    except ValueError:
+        raise ValueError(f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v!r}") from None
     if v > TABULATION_LIMIT:
         raise TooLarge(2**v, 2**TABULATION_LIMIT)
     return v

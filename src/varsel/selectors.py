@@ -77,7 +77,7 @@ from time import perf_counter
 import numpy as np
 
 from ._linalg import spd_inverse, spd_solve
-from .dataset import DEPENDENT_TOL, Dataset, _total_energy, deflate_in_place
+from .dataset import DEPENDENT_TOL, Dataset, deflate_in_place
 from .dataset import index_tuple, normalize_unit
 from .engine import (
     EXCLUDED,
@@ -140,8 +140,9 @@ class SelectionResult:
     elapsed : float
         Wall-clock seconds for the selection (preprocessing done inside the
         selector, such as unit-normalization, included).  The ``Dataset``
-        keeps its Gram root, so the factorization is included only in the
-        first call of a selector other than UFS on a ``Dataset``.
+        keeps its Gram root and ``||X||^2``, and only their first reader
+        pays for them: a call on a fresh ``Dataset`` includes both (UFS
+        reads ``||X||^2`` alone).
     warnings : tuple of str
         Non-fatal anomalies (early exhaustion, a pick that adds no
         variance, a PFS step whose first principal component is
@@ -245,12 +246,13 @@ class _Residual:
     ``x`` is the centered data ``X``, or, with ``thin``, the Gram root the
     dataset keeps (``data._root``): the v x v triangular factor ``T`` of
     ``X = QT`` when ``m > v``, else ``X`` (see the module docstring; UFS
-    alone is not thin).  The root is read-only and factored once per
-    ``Dataset``, by whichever reads it first.
+    alone is not thin).  The root and ``energy = ||X||^2`` are kept on the
+    ``Dataset`` by their first reader, so a fresh ``Dataset`` pays for them.
     Each commit deflates ``r``; the energy captured, in percent of
     ``||X||^2``, extends the VE trace, and ``spanned_sq`` sums per column
     the energy captured from it, ``||x_j||^2 - ||r_j||^2``.  Every gain builds
-    its residual first: ``_total_energy`` is the call's one no-variance test.
+    its residual first: reading ``energy`` is the call's one no-variance
+    test, whose ``ValueError`` recurs on every call.
 
     The one rank test runs at init and after each deflation: column ``j``
     lies in the selected span when ``sqnorms[j] = ||r_j||^2 <= floor_sq[j]
@@ -262,7 +264,7 @@ class _Residual:
     """
 
     def __init__(self, data: Dataset, thin: bool):
-        self.energy = _total_energy(data)
+        self.energy = data._energy
         self.x = data._root if thin else data.values
         self.r = self.x.copy()
         self.x_sqnorms = np.einsum("ij,ij->j", self.x, self.x)

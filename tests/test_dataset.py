@@ -22,12 +22,20 @@ from varsel import (
     RankDeficient,
     ZeroColumn,
     center_columns,
+    exhaustive_optimal,
+    fsca_select,
     load_csv,
     normalize_unit,
     gen_sim2,
+    pfs_select,
     save_csv,
+    ufs_select,
+    variance_explained,
 )
+from varsel import dataset
 from varsel.dataset import FLAG_TOL, dataset_from_gram, selection_tuple
+from varsel.oracle import TabulatedSetFunction
+from varsel.selectors import ALGORITHMS
 
 from conftest import deflated, make_rng, random_dataset
 from reference import load_csv_rows, project_onto
@@ -99,6 +107,43 @@ class TestDataset:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset([[1.0, 2.0], [3.0, 4.0]], labels=("a",))
+
+
+class TestKeptRoot:
+    def test_gram_root_once_per_dataset(self, monkeypatch):
+        # The six thin selectors, every VE and the search's ``ve`` scorer
+        # read one root kept on the dataset; UFS reads X, and a fresh
+        # Dataset of the same values factors again.
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return root(data)
+
+        root = dataset._gram_root
+        monkeypatch.setattr(dataset, "_gram_root", counting)
+        data = center_columns(gen_sim2(500, 4, 12, seed=1))
+        ufs_select(data, 3)
+        assert calls == [] and "_root" not in vars(data)
+        for select in ALGORITHMS.values():
+            select(data, 3)
+            select(data, 3)
+        table = TabulatedSetFunction.from_callable(12, lambda s: variance_explained(data, s))
+        exhaustive_optimal(data, 3, "ve")
+        assert len(calls) == 1 and calls[0] is data
+        fresh = Dataset(data.values, centered=True)
+        fsca_select(fresh, 3)
+        variance_explained(fresh, [1, 2])
+        assert len(calls) == 2 and calls[1] is fresh
+        assert table.value_of(range(1, 13)) == pytest.approx(100.0, abs=1e-9)
+        # On tall data too the VEs factor the dataset once, and a later thin
+        # selector reads the root they kept.
+        tall = center_columns(gen_sim2(2000, 6, 150, seed=1))
+        for k in range(1, 11):
+            variance_explained(tall, range(1, k + 1))
+        assert len(calls) == 3 and calls[2] is tall
+        pfs_select(tall, 3)
+        assert len(calls) == 3
 
 
 # =========================================================================

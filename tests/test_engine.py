@@ -179,6 +179,15 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             Threshold(math.nan)
 
+    @pytest.mark.parametrize("tau", [True, np.bool_(False), "95", b"95"], ids=repr)
+    def test_threshold_rejects_bools_and_strings(self, tau):
+        # float() would read True as 1 and "95" as 95.
+        with pytest.raises(ValueError, match="tau must be a real number"):
+            Threshold(tau)
+        with pytest.raises(ValueError, match="tau must be a real number"):
+            fsca_select(_SIZE_DATA, tau=tau)
+        assert Threshold(np.float32(95.0)).tau == 95.0
+
     @pytest.mark.parametrize("select", [greedy_select, lazy_greedy_select])
     def test_threshold_needs_a_tracked_value(self, select):
         # A gain without ``value`` has nothing to stop on: the engines read
@@ -215,7 +224,7 @@ class TestSelectionSize:
     nothing truncates."""
 
     @pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
-    @pytest.mark.parametrize("k", [2.5, 2.9, 0, -1, True])
+    @pytest.mark.parametrize("k", [2.5, 2.9, 0, -1, True, math.inf, -math.inf, math.nan])
     def test_rejects_what_is_no_positive_integer(self, entry, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             SIZED_ENTRY_POINTS[entry](k)

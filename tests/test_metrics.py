@@ -29,9 +29,10 @@ from varsel import (
     relative_performance,
     variance_explained,
 )
+from varsel import dataset
 from varsel._linalg import spd_inverse, spd_logdet
 from varsel.dataset import _gram_root
-from varsel.metrics import ROOT_FLOPS, _captured_energy, subset_scorer
+from varsel.metrics import _captured_energy, subset_scorer
 from varsel.oracle import TabulatedSetFunction, exhaustive_optimal
 from varsel.selectors import _ItfsGain, _schur_diagonal
 
@@ -247,22 +248,34 @@ class TestVarianceExplained:
 
 
     @pytest.mark.parametrize("shape", [(2000, 150), (600, 20)])
-    def test_past_root_flops_factors_the_selected_columns(self, shape):
-        # On data whose root would cost more than ROOT_FLOPS a VE factors
-        # X_S itself, bit for bit, also once a scorer or a selector has kept
-        # the root: the rule reads the shape, not what ran before.
+    def test_equals_scorer_on_every_shape(self, monkeypatch, shape):
+        # Large data read the kept root too: VE equals the ``ve`` scorer bit
+        # for bit whether a VE or a selector keeps the root, and each
+        # dataset is factored once.
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return root(data)
+
+        root = dataset._gram_root
+        monkeypatch.setattr(dataset, "_gram_root", counting)
         m, v = shape
-        assert m * v**2 > ROOT_FLOPS
         subsets = [(1,), (3, 1, 7), tuple(range(1, 11)), (2, 5)]
-        for keep in (None, lambda d: subset_scorer(d, "ve"), lambda d: fsca_select(d, 1)):
+        values = []
+        for keep in (None, lambda d: fsca_select(d, 1)):
             data = center_columns(gen_sim2(m, 6, v, seed=4))
-            energy = float(np.linalg.norm(data.values)) ** 2
             if keep is not None:
                 keep(data)
-                assert "_root" in vars(data)
-            for sel in subsets:
-                captured = _captured_energy(data.values, np.array([sel]) - 1)[0]
-                assert variance_explained(data, sel) == min(100.0, 100.0 * captured / energy)
+            ves = [variance_explained(data, sel) for sel in subsets]
+            score = subset_scorer(data, "ve")[0]
+            assert ves == [float(score(np.array([sel]) - 1)[0]) for sel in subsets]
+            assert len(calls) == 1 and calls[0] is data
+            calls.clear()
+            values.append(ves)
+        assert values[0] == values[1]
+        for sel, ve in zip(subsets, values[0]):
+            assert ve == pytest.approx(subset_ve(data, sel), abs=1e-9)
 
 
 # =========================================================================

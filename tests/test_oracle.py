@@ -24,7 +24,7 @@ from varsel import (
     normalize_unit,
     variance_explained,
 )
-from varsel import dataset, metrics, oracle, selectors
+from varsel import oracle
 from varsel.dataset import dataset_from_gram
 from varsel.metrics import subset_scorer
 from varsel.oracle import (
@@ -110,9 +110,12 @@ class TestTabulatedSetFunction:
         with pytest.raises(ValueError, match=re.escape(message)):
             TabulatedSetFunction.from_callable(0, lambda s: 0.0)
 
-    @pytest.mark.parametrize("v", [2.7, "2", True, np.bool_(True)], ids=repr)
+    @pytest.mark.parametrize(
+        "v", [2.7, "2", True, np.bool_(True), math.inf, -math.inf, math.nan], ids=repr
+    )
     def test_non_integer_ground_set_rejected(self, v):
-        # int() would read 2.7 and "2" as 2, and True as 1.
+        # int() would read 2.7 and "2" as 2, and True as 1, and raise
+        # OverflowError for an infinity.
         message = f"a tabulated ground set has 1..{TABULATION_LIMIT} variables, got {v!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             TabulatedSetFunction(v, [0.0, 1.0, 1.0, 2.0])
@@ -130,40 +133,6 @@ class TestTabulatedSetFunction:
         seen = []
         TabulatedSetFunction.from_callable(v, lambda s: seen.append(s) or float(len(s)))
         assert seen == [tuple(i + 1 for i in range(v) if mask & (1 << i)) for mask in range(2**v)]
-
-    def test_gram_root_once_per_dataset(self, monkeypatch):
-        # The six thin selectors, the VEs of small data and the search's
-        # ``ve`` scorer read one root kept on the dataset; UFS reads X, and
-        # a fresh Dataset of the same values factors again.  On data past
-        # ROOT_FLOPS a VE factors X_S and builds no root.
-        calls = []
-
-        def counting(data):
-            calls.append(data)
-            return root(data)
-
-        root = dataset._gram_root
-        monkeypatch.setattr(dataset, "_gram_root", counting)
-        data = center_columns(gen_sim2(500, 4, 12, seed=1))
-        assert data.m * data.v**2 <= metrics.ROOT_FLOPS
-        selectors.ufs_select(data, 3)
-        assert calls == [] and "_root" not in vars(data)
-        for select in selectors.ALGORITHMS.values():
-            select(data, 3)
-            select(data, 3)
-        table = TabulatedSetFunction.from_callable(12, lambda s: variance_explained(data, s))
-        exhaustive_optimal(data, 3, "ve")
-        assert len(calls) == 1 and calls[0] is data
-        fresh = Dataset(data.values, centered=True)
-        fsca_select(fresh, 3)
-        variance_explained(fresh, [1, 2])
-        assert len(calls) == 2 and calls[1] is fresh
-        assert table.value_of(range(1, 13)) == pytest.approx(100.0, abs=1e-9)
-        tall = center_columns(gen_sim2(2000, 6, 150, seed=1))
-        assert tall.m * tall.v**2 > metrics.ROOT_FLOPS
-        for k in range(1, 11):
-            variance_explained(tall, range(1, k + 1))
-        assert len(calls) == 2 and "_root" not in vars(tall)
 
     @pytest.mark.parametrize("indices", [[1.5], [2.0], ["1"]])
     def test_value_of_rejects_non_integer_indices(self, indices):

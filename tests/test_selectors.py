@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from varsel import selectors
+from varsel import dataset
 from varsel import (
     CovarianceModel,
     Dataset,
@@ -849,22 +849,27 @@ class TestRankTest:
 
 class TestNoVariance:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_one_energy_pass_per_call(self, monkeypatch, name):
-        # The gain's residual computes ||X||^2, and with it the call's one
-        # no-variance test; nothing is kept on the dataset between calls.
+    def test_one_energy_pass_per_dataset(self, monkeypatch, name):
+        # The gain's residual reads the ||X||^2 the dataset keeps: the first
+        # call on a dataset computes it, and with it the no-variance test,
+        # a later call reads it, and a fresh Dataset of the same values
+        # pays again.
         calls = []
 
         def counting(data):
-            calls.append(data.values.shape)
+            calls.append(data)
             return energy(data)
 
-        energy = selectors._total_energy
-        monkeypatch.setattr(selectors, "_total_energy", counting)
+        energy = dataset._total_energy
+        monkeypatch.setattr(dataset, "_total_energy", counting)
         data = random_dataset(30, 6, seed=4)
-        ALGORITHMS[name](data, 3)
-        assert calls == [(30, 6)]
-        ALGORITHMS[name](data, 3)
-        assert calls == [(30, 6)] * 2
+        first = ALGORITHMS[name](data, 3)
+        again = ALGORITHMS[name](data, 3)
+        assert len(calls) == 1 and calls[0] is data
+        fresh = ALGORITHMS[name](Dataset(data.values, centered=True), 3)
+        assert len(calls) == 2 and calls[1] is not data
+        assert first.order == again.order == fresh.order
+        assert first.ve_curve.values == again.ve_curve.values == fresh.ve_curve.values
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     @pytest.mark.parametrize(
