@@ -205,8 +205,8 @@ def variance_explained(data: Dataset, selected) -> float:
     Gram root the dataset keeps (``T`` of ``X = QT`` when ``m > v``, else
     ``X``), and ``||X||_F^2`` is kept there too: the first read of each on
     a dataset pays for it, O(mv^2) for the root, and each call then costs
-    O(min(m, v) k (k + v)).  Every call equals :func:`subset_scorer`'s ``ve`` bit
-    for bit.  The empty selection scores 0.
+    O(min(m, v) k (k + v)).  Every call equals :func:`subset_scorer`'s
+    ``ve`` bit for bit.  The empty selection scores 0.
 
     Requires centered data so that "variance" is the centered sum of squares.
     A selected column that keeps at most ``DEPENDENT_TOL`` of its norm
