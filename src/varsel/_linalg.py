@@ -4,14 +4,14 @@ All three go through one Cholesky factorization, :func:`_factor`, the one
 place that decides what a failure means: :class:`SingularCovariance`, with
 no jitter, so every value returned belongs to the matrix the caller passed.
 
-scipy is imported on the first factorization, not with the package: only
-ITFS, the MI metric and the oracle's ``mi`` metric come here, and importing
-``scipy.linalg`` costs more than a whole L-FSCA run of ``varsel select``.
-Each of the three scipy routines is a module global that starts as a
-stand-in; the stand-in's first call imports the routine and binds it over
-itself, so every later call reaches scipy with no wrapper in between.
-``cho_factor`` is looked up at call time, so a test or a tracer can bind a
-counting wrapper over it, before or after the import.
+They call LAPACK ``potrf``, ``potrs`` and ``potri`` from
+``scipy.linalg.lapack`` directly: on an MI block, scipy's ``cho_factor`` and
+``cho_solve`` wrappers cost several times the factorization.  scipy is
+imported on the first factorization, not with the package: only ITFS, the
+MI metric and the oracle's ``mi`` metric come here.  Each LAPACK routine is
+a module global that starts as a stand-in; its first call imports the
+routine and binds it over itself.  :func:`cho_factor` is looked up at call
+time, so a test or a tracer can bind a counting wrapper over it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,18 @@ def _deferred(module: str, name: str):
     return stand_in
 
 
-cho_factor = _deferred("scipy.linalg", "cho_factor")
-cho_solve = _deferred("scipy.linalg", "cho_solve")
+dpotrf = _deferred("scipy.linalg.lapack", "dpotrf")
+dpotrs = _deferred("scipy.linalg.lapack", "dpotrs")
 dpotri = _deferred("scipy.linalg.lapack", "dpotri")
+
+
+def cho_factor(matrix: np.ndarray, lower: bool = True, check_finite: bool = False):
+    """``(factor, lower)`` from one ``potrf`` of a copy, as scipy's
+    ``cho_factor`` gives it; ``LinAlgError`` if not positive definite."""
+    factor, info = dpotrf(matrix, lower=lower, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return factor, lower
 
 
 def _factor(matrix: np.ndarray):
@@ -49,7 +58,7 @@ def _factor(matrix: np.ndarray):
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for symmetric positive-definite ``matrix``."""
-    return cho_solve(_factor(matrix), np.asarray(rhs, dtype=float), check_finite=False)
+    return dpotrs(_factor(matrix)[0], np.asarray(rhs, dtype=float), lower=1)[0]
 
 
 def spd_logdet(matrix: np.ndarray) -> float:

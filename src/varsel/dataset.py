@@ -44,6 +44,9 @@ FLAG_TOL = 1e-9
 #: fraction of its own norm is dependent on them: a scale-free test.
 DEPENDENT_TOL = 1e-10
 
+#: Entries of the one block ``deflate_in_place`` reuses instead of an m x v temporary.
+DEFLATE_BLOCK = 1 << 14
+
 
 def _unit(norms: np.ndarray) -> bool:
     return bool(np.all(np.abs(norms - 1.0) <= FLAG_TOL))
@@ -248,7 +251,11 @@ def deflate_in_place(values: np.ndarray, p0: int) -> tuple[float, np.ndarray]:
     r = values[:, p0].copy()
     rr = float(r @ r)
     coeffs = (r @ values) / rr
-    values -= np.outer(r, coeffs)
+    rows = max(1, DEFLATE_BLOCK // values.shape[1])
+    block = np.empty((min(rows, len(r)), values.shape[1]))
+    for lo in range(0, len(r), rows):
+        chunk = r[lo : lo + rows, None]
+        values[lo : lo + rows] -= np.multiply(chunk, coeffs, out=block[: len(chunk)])
     values[:, p0] = 0.0
     return rr, coeffs
 

@@ -77,7 +77,7 @@ class CovarianceModel:
     Parameters
     ----------
     cov : ndarray, shape (v, v)
-        Symmetric positive semi-definite covariance ``X^T X / m``.
+        Finite, symmetric positive semi-definite covariance ``X^T X / m``.
     sigma_noise : float
         Non-negative observation-noise standard deviation; its square is
         added to the diagonal wherever the model conditions or marginalizes.
@@ -90,6 +90,8 @@ class CovarianceModel:
         cov = np.array(self.cov, dtype=float, copy=True)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-10:
             raise ValueError("covariance must be symmetric within 1e-10")
         eigvals = np.linalg.eigvalsh(cov)
@@ -178,8 +180,8 @@ def _captured_energy(root: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     dependent = diagonal <= DEPENDENT_TOL * np.linalg.norm(columns, axis=2)
     coords = np.matmul(np.swapaxes(q, 1, 2), root)
     captured = np.einsum("nkv,nkv->n", coords, coords)
-    redo = np.flatnonzero(dependent.any(axis=1))
-    if redo.size:
+    if dependent.any():
+        redo = np.flatnonzero(dependent.any(axis=1))
         keep = np.arange(k) != dependent[redo].argmax(axis=1)[:, None]
         captured[redo] = _captured_energy(root, subsets[redo][keep].reshape(redo.size, k - 1))
     return captured
@@ -193,7 +195,7 @@ def _subset_ve(x: np.ndarray, energy: float, subsets: np.ndarray) -> np.ndarray:
     if len(subsets) > rows:
         parts = np.split(subsets, range(rows, len(subsets), rows))
         return np.concatenate([_subset_ve(x, energy, part) for part in parts])
-    return np.clip(100.0 * _captured_energy(x, subsets) / energy, 0.0, 100.0)
+    return np.minimum(np.maximum(100.0 * _captured_energy(x, subsets) / energy, 0.0), 100.0)
 
 
 def variance_explained(data: Dataset, selected) -> float:
@@ -257,8 +259,8 @@ def mutual_information(model: CovarianceModel, selected) -> float:
     (``(P_SS)^{-1}`` is the Schur complement of ``A_UU`` in ``A``), it is
     computed as ``(log det A_SS + log det P_SS) / 2``: the log det of the
     2k x 2k block-diagonal pair ``diag(A_SS, P_SS)``, two gathers and one
-    Cholesky factorization per subset, with ``A`` built and inverted once
-    per model.
+    LAPACK ``potrf`` per subset, with ``A`` built and inverted once per
+    model.
 
     Raises
     ------

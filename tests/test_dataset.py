@@ -33,7 +33,7 @@ from varsel import (
     variance_explained,
 )
 from varsel import dataset
-from varsel.dataset import FLAG_TOL, dataset_from_gram, selection_tuple
+from varsel.dataset import FLAG_TOL, dataset_from_gram, deflate_in_place, selection_tuple
 from varsel.oracle import TabulatedSetFunction
 from varsel.selectors import ALGORITHMS
 
@@ -311,6 +311,23 @@ class TestDeflate:
         tol = 1e-8 * np.linalg.norm(data.values) ** 2
         for j in (2, 4):
             assert np.abs(residual.T @ data.values[:, j - 1]).max() <= tol
+
+    @pytest.mark.parametrize("m, v", [(2000, 150), (250, 600), (333, 64), (50, 40)])
+    def test_blocks_equal_outer_product_bit_for_bit(self, m, v):
+        # The rows are updated in blocks of DEFLATE_BLOCK // v rows: 333 is
+        # not a multiple of 256, and 50 rows fit in one block.
+        assert m % (dataset.DEFLATE_BLOCK // v) != 0
+        values = make_rng(m + v).normal(size=(m, v))
+        p0 = v // 3
+        r = values[:, p0].copy()
+        rr = float(r @ r)
+        coeffs = (r @ values) / rr
+        expected = values - np.outer(r, coeffs)
+        expected[:, p0] = 0.0
+        out = deflate_in_place(values, p0)
+        assert out[0] == rr and np.array_equal(out[1], coeffs)
+        assert np.array_equal(values, expected)
+        assert not values[:, p0].any()
 
 
 # =========================================================================

@@ -90,6 +90,19 @@ class TestCovarianceModel:
         with pytest.raises(ValueError):
             CovarianceModel(np.eye(2), -0.1)
 
+    def test_rejects_nan(self):
+        # NaN passes the symmetry and PSD tests (every comparison with it is
+        # false), and every MI of the model would be NaN.
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            CovarianceModel(np.full((2, 2), np.nan), 0.1)
+
+    def test_rejects_inf(self):
+        # Not "regularized covariance is singular" at the first MI.
+        cov = np.eye(3)
+        cov[1, 1] = np.inf
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            CovarianceModel(cov, 0.1)
+
 
 # =========================================================================
 # Variance explained
