@@ -40,39 +40,38 @@ dpotrs = _deferred("scipy.linalg.lapack", "dpotrs")
 dpotri = _deferred("scipy.linalg.lapack", "dpotri")
 
 
-def cho_factor(matrix: np.ndarray, lower: bool = True, check_finite: bool = False):
-    """``(factor, lower)`` from one ``potrf`` of a copy, as scipy's
-    ``cho_factor`` gives it; ``LinAlgError`` if not positive definite."""
-    factor, info = dpotrf(matrix, lower=lower, clean=0)
+def cho_factor(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor from one ``potrf`` of a copy (the strict upper
+    triangle is left as it was); ``LinAlgError`` with scipy's text if the
+    matrix is not positive definite."""
+    factor, info = dpotrf(matrix, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return factor, lower
+    return factor
 
 
-def _factor(matrix: np.ndarray):
+def _factor(matrix: np.ndarray) -> np.ndarray:
     try:
-        return cho_factor(np.asarray(matrix, dtype=float), lower=True, check_finite=False)
+        return cho_factor(np.asarray(matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"regularized covariance is singular: {exc}") from exc
 
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for symmetric positive-definite ``matrix``."""
-    return dpotrs(_factor(matrix)[0], np.asarray(rhs, dtype=float), lower=1)[0]
+    return dpotrs(_factor(matrix), np.asarray(rhs, dtype=float), lower=1)[0]
 
 
 def spd_logdet(matrix: np.ndarray) -> float:
     """Log-determinant of a symmetric positive-definite matrix."""
-    factor, _ = _factor(matrix)
-    return 2.0 * float(np.log(factor.diagonal()).sum())
+    return 2.0 * float(np.log(_factor(matrix).diagonal()).sum())
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via Cholesky: LAPACK
     ``potri`` overwrites the factor with the inverse's lower triangle, which
     is mirrored row by row into the upper one (no n x n temporary)."""
-    factor, _ = _factor(matrix)
-    inverse = dpotri(factor, lower=1, overwrite_c=1)[0]
+    inverse = dpotri(_factor(matrix), lower=1, overwrite_c=1)[0]
     for j in range(inverse.shape[0] - 1):
         inverse[j, j + 1 :] = inverse[j + 1 :, j]
     return inverse

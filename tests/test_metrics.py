@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor
 
 from varsel import (
     CovarianceModel,
@@ -30,7 +29,7 @@ from varsel import (
     variance_explained,
 )
 from varsel import dataset
-from varsel._linalg import spd_inverse, spd_logdet
+from varsel._linalg import cho_factor, spd_inverse, spd_logdet
 from varsel.dataset import _gram_root
 from varsel.metrics import _captured_energy, subset_scorer
 from varsel.oracle import TabulatedSetFunction, exhaustive_optimal
