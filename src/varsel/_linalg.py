@@ -41,9 +41,8 @@ dpotri = _deferred("scipy.linalg.lapack", "dpotri")
 
 
 def cho_factor(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor from one ``potrf`` of a copy (the strict upper
-    triangle is left as it was); ``LinAlgError`` with scipy's text if the
-    matrix is not positive definite."""
+    """Lower Cholesky factor from one ``potrf`` of a copy; ``LinAlgError``
+    with scipy's text if the matrix is not positive definite."""
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
